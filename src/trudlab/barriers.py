@@ -163,7 +163,7 @@ def make_eigen_barrier(p: Exponent, n: int, R: float) -> BarrierSpec:
 
     Subsolution on B_R x (0, inf); vanishes on r = R, equals 1 at (0, 0).
     The stored decay rate is a certified upper bound for the first
-    eigenvalue of the ball and seeds the eigensolver bracket.
+    eigenvalue of the ball; the eigensolver shoots at it.
     """
     if R <= 0:
         raise ConstraintError("R must be positive")

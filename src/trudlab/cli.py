@@ -9,6 +9,8 @@ the current directory.  JSON for configs/reports, CSV for fields and tables.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import sys
@@ -37,6 +39,32 @@ def _out_dir(args) -> str:
     out = getattr(args, "out", None) or os.environ.get("TRUDLAB_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _create_artifacts(out_dir: str, stem: str, config, exts: tuple) -> tuple:
+    """Create the artifact set <stem>-<stamp>-<config hash>[-k] + exts in out_dir.
+
+    Each file is created exclusively, so runs that finish in the same second
+    never overwrite one another; on a clash the next free index k is taken.
+    Returns the base name and the first file, open for writing.
+    """
+    digest = hashlib.sha256(
+        json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:8]
+    head = os.path.join(out_dir, f"{stem}-{time.strftime('%Y%m%dT%H%M%S')}-{digest}")
+    for k in itertools.count():
+        base = head if k == 0 else f"{head}-{k}"
+        made = []
+        try:
+            for ext in exts:
+                made.append(open(base + ext, "x"))
+        except FileExistsError:
+            for fh in made:
+                fh.close()
+                os.remove(fh.name)
+            continue
+        for fh in made[1:]:
+            fh.close()
+        return base, made[0]
 
 
 def _load_config(path: str | None, allowed: set, overrides: dict) -> dict:
@@ -133,11 +161,11 @@ def _run_verify_one(cfg: dict, out_dir: str) -> int:
         tolerance=float(cfg.get("tolerance", 1e-9)),
         seed=int(cfg.get("seed", barriers.DEFAULT_SEED)),
     )
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    path = os.path.join(out_dir, f"verify-{spec.family.value}-{spec.p.label}"
-                        f"-{spec.n}-{stamp}.json")
+    base, fh = _create_artifacts(
+        out_dir, f"verify-{spec.family.value}-{spec.p.label}-{spec.n}", cfg, (".json",))
+    path = base + ".json"
     payload = {"config": cfg, "report": report.to_dict()}
-    with open(path, "w") as fh:
+    with fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
     expected = spec.expected.value if spec.expected else None
     ok = (report.verdict == spec.expected
@@ -180,17 +208,16 @@ def cmd_eigen(args) -> int:
     out_dir = _out_dir(args)
     if args.scaling:
         radii = [float(x) for x in args.scaling.split(",")]
-        spread = scaling_check(p, args.n, radii, tol=args.tol)
+        spread = scaling_check(p, args.n, radii)
         print(f"scaling spread of lambda_R * R^p over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
-    res = first_eigenvalue(p, args.n, args.R, tol=args.tol)
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    base = os.path.join(out_dir, f"eigen-{p.label}-{args.n}-{stamp}")
-    with open(base + ".json", "w") as fh:
+    res = first_eigenvalue(p, args.n, args.R)
+    base, fh = _create_artifacts(out_dir, f"eigen-{p.label}-{args.n}",
+                                 {"p": p.label, "n": args.n, "R": args.R}, (".json", ".csv"))
+    with fh:
         fh.write(res.to_json(indent=2))
     res.to_csv(base + ".csv")
-    print(f"lambda = {res.lam:.10g}  (iterations {res.bisection_iterations}, "
-          f"bracket width {res.bracket[1] - res.bracket[0]:.3e}, "
+    print(f"lambda = {res.lam:.10g}  (certified bound {res.rate_bound:.6g}, "
           f"residual audit {res.residual_norm:.3e})")
     print(f"wrote {base}.json, {base}.csv")
     return EXIT_OK
@@ -250,11 +277,11 @@ def cmd_solve(args) -> int:
         scheme=cfg["scheme"], boundary=boundary, initial=initial,
         dt=cfg.get("dt"), tolerance=float(cfg.get("tolerance", 1e-9)))
     field = solve_trudinger_radial(sc)
-    stamp = time.strftime("%Y%m%dT%H%M%S")
-    base = os.path.join(out_dir, f"solve-{sc.p.label}-{sc.n}-{stamp}")
-    field.to_csv(base + ".csv")
-    field.metadata["config_echo"] = {k: cfg.get(k) for k in sorted(cfg)}
-    field.save_manifest(base + ".json")
+    base, fh = _create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
+    with fh:
+        field.to_csv(base + ".csv")
+        field.metadata["config_echo"] = {k: cfg.get(k) for k in sorted(cfg)}
+        json.dump(field.manifest(), fh, indent=2, sort_keys=True)
     ok = field.metadata["audit_max"] <= field.metadata["consistency_bound_residual"] + 1e-12
     print(f"levels {len(field.times)}, audit residual "
           f"{field.metadata['audit_max']:.3e}, bound "
@@ -327,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", required=True)
     e.add_argument("--n", type=int, default=2)
     e.add_argument("--R", type=float, default=1.0)
-    e.add_argument("--tol", type=float, default=1e-10)
     e.add_argument("--scaling", help="comma-separated radii for the scaling check")
     e.add_argument("--out")
     e.set_defaults(func=cmd_eigen)

@@ -9,8 +9,10 @@ keeps the right-hand side regular through the degenerate axis:
 
 Near r = 0 the solution behaves like psi0 - C r^{p/(p-1)}; a two-term series
 steps off the singular origin before handing over to an adaptive high-order
-integrator.  Bisection drives either the eigenvalue (first zero pinned to R)
-or the center value (boundary trace pinned to delta).
+integrator.  No parameter is searched for: the equation is invariant under
+r -> s r, lam -> lam s^p (the lam_R R^p law) and (p-1)-homogeneous in psi, so
+a single shot yields the eigenvalue (from where its first zero falls) or the
+center value (from its boundary trace).
 """
 
 from __future__ import annotations
@@ -145,8 +147,7 @@ class EigenResult:
     grid: RadialGrid
     psi: np.ndarray
     dpsi: np.ndarray
-    bisection_iterations: int
-    bracket: tuple
+    rate_bound: float  # certified barrier rate the eigenvalue was checked against
     residual_norm: float
     p: Exponent = None
     n: int = 0
@@ -157,8 +158,7 @@ class EigenResult:
             "p": self.p.label if self.p else None,
             "n": self.n,
             "R": self.grid.R,
-            "bisection_iterations": self.bisection_iterations,
-            "bracket": list(self.bracket),
+            "rate_bound": self.rate_bound,
             "residual_norm": self.residual_norm,
         }
 
@@ -212,61 +212,49 @@ def bracket_rate(p: Exponent, n: int, R: float) -> float:
     return make_eigen_barrier(p, n, R).derived["rate"]
 
 
-def first_eigenvalue(p: Exponent, n: int, R: float, tol: float = 1e-10,
-                     grid_count: int = 2001) -> EigenResult:
-    """First Dirichlet eigenvalue on B_R by bisection on the shooting parameter.
+def _stretched(shot: ShootResult, s: float, R: float, lam: float) -> ShootResult:
+    """The shot r -> psi(s r) on [0, R]; it solves the equation at rate lam = shot.lam s^p."""
+    pf = shot._p_exponent
 
-    lam too small: psi stays positive on [0, R]; too large: psi vanishes
-    before R.  The search starts from the closed-form barrier rate (an upper
-    bound for the eigenvalue) and expands geometrically if needed.
+    def sol(rr):
+        vals = shot.sol(s * np.asarray(rr, float))
+        return np.vstack([vals[0], s ** (pf - 1.0) * vals[1]])  # w scales as s^{p-1}
+
+    r = np.linspace(0.0, R, shot.r.size)
+    vals = sol(r)
+    return ShootResult(r=r, psi=vals[0], dpsi=_dpsi_from_flux(vals[1], pf), first_zero=R,
+                       lam=lam, psi0=shot.psi0, sol=sol, _p_exponent=pf)
+
+
+def first_eigenvalue(p: Exponent, n: int, R: float, grid_count: int = 2001) -> EigenResult:
+    """First Dirichlet eigenvalue on B_R from one shot and the scaling law.
+
+    The eigen barrier certifies lam_R <= rate, so the profile shot at
+    lam = rate vanishes first at some r_z <= R.  The equation is invariant
+    under r -> s r, lam -> lam s^p, hence lam_R = rate (r_z / R)^p and the
+    eigenfunction is that shot stretched by R / r_z.  A shot that stays
+    positive on [0, R] breaks the certificate and raises ShootingError.  The
+    profile is audited by an independent finite-difference residual.
     """
     if p.is_infinity:
         raise ValueError("first_eigenvalue treats 2 <= p < infinity only; "
                          "the infinity eigenvalue is out of scope")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def vanishes(lam):
-        return shoot_radial(p, n, R, lam).first_zero is not None
-
-    hi = bracket_rate(p, n, R)
-    lo = hi / 10.0
-    expansions = 0
-    while not vanishes(hi):
-        lo = hi
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise ShootingError(f"no sign change found for lam up to {hi:g}")
-    while vanishes(lo):
-        hi = lo
-        lo /= 2.0
-        expansions += 1
-        if expansions > 120:
-            raise ShootingError(f"profile vanishes for lam down to {lo:g}")
-
-    bracket0 = (lo, hi)
-    iterations = 0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if vanishes(mid):
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-        if iterations > 200:
-            raise ShootingError("bisection failed to converge")
-
-    lam = 0.5 * (lo + hi)
-    shot = shoot_radial(p, n, R, lo)  # positive profile on [0, R]
+    rate = bracket_rate(p, n, R)
+    shot = shoot_radial(p, n, R, rate)
+    if shot.first_zero is None:
+        raise ShootingError(
+            f"the barrier rate {rate:g} is not an upper bound for the first "
+            f"eigenvalue: the profile shot at that rate stays positive on [0, {R:g}]")
+    s = shot.first_zero / R
+    lam = rate * s ** p.p
+    shot = _stretched(shot, s, R, lam)
     grid = RadialGrid(R, grid_count)
     psi, dpsi = shot.profile_on(grid)
     psi = np.maximum(psi, 0.0)
     res_norm = float(np.abs(
         elliptic_residual_grid(psi, grid, p, n, lam)).max())
     out = EigenResult(lam=lam, grid=grid, psi=psi / psi[0], dpsi=dpsi / psi[0],
-                      bisection_iterations=iterations, bracket=(lo, hi),
-                      residual_norm=res_norm, p=p, n=n)
+                      rate_bound=rate, residual_norm=res_norm, p=p, n=n)
     out._shoot = shot
     return out
 
@@ -279,12 +267,12 @@ def elliptic_residual_grid(psi: np.ndarray, grid: RadialGrid, p: Exponent,
     return res
 
 
-def scaling_check(p: Exponent, n: int, radii, tol: float = 1e-10) -> float:
+def scaling_check(p: Exponent, n: int, radii) -> float:
     """Max relative spread of lam_R * R^p across radii (0 for a single radius)."""
     radii = list(radii)
     if not radii:
         raise ValueError("need at least one radius")
-    vals = np.array([first_eigenvalue(p, n, R, tol=tol).lam * R ** p.p
+    vals = np.array([first_eigenvalue(p, n, R).lam * R ** p.p
                      for R in radii])
     med = float(np.median(vals))
     return float(np.max(np.abs(vals - med)) / med)
@@ -300,7 +288,6 @@ class BvpResult:
     M_lambda: float
     p: Exponent = None
     n: int = 0
-    bisection_iterations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -310,7 +297,6 @@ class BvpResult:
             "p": self.p.label if self.p else None,
             "n": self.n,
             "R": self.grid.R,
-            "bisection_iterations": self.bisection_iterations,
         }
 
     def to_json(self, **kw) -> str:
@@ -325,12 +311,14 @@ class BvpResult:
 
 
 def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
-                    tol: float = 1e-11, grid_count: int = 2001) -> BvpResult:
-    """Positive radial solution of the delta-boundary problem on B_R.
+                    grid_count: int = 2001) -> BvpResult:
+    """Positive radial solution of the delta-boundary problem on B_R from one shot.
 
-    Shoots on the center value M >= delta and bisects until the boundary
-    trace hits delta.  Requires 0 < lam < lam_R; above the eigenvalue the
-    center value blows up and no bounded positive solution exists.
+    The equation is (p-1)-homogeneous in u, so with psi_1 the profile shot
+    from psi_1(0) = 1, the solution is u = M psi_1 with center value
+    M_lambda = delta / psi_1(R).  Requires 0 < lam < lam_R, certified by
+    psi_1 staying positive on [0, R]; at or above the eigenvalue the center
+    value blows up and no bounded positive solution exists.
     """
     if p.is_infinity:
         raise ValueError("the delta-boundary problem treats finite p only")
@@ -340,48 +328,18 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
         raise ValueError("lam must be positive (lam -> 0 gives the constant delta)")
 
     probe = shoot_radial(p, n, R, lam, psi0=1.0)
-    if probe.first_zero is not None:
+    trace = float(probe.sol(R)[0])
+    if probe.first_zero is not None or trace <= 0.0:
         raise ShootingError(
             f"lam={lam:g} is at or above the first eigenvalue of the ball: the "
-            f"normalized profile vanishes at r={probe.first_zero:.6g} < R, and the "
+            f"normalized profile vanishes at r={probe.r[-1]:.6g} <= R, and the "
             "center value M_lambda blows up as lam approaches the eigenvalue; "
             "no bounded positive solution exists")
-
-    def boundary_gap(M):
-        shot = shoot_radial(p, n, R, lam, psi0=M)
-        if shot.first_zero is not None:
-            return -delta  # vanished early: boundary trace below delta
-        return float(shot.sol(R)[0]) - delta
-
-    lo = delta
-    if boundary_gap(lo) > 0:
-        raise ShootingError("center value delta already overshoots the boundary trace")
-    hi = 2.0 * delta
-    expansions = 0
-    while boundary_gap(hi) <= 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 100:
-            raise ShootingError("failed to bracket the center value")
-
-    iterations = 0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if boundary_gap(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > 200:
-            break
-
-    M = 0.5 * (lo + hi)
-    shot = shoot_radial(p, n, R, lam, psi0=M)
+    M = delta / trace
     grid = RadialGrid(R, grid_count)
-    u, du = shot.profile_on(grid)
-    return BvpResult(lam=lam, delta=delta, grid=grid, u=u, du=du,
-                     M_lambda=float(u[0]), p=p, n=n,
-                     bisection_iterations=iterations)
+    psi, dpsi = probe.profile_on(grid)
+    return BvpResult(lam=lam, delta=delta, grid=grid, u=M * psi, du=M * dpsi,
+                     M_lambda=M, p=p, n=n)
 
 
 def epsilon_gain(bvp: BvpResult, t: float, slack: float = 1e-8) -> float:

@@ -10,10 +10,10 @@ def eigen_cache():
     """Memoized first-eigenvalue results shared across the suite."""
     cache = {}
 
-    def get(p_value, n, R, tol=1e-10):
-        key = (p_value, n, R, tol)
+    def get(p_value, n, R):
+        key = (p_value, n, R)
         if key not in cache:
-            cache[key] = first_eigenvalue(Exponent.parse(p_value), n, R, tol=tol)
+            cache[key] = first_eigenvalue(Exponent.parse(p_value), n, R)
         return cache[key]
 
     return get

@@ -2,6 +2,7 @@
 
 import json
 
+from trudlab import eigensolver
 from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -70,6 +71,24 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert len(list(tmp_path.glob("verify-*.json"))) == 3
 
+    def test_same_second_reports_kept(self, tmp_path):
+        # same family, p and n within one second: the two b values differ only
+        # in the config hash, the repeated entry only in the index
+        entries = [
+            {"family": "growth", "p": "2", "n": 2, "b": 0.01, "samples": 400},
+            {"family": "growth", "p": "2", "n": 2, "b": 0.02, "samples": 400},
+            {"family": "growth", "p": "2", "n": 2, "b": 0.01, "samples": 400},
+        ]
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(entries))
+        code = run(["verify", "--sweep", str(sweep), "--jobs", "2"], tmp_path)
+        assert code == EXIT_OK
+        reports = sorted(tmp_path.glob("verify-*.json"))
+        assert len(reports) == 3
+        configs = sorted(json.dumps(json.loads(p.read_text())["config"], sort_keys=True)
+                         for p in reports)
+        assert configs == sorted(json.dumps(e, sort_keys=True) for e in entries)
+
 
 class TestEigenCommand:
     def test_linear_case_value(self, tmp_path, capsys):
@@ -78,6 +97,15 @@ class TestEigenCommand:
         out = capsys.readouterr().out
         assert "9.8696" in out
         assert list(tmp_path.glob("eigen-*.csv"))
+        data = json.loads(next(tmp_path.glob("eigen-*.json")).read_text())
+        assert data["lambda"] <= data["rate_bound"]
+
+    def test_broken_certificate_fails(self, tmp_path, monkeypatch):
+        # half the true eigenvalue pi^2 ~ 9.8696 of the unit ball, p = 2, n = 3
+        monkeypatch.setattr(eigensolver, "bracket_rate", lambda p, n, R: 0.5 * 9.8696)
+        code = run(["eigen", "--p", "2", "--n", "3"], tmp_path)
+        assert code == EXIT_FAIL
+        assert not list(tmp_path.glob("eigen-*"))
 
     def test_infinity_out_of_scope(self, tmp_path, capsys):
         code = run(["eigen", "--p", "inf"], tmp_path)

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trudlab import eigensolver
 from trudlab.eigensolver import (
     ShootingError,
     elliptic_residual_grid,
@@ -91,14 +94,32 @@ class TestFirstEigenvalue:
             lam2 = eigen_cache(pv, 2, 2.0).lam
             assert lam1 > lam2
 
-    def test_bisection_iteration_bound(self, eigen_cache):
-        res = eigen_cache(2.0, 3, 1.0)
-        lo0, hi0 = res.bracket
-        # initial bracket spans at most a decade around the barrier rate,
-        # possibly extended; bound iterations by the bisection count formula
-        span = 72.0  # certified rate for p=2, n=3, R=1
-        bound = math.ceil(math.log2(span / (1e-10 * res.lam))) + 2
-        assert res.bisection_iterations <= bound
+    def test_one_shot_per_call(self, monkeypatch):
+        # the scaling law and the homogeneity replace any search: at most two
+        # integrations per eigenvalue and exactly one per delta-BVP
+        calls = []
+        real = eigensolver.shoot_radial
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(eigensolver, "shoot_radial", counting)
+        for pv, n in ((2.0, 3), (3.0, 2), (4.0, 3)):
+            calls.clear()
+            res = first_eigenvalue(Exponent.finite(pv), n, 1.0)
+            assert 1 <= len(calls) <= 2
+            assert res.lam <= res.rate_bound
+            calls.clear()
+            solve_delta_bvp(Exponent.finite(pv), n, 1.0, 0.5 * res.lam, 1.0)
+            assert len(calls) == 1
+
+    def test_broken_certificate_raises(self, monkeypatch):
+        # a planted "bound" at half the true eigenvalue (pi^2 for p = 2,
+        # n = 3) leaves the shot positive on [0, R]: no silent fallback
+        monkeypatch.setattr(eigensolver, "bracket_rate", lambda p, n, R: 0.5 * PI2)
+        with pytest.raises(ShootingError, match="not an upper bound"):
+            first_eigenvalue(Exponent.finite(2), 3, 1.0)
 
     def test_profile_normalized_decreasing(self, eigen_cache):
         res = eigen_cache(3.0, 2, 1.0)
@@ -149,6 +170,14 @@ class TestScalingLaw:
     def test_single_radius_zero(self):
         assert scaling_check(Exponent.finite(2), 2, [1.0]) == 0.0
 
+    @settings(max_examples=12, deadline=None)
+    @given(pv=st.sampled_from([2.0, 2.5, 3.0, 4.0]), n=st.sampled_from([2, 3]),
+           R=st.floats(0.5, 2.0))
+    def test_scaling_law_property(self, eigen_cache, pv, n, R):
+        unit = eigen_cache(pv, n, 1.0).lam
+        lam = first_eigenvalue(Exponent.finite(pv), n, R).lam
+        assert lam * R ** pv == pytest.approx(unit, rel=1e-9)
+
     def test_linear_case_constant_is_pi2(self, eigen_cache):
         for R in (0.5, 2.0):
             lam = first_eigenvalue(Exponent.finite(2), 3, R).lam
@@ -196,6 +225,17 @@ class TestDeltaBvp:
         b = solve_delta_bvp(Exponent.finite(2), 3, 1.0, 0.95 * lam_R, 1.0)
         assert b.u[-1] == pytest.approx(1.0, abs=1e-8)
         assert np.all(np.diff(b.u) <= 1e-12)
+
+    @settings(max_examples=12, deadline=None)
+    @given(pv=st.sampled_from([2.0, 2.5, 3.0, 4.0]), frac=st.floats(0.05, 0.95),
+           delta=st.floats(0.1, 10.0), c=st.floats(0.1, 10.0))
+    def test_homogeneity_property(self, eigen_cache, pv, frac, delta, c):
+        lam = frac * eigen_cache(pv, 2, 1.0).lam
+        base = solve_delta_bvp(Exponent.finite(pv), 2, 1.0, lam, delta)
+        scaled = solve_delta_bvp(Exponent.finite(pv), 2, 1.0, lam, c * delta)
+        assert scaled.M_lambda == pytest.approx(c * base.M_lambda, rel=1e-9)
+        for b in (base, scaled):
+            assert b.u[-1] == pytest.approx(b.delta, rel=1e-10)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
