@@ -3,9 +3,17 @@
 Each family packages one explicit sub/super-solution construction: the
 separable eigen-type barrier on a ball, the space-time growth envelope on the
 whole space, the self-similar kernels, the power profiles, the flattening
-envelopes that squeeze solutions toward constant boundary data, the elliptic
-boundary barriers for the delta-boundary problem, and the time factor used to
-halve a solution over one time block.
+envelopes that squeeze solutions toward constant boundary data, and the
+elliptic boundary barriers for the delta-boundary problem.  The time factor
+used to halve a solution over one time block is a `TimeFactor`, not a family.
+
+Every formula is written once in the exponent law (g, k, d) of
+`exponent.Exponent`: (p, 1, n) for finite p, (4, 3, 1) for infinity.  The
+growth, power and flattening families are all v = A(t) + B(t) r^beta with
+beta = g/(g-1); `_power_log` is their one constructor and its closed-form
+log-form residual.  A branch on the exponent is left only where the
+construction itself differs: the eigen barrier's (alpha, rate) rule, the
+infinity lower envelope's cubic amplitude, and the finite-p boundary barriers.
 
 A BarrierSpec validates its parameter constraints at construction, stores the
 derived constants, evaluates phi (and log phi where the family is naturally a
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -47,7 +55,6 @@ class Family(enum.Enum):
     FLATTEN_LOWER = "flatten-lower"
     INF_FLATTEN_UPPER = "inf-flatten-upper"
     INF_FLATTEN_LOWER = "inf-flatten-lower"
-    TIME_FACTOR = "time-factor"
     BOUNDARY_CONE = "boundary-cone"
     BOUNDARY_OUTER_BALL = "boundary-outer-ball"
     PARABOLOID = "paraboloid"
@@ -85,21 +92,10 @@ class ResidualReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "derived": self.derived,
-            "min_residual": self.min_residual,
-            "max_residual": self.max_residual,
-            "argmin": {"r": self.argmin.r, "t": self.argmin.t},
-            "argmax": {"r": self.argmax.r, "t": self.argmax.t},
-            "samples": self.samples,
-            "verdict": self.verdict.value,
-            "tolerance": self.tolerance,
-            "scale": self.scale,
-            "seed": self.seed,
-            "notes": list(self.notes),
-        }
+        """Plain JSON types: the points as {"r", "t"}, the verdict by value."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "argmin": self.argmin._asdict(), "argmax": self.argmax._asdict(),
+                "verdict": self.verdict.value, "notes": list(self.notes)}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
@@ -122,14 +118,15 @@ class BarrierSpec:
     t_start: float = 0.0
     t_end: float = np.inf
     log_phi: Callable | None = None  # log-form value when stored that way
-    notes: tuple = ()
 
     @property
     def is_log_form(self) -> bool:
         return self.log_phi is not None
 
     def value(self, r, t):
-        return self.phi.value(np.asarray(r, float), np.asarray(t, float))
+        """phi on the broadcast (r, t) shape, also for time-independent families."""
+        r, t = np.asarray(r, float), np.asarray(t, float)
+        return np.broadcast_to(self.phi.value(r, t), np.broadcast_shapes(r.shape, t.shape))
 
     def log_value(self, r, t):
         if self.log_phi is None:
@@ -155,115 +152,153 @@ class BarrierSpec:
 
 
 # ---------------------------------------------------------------------------
+# the power-log calculus
+
+
+def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
+               dB: Callable, R: float = np.inf, exponentiate: bool = True):
+    """v = A(t) + B(t) r^beta, beta = g/(g-1), and its closed-form log-form residual.
+
+    The radial operator of B r^beta is the constant d sgn(B)|beta B|^{g-1}/k,
+    so with (P, Q) = power_solution_coefficients the log form
+    Lv + ((g-1)/k)|Dv|^g - (g-1) v_t is
+
+        P sgn(B)|B|^{g-1} + ((g-1)/k) Q |B|^g r^beta - (g-1)(A' + B' r^beta)
+
+    with term-magnitude scale |zero order| + gradient + (g-1)|A' + B' r^beta|.
+    Returns (phi, residual_fn, v): phi is exp(v) when exponentiate (the
+    envelopes), else v itself (the power profiles).
+    """
+    g, k = p.g, p.k
+    beta = p.power_exponent
+    P, Q = power_solution_coefficients(p, n)
+    grad_coeff = (g - 1.0) / k * Q
+    # sgn(B)|B|^{g-1}, chosen once: the identity at g = 2
+    flux = (lambda b: b) if g == 2.0 else (lambda b: np.abs(b) ** (g - 2.0) * b)
+
+    def logv(r, t):
+        return A(t) + B(t) * r ** beta
+
+    def v_r(r, t):
+        return beta * B(t) * r ** (beta - 1.0)
+
+    def v_rr(r, t):
+        return beta * (beta - 1.0) * B(t) * r ** (beta - 2.0)
+
+    def v_t(r, t):
+        return dA(t) + dB(t) * r ** beta
+
+    def residual_fn(r, t):
+        Bt = B(t)
+        flux_B = flux(Bt)
+        r_beta = r ** beta
+        zero_order = P * flux_B
+        grad_term = grad_coeff * flux_B * Bt * r_beta
+        time_term = (g - 1.0) * (dA(t) + dB(t) * r_beta)
+        return (zero_order + grad_term - time_term,
+                np.abs(zero_order) + grad_term + np.abs(time_term))
+
+    if not exponentiate:
+        phi = SpaceTimeFunction(logv, v_r, v_rr, v_t, R=R, origin_exponent=beta,
+                                origin_coefficient=B)
+        return phi, residual_fn, logv
+
+    def value(r, t):
+        return np.exp(logv(r, t))
+
+    phi = SpaceTimeFunction(
+        value,
+        dr=lambda r, t: value(r, t) * v_r(r, t),
+        drr=lambda r, t: value(r, t) * (v_rr(r, t) + v_r(r, t) ** 2),
+        dt=lambda r, t: value(r, t) * v_t(r, t),
+        R=R, origin_exponent=beta,
+        origin_coefficient=lambda t: np.exp(A(t)) * B(t),
+    )
+    return phi, residual_fn, logv
+
+
+def power_solution_coefficients(p: Exponent, n: int) -> tuple:
+    """(A, B): zero-order and gradient coefficients of the power calculus.
+
+    A = d beta^{g-1}/k and B = beta^g: n (p/(p-1))^{p-1} and (p/(p-1))^p for
+    finite p, 4^3/3^4 and (4/3)^4 for infinity.
+    """
+    g, k, d = p.g, p.k, p.d(n)
+    beta = p.power_exponent
+    return d * beta ** (g - 1.0) / k, beta ** g
+
+
+# ---------------------------------------------------------------------------
 # family constructors
 
 
 def make_eigen_barrier(p: Exponent, n: int, R: float) -> BarrierSpec:
-    """Separable barrier (1 - (r/R)^2)^alpha e^{-lambda t/(p-1)} on the ball.
+    """Separable barrier (1 - (r/R)^2)^alpha e^{-lambda t/(g-1)} on the ball.
 
     Subsolution on B_R x (0, inf); vanishes on r = R, equals 1 at (0, 0).
-    The stored decay rate is a certified upper bound for the first
-    eigenvalue of the ball; the eigensolver shoots at it.
+    The stored decay rate lambda = K theta^{g-2} (2 alpha/(1 - theta^2))^{g-1}
+    / (k R^g), K = g + d - 2, is a certified upper bound for the first
+    eigenvalue of the ball; the eigensolver shoots at it.  Finite p takes
+    alpha = (2g + K - 1)/(2(g-1)) and theta^2 = K/(K+1); infinity takes
+    alpha = 2 and theta^2 = 1/2.
     """
     if R <= 0:
         raise ConstraintError("R must be positive")
-    params = {"R": float(R)}
+    g, k, d = p.g, p.k, p.d(n)
+    K = g + d - 2.0
     if p.is_finite:
-        pf = p.p
-        k = pf + n - 2.0
-        alpha = (2.0 * pf + k - 1.0) / (2.0 * (pf - 1.0))
-        theta2 = k / (k + 1.0)
-        lam = (k * theta2 ** ((pf - 2.0) / 2.0) / R ** pf) * (2.0 * alpha / (1.0 - theta2)) ** (pf - 1.0)
-        derived = {"k": k, "alpha": alpha, "theta2": theta2, "rate": lam}
-        c1 = 2.0 * alpha / R ** 2
-        half_exp = (k - 1.0) / 2.0  # (alpha-1)(p-1) - 1
-
-        def h(r):
-            return 1.0 - (np.asarray(r, float) / R) ** 2
-
-        def plap_eta(r):
-            # grouped closed form, finite at r = R even when eta'' blows up
-            r = np.asarray(r, float)
-            return (c1 ** (pf - 1.0) * r ** (pf - 2.0) * h(r) ** half_exp
-                    * (2.0 * (alpha - 1.0) * (pf - 1.0) * r ** 2 / R ** 2 - k * h(r)))
-
-        def residual_fn(r, t):
-            decay = np.exp(-lam * np.asarray(t, float))
-            spatial = plap_eta(r)
-            zero_order = lam * h(r) ** (alpha * (pf - 1.0))
-            return decay * (spatial + zero_order), decay * (np.abs(spatial) + zero_order)
-
-        def value(r, t):
-            return h(r) ** alpha * np.exp(-lam * np.asarray(t, float) / (pf - 1.0))
-
-        def dr(r, t):
-            r = np.asarray(r, float)
-            return -c1 * r * h(r) ** (alpha - 1.0) * np.exp(-lam * np.asarray(t, float) / (pf - 1.0))
-
-        def drr(r, t):
-            r = np.asarray(r, float)
-            e = np.exp(-lam * np.asarray(t, float) / (pf - 1.0))
-            return (-c1 * h(r) ** (alpha - 1.0)
-                    + 2.0 * c1 * (alpha - 1.0) * r ** 2 / R ** 2 * h(r) ** (alpha - 2.0)) * e
-
-        def dt(r, t):
-            return -lam / (pf - 1.0) * value(r, t)
-
-        phi = SpaceTimeFunction(value, dr, drr, dt, R=R)
+        alpha = (2.0 * g + K - 1.0) / (2.0 * (g - 1.0))
+        theta2 = K / (K + 1.0)
+        derived = {"k": K, "alpha": alpha, "theta2": theta2}
     else:
-        lam = 2.0 ** 8 / R ** 4
-        derived = {"theta": 1.0 / np.sqrt(2.0), "rate": lam, "alpha": 2.0}
-        derived["k"] = float("nan")
+        alpha, theta2 = 2.0, 0.5
+        derived = {"theta": 1.0 / np.sqrt(2.0), "alpha": alpha, "k": float("nan")}
+    lam = (K * theta2 ** ((g - 2.0) / 2.0) / (k * R ** g)) * (2.0 * alpha / (1.0 - theta2)) ** (g - 1.0)
+    derived["rate"] = lam
+    c1 = 2.0 * alpha / R ** 2
+    h_exp = (alpha - 1.0) * (g - 1.0) - 1.0
 
-        def h(r):
-            return 1.0 - (np.asarray(r, float) / R) ** 2
+    def h(r):
+        return 1.0 - (np.asarray(r, float) / R) ** 2
 
-        def eta_d1(r):
-            r = np.asarray(r, float)
-            return -4.0 * r * h(r) / R ** 2
+    def residual_fn(r, t):
+        # grouped closed form of L eta, finite at r = R even when eta'' blows up
+        decay = np.exp(-lam * np.asarray(t, float))
+        spatial = (c1 ** (g - 1.0) / k * r ** (g - 2.0) * h(r) ** h_exp
+                   * (2.0 * (alpha - 1.0) * (g - 1.0) * r ** 2 / R ** 2 - K * h(r)))
+        zero_order = lam * h(r) ** (alpha * (g - 1.0))
+        return decay * (spatial + zero_order), decay * (np.abs(spatial) + zero_order)
 
-        def eta_d2(r):
-            r = np.asarray(r, float)
-            return -4.0 * h(r) / R ** 2 + 8.0 * r ** 2 / R ** 4
-
-        def residual_fn(r, t):
-            decay = np.exp(-lam * np.asarray(t, float))
-            spatial = eta_d1(r) ** 2 * eta_d2(r)
-            zero_order = lam * h(r) ** 6
-            return decay * (spatial + zero_order), decay * (np.abs(spatial) + zero_order)
-
-        def value(r, t):
-            return h(r) ** 2 * np.exp(-lam * np.asarray(t, float) / 3.0)
-
-        phi = SpaceTimeFunction(
-            value,
-            dr=lambda r, t: eta_d1(r) * np.exp(-lam * np.asarray(t, float) / 3.0),
-            drr=lambda r, t: eta_d2(r) * np.exp(-lam * np.asarray(t, float) / 3.0),
-            dt=lambda r, t: -lam / 3.0 * value(r, t),
-            R=R,
-        )
-
+    eta = RadialProfile(
+        value=lambda r: h(r) ** alpha,
+        d1=lambda r: -c1 * r * h(r) ** (alpha - 1.0),
+        d2=lambda r: -c1 * h(r) ** (alpha - 1.0)
+        + 2.0 * c1 * (alpha - 1.0) * r ** 2 / R ** 2 * h(r) ** (alpha - 2.0),
+        R=R,
+    )
+    decay = lambda t: np.exp(-lam * np.asarray(t, float) / (g - 1.0))
+    phi = separable_function(eta, decay, lambda t: -lam / (g - 1.0) * decay(t))
     return BarrierSpec(
-        family=Family.EIGEN_SEPARABLE, p=p, n=n, params=params, derived=derived,
+        family=Family.EIGEN_SEPARABLE, p=p, n=n, params={"R": float(R)}, derived=derived,
         phi=phi, residual_fn=residual_fn, operator="trudinger",
         expected=Verdict.SUBSOLUTION, r_range=(0.0, R), t_start=0.0,
     )
 
 
 def growth_barrier_max_b(p: Exponent, T: float, alpha: float) -> float:
-    """Largest admissible slope parameter b for the growth envelope."""
-    if p.is_finite:
-        pf = p.p
-        return (alpha / ((pf / (pf - 1.0)) ** pf * (T + 1.0) ** (alpha * (pf - 1.0) + 1.0))) ** (1.0 / (pf - 1.0))
-    return (alpha * 3.0 ** 5 / (4.0 ** 4 * (T + 1.0) ** (3.0 * alpha + 1.0))) ** (1.0 / 3.0)
+    """Largest admissible slope parameter b: (alpha k/(beta^g (T+1)^{alpha(g-1)+1}))^{1/(g-1)}."""
+    g = p.g
+    beta = p.power_exponent
+    return (alpha * p.k / (beta ** g * (T + 1.0) ** (alpha * (g - 1.0) + 1.0))) ** (1.0 / (g - 1.0))
 
 
 def make_growth_barrier(p: Exponent, n: int, T: float, alpha: float, b: float) -> BarrierSpec:
-    """Supersolution exp(a[(t+1)^{alpha(p-1)+1} - 1] + b (t+1)^alpha r^{p/(p-1)}).
+    """Supersolution exp(a[(t+1)^gamma - 1] + b (t+1)^alpha r^beta), gamma = alpha(g-1) + 1.
 
-    Valid on all of space for 0 <= t <= T provided b stays strictly below the
-    admissible bound; the spatial growth exp(b r^{p/(p-1)}) is the critical
-    growth class of the unbounded-domain bounds.
+    a = d (beta b)^{g-1}/(k (g-1) gamma) cancels the zero-order term.  Valid
+    on all of space for 0 <= t <= T provided b stays strictly below the
+    admissible bound; the spatial growth exp(b r^beta) is the critical growth
+    class of the unbounded-domain bounds.
     """
     if T <= 0 or alpha <= 0 or b <= 0:
         raise ConstraintError("T, alpha, b must all be positive")
@@ -271,136 +306,47 @@ def make_growth_barrier(p: Exponent, n: int, T: float, alpha: float, b: float) -
     if not b < b_max:
         raise ConstraintError(
             f"b={b:g} inadmissible: need b < {b_max:.12g} for T={T:g}, alpha={alpha:g}")
-    beta = p.power_exponent
-    params = {"T": float(T), "alpha": float(alpha), "b": float(b)}
-    if p.is_finite:
-        pf = p.p
-        gamma = alpha * (pf - 1.0) + 1.0
-        a = n * pf ** (pf - 1.0) * b ** (pf - 1.0) / ((pf - 1.0) ** pf * gamma)
-        A = n * (pf / (pf - 1.0)) ** (pf - 1.0)
-        Bgrad = (pf / (pf - 1.0)) ** pf
-
-        def logv(r, t):
-            t = np.asarray(t, float)
-            return a * ((t + 1.0) ** gamma - 1.0) + b * (t + 1.0) ** alpha * np.asarray(r, float) ** beta
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            res = (b * (pf - 1.0) * r ** beta * (t + 1.0) ** (alpha - 1.0)
-                   * (Bgrad * b ** (pf - 1.0) * (t + 1.0) ** gamma - alpha))
-            scale = (A * b ** (pf - 1.0) * (t + 1.0) ** (alpha * (pf - 1.0))
-                     + (pf - 1.0) * Bgrad * b ** pf * (t + 1.0) ** (alpha * pf) * r ** beta
-                     + (pf - 1.0) * (a * gamma * (t + 1.0) ** (gamma - 1.0)
-                                     + alpha * b * (t + 1.0) ** (alpha - 1.0) * r ** beta))
-            return res, scale
-
-        derived = {"a": a, "b_max": b_max, "power_coeff": A, "grad_coeff": Bgrad}
-    else:
-        gamma = 3.0 * alpha + 1.0
-        a = 4.0 ** 3 * b ** 3 / (3.0 ** 5 * gamma)
-        A = 4.0 ** 3 / 3.0 ** 4
-        Bgrad = (4.0 / 3.0) ** 4
-
-        def logv(r, t):
-            t = np.asarray(t, float)
-            return a * ((t + 1.0) ** gamma - 1.0) + b * (t + 1.0) ** alpha * np.asarray(r, float) ** beta
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            res = (b * r ** beta * (t + 1.0) ** (alpha - 1.0)
-                   * (Bgrad * b ** 3 * (t + 1.0) ** gamma - 3.0 * alpha))
-            scale = (A * b ** 3 * (t + 1.0) ** (3.0 * alpha)
-                     + Bgrad * b ** 4 * (t + 1.0) ** (4.0 * alpha) * r ** beta
-                     + 3.0 * (a * gamma * (t + 1.0) ** (gamma - 1.0)
-                              + alpha * b * (t + 1.0) ** (alpha - 1.0) * r ** beta))
-            return res, scale
-
-        derived = {"a": a, "b_max": b_max, "power_coeff": A, "grad_coeff": Bgrad}
-
-    phi = _log_form_function(logv, dlog_dr=lambda r, t: b * (np.asarray(t, float) + 1.0) ** alpha
-                             * beta * np.asarray(r, float) ** (beta - 1.0),
-                             dlog_drr=lambda r, t: b * (np.asarray(t, float) + 1.0) ** alpha
-                             * beta * (beta - 1.0) * np.asarray(r, float) ** (beta - 2.0),
-                             dlog_dt=lambda r, t: (a * gamma * (np.asarray(t, float) + 1.0) ** (gamma - 1.0)
-                                                   + alpha * b * (np.asarray(t, float) + 1.0) ** (alpha - 1.0)
-                                                   * np.asarray(r, float) ** beta),
-                             origin_exponent=beta,
-                             origin_coefficient=lambda t: b * (t + 1.0) ** alpha)
-
+    g, k, d = p.g, p.k, p.d(n)
+    gamma = alpha * (g - 1.0) + 1.0
+    a = d * (p.power_exponent * b) ** (g - 1.0) / (k * (g - 1.0) * gamma)
+    A, Bgrad = power_solution_coefficients(p, n)
+    phi, residual_fn, logv = _power_log(
+        p, n,
+        A=lambda t: a * ((t + 1.0) ** gamma - 1.0),
+        dA=lambda t: a * gamma * (t + 1.0) ** (gamma - 1.0),
+        B=lambda t: b * (t + 1.0) ** alpha,
+        dB=lambda t: alpha * b * (t + 1.0) ** (alpha - 1.0),
+    )
     return BarrierSpec(
-        family=Family.GROWTH_ENVELOPE, p=p, n=n, params=params, derived=derived,
+        family=Family.GROWTH_ENVELOPE, p=p, n=n,
+        params={"T": float(T), "alpha": float(alpha), "b": float(b)},
+        derived={"a": a, "b_max": b_max, "power_coeff": A, "grad_coeff": Bgrad},
         phi=phi, residual_fn=residual_fn, operator="log-form",
         expected=Verdict.SUPERSOLUTION, r_range=(0.0, np.inf), t_start=0.0,
         t_end=float(T), log_phi=logv,
     )
 
 
-def _log_form_function(logv, dlog_dr, dlog_drr, dlog_dt,
-                       origin_exponent=None, origin_coefficient=None,
-                       R=np.inf) -> SpaceTimeFunction:
-    """phi = exp(v) with derivatives pushed through from the log form v."""
-    def value(r, t):
-        return np.exp(logv(r, t))
-
-    def dr(r, t):
-        return value(r, t) * dlog_dr(r, t)
-
-    def drr(r, t):
-        return value(r, t) * (dlog_drr(r, t) + dlog_dr(r, t) ** 2)
-
-    def dt(r, t):
-        return value(r, t) * dlog_dt(r, t)
-
-    return SpaceTimeFunction(value, dr, drr, dt, R=R,
-                             origin_exponent=origin_exponent,
-                             origin_coefficient=origin_coefficient)
-
-
 def make_kernel(p: Exponent, n: int) -> BarrierSpec:
-    """Self-similar kernel t^{-n/(p(p-1))} exp(-((p-1)/p^{p/(p-1)}) (r^p/t)^{1/(p-1)}).
+    """Self-similar kernel t^{-m} exp(-c r^beta t^{-s}).
 
-    Exact solution on r >= 0, t > 0 (for p = 2 this is the heat kernel);
-    analytic r- and t-derivatives are exposed for residual testing.
+    m = d/(g(g-1)), c = (g-1) k^{1/(g-1)}/g^beta, s = 1/(g-1): the power-log
+    function with A(t) = -m log t, B(t) = -c t^{-s}.  Exact solution on
+    r >= 0, t > 0 (for p = 2 this is the heat kernel); its residual is the
+    Trudinger residual of phi with analytic r- and t-derivatives.
     """
-    beta = p.power_exponent
-    if p.is_finite:
-        pf = p.p
-        m = n / (pf * (pf - 1.0))
-        c = (pf - 1.0) / pf ** beta
-        s = 1.0 / (pf - 1.0)
-    else:
-        m = 1.0 / 12.0
-        c = (3.0 / 4.0) ** (4.0 / 3.0)
-        s = 1.0 / 3.0
+    g, k, d = p.g, p.k, p.d(n)
+    m = d / (g * (g - 1.0))
+    c = (g - 1.0) * k ** (1.0 / (g - 1.0)) / g ** p.power_exponent
+    s = 1.0 / (g - 1.0)
 
-    def value(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        if np.any(t <= 0):
+    def log_t(t):
+        if np.any(np.asarray(t) <= 0):
             raise DomainError("kernel defined for t > 0 only")
-        return t ** (-m) * np.exp(-c * r ** beta * t ** (-s))
+        return np.log(t)
 
-    def dr(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        return value(r, t) * (-c * beta * r ** (beta - 1.0) * t ** (-s))
-
-    def drr(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        w = c * beta * r ** (beta - 1.0) * t ** (-s)
-        return value(r, t) * (w ** 2 - c * beta * (beta - 1.0) * r ** (beta - 2.0) * t ** (-s))
-
-    def dt(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        return value(r, t) * (-m / t + c * s * r ** beta * t ** (-s - 1.0))
-
-    phi = SpaceTimeFunction(value, dr, drr, dt, R=np.inf,
-                            origin_exponent=beta,
-                            origin_coefficient=lambda t: -c * t ** (-m - s))
+    phi, _, _ = _power_log(p, n, A=lambda t: -m * log_t(t), dA=lambda t: -m / t,
+                           B=lambda t: -c * t ** (-s), dB=lambda t: c * s * t ** (-s - 1.0))
 
     def residual_fn(r, t):
         return trudinger_residual_grid(phi, p, n, r, t)
@@ -412,69 +358,27 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
     )
 
 
-def power_solution_coefficients(p: Exponent, n: int) -> tuple:
-    """(A, B): zero-order and gradient coefficients of the power calculus.
-
-    A = n (p/(p-1))^{p-1}, B = (p/(p-1))^p for finite p;
-    A = 4^3/3^4, B = (4/3)^4 for infinity.
-    """
-    if p.is_finite:
-        beta = p.power_exponent
-        return n * beta ** (p.p - 1.0), beta ** p.p
-    return 4.0 ** 3 / 3.0 ** 4, (4.0 / 3.0) ** 4
-
-
 def make_power_solution(p: Exponent, n: int, sign: int, f: Callable,
                         fprime: Callable, t_max: float = np.inf,
                         f_label: str = "f") -> BarrierSpec:
-    """u = sign * f(t) r^{p/(p-1)} with its closed-form log-form residual.
+    """u = sign * f(t) r^beta with its closed-form log-form residual.
 
-    Finite p:   G u = sign*A f^{p-1} + (p-1) B f^p r^{p/(p-1)} - sign*(p-1) r^{p/(p-1)} f'
-    infinity:   G u = sign*A f^3    +       B f^4 r^{4/3}     - sign*3 r^{4/3} f'
+    G u = sign*A f^{g-1} + ((g-1)/k) B f^g r^beta - sign*(g-1) r^beta f'
 
-    with (A, B) from power_solution_coefficients.  The gradient term is a
-    fixed-sign even power, so the plus branch with non-increasing f >= 0 is a
-    subsolution on all of r >= 0; the minus branch is only sign-definite on
-    small radii.
+    with (A, B) from power_solution_coefficients (the `_power_log` calculus
+    at A(t) = 0, B(t) = sign f(t)); f and f' are called on arrays of times.
+    The gradient term is a fixed-sign even power, so the plus branch with
+    non-increasing f >= 0 is a subsolution on all of r >= 0; the minus branch
+    is only sign-definite on small radii.
     """
     if sign not in (+1, -1):
         raise ConstraintError("sign must be +1 or -1")
-    ts = np.linspace(0.0, min(t_max, 10.0), 64)
-    fv = np.asarray([f(t) for t in ts], float)
-    if np.any(fv < 0):
+    if np.any(np.asarray(f(np.linspace(0.0, min(t_max, 10.0), 64))) < 0):
         raise ConstraintError("time factor f must be nonnegative")
-    beta = p.power_exponent
     A, B = power_solution_coefficients(p, n)
-    w = p.time_weight  # p-1 or 3
-    grad_w = p.p - 1.0 if p.is_finite else 1.0  # coefficient on the |Du|^p term
-
-    def residual_fn(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        ft = np.vectorize(f)(t)
-        dft = np.vectorize(fprime)(t)
-        zero_order = A * ft ** w
-        grad_term = grad_w * B * ft ** (w + 1.0) * r ** beta
-        time_term = w * r ** beta * dft
-        res = sign * zero_order + grad_term - sign * time_term
-        return res, np.abs(zero_order) + np.abs(grad_term) + np.abs(time_term)
-
-    def value(r, t):
-        return sign * np.vectorize(f)(np.asarray(t, float)) * np.asarray(r, float) ** beta
-
-    phi = SpaceTimeFunction(
-        value,
-        dr=lambda r, t: sign * np.vectorize(f)(np.asarray(t, float)) * beta
-        * np.asarray(r, float) ** (beta - 1.0),
-        drr=lambda r, t: sign * np.vectorize(f)(np.asarray(t, float)) * beta * (beta - 1.0)
-        * np.asarray(r, float) ** (beta - 2.0),
-        dt=lambda r, t: sign * np.vectorize(fprime)(np.asarray(t, float))
-        * np.asarray(r, float) ** beta,
-        R=np.inf,
-        origin_exponent=beta,
-        origin_coefficient=lambda t: sign * f(t),
-    )
-
+    phi, residual_fn, _ = _power_log(
+        p, n, A=lambda t: 0.0, dA=lambda t: 0.0,
+        B=lambda t: sign * f(t), dB=lambda t: sign * fprime(t), exponentiate=False)
     expected = Verdict.SUBSOLUTION if sign > 0 else Verdict.SUPERSOLUTION
     return BarrierSpec(
         family=Family.POWER_PROFILE, p=p, n=n,
@@ -490,40 +394,53 @@ def flattening_constants(p: Exponent, n: int, R: float, M: float, alpha: float,
     """Derived constants of the upper flattening envelope.
 
     A and B are the zero-order/gradient constants of the envelope calculus
-    (B carries the (p-1) R^{p/(p-1)} factor), a the amplitude, T0 the start
+    (B carries the ((g-1)/k) R^beta factor), a the amplitude, T0 the start
     of the validity window: the smallest time making the residual bracket
     non-positive, widened by `safety`.
     """
+    g, d = p.g, p.d(n)
     beta = p.power_exponent
-    if p.is_finite:
-        pf = p.p
-        A = n * beta ** (pf - 1.0)
-        B = (pf - 1.0) * beta ** pf * R ** beta
-        K = A * (A * (pf - 1.0) / (pf * B)) ** (pf - 1.0) / pf
-        Kbar = alpha * (pf - 1.0) * (n * (pf - 1.0) / pf ** 2 + np.log(M))
-        T0 = safety * max(Kbar / K - 1.0, 0.0)
-        a = A * (pf - 1.0) * (1.0 + T0) ** alpha / (pf * B)
-        b = (1.0 + T0) ** alpha * np.log(M) / a
-        return {"A": A, "B": B, "K": K, "Kbar": Kbar, "T0": T0, "a": a, "b": b}
-    A = 4.0 ** 3 / 3.0 ** 4
-    B = (4.0 / 3.0) ** 4 * R ** beta
-    C = 3.0 * alpha * (3.0 / 16.0 + np.log(M))
-    D = (A / 4.0) * (3.0 * A / (4.0 * B)) ** 3
-    T0 = safety * max(C / D - 1.0, 0.0)
-    a = 3.0 * A * (1.0 + T0) ** alpha / (4.0 * B)
+    A, grad_coeff = power_solution_coefficients(p, n)
+    B = (g - 1.0) / p.k * grad_coeff * R ** beta
+    K = A * (A * (g - 1.0) / (g * B)) ** (g - 1.0) / g
+    Kbar = alpha * (g - 1.0) * (d * (g - 1.0) / g ** 2 + np.log(M))
+    T0 = safety * max(Kbar / K - 1.0, 0.0)
+    a = A * (g - 1.0) * (1.0 + T0) ** alpha / (g * B)
     b = (1.0 + T0) ** alpha * np.log(M) / a
-    return {"A": A, "B": B, "K": D, "Kbar": C, "T0": T0, "a": a, "b": b}
+    return {"A": A, "B": B, "K": K, "Kbar": Kbar, "T0": T0, "a": a, "b": b}
 
 
-def _check_flatten_alpha(p: Exponent, alpha: float):
+def _check_flatten(p: Exponent, R: float, alpha: float):
+    """R > 0 and alpha in (0, 1/(g-2)], any alpha > 0 at g = 2."""
+    if R <= 0:
+        raise ConstraintError("R must be positive")
     if alpha <= 0:
         raise ConstraintError("alpha must be positive")
-    if p.is_finite:
-        if p.p > 2.0 and alpha > 1.0 / (p.p - 2.0):
-            raise ConstraintError(
-                f"alpha must lie in (0, {1.0 / (p.p - 2.0):g}] for p={p.p:g}")
-    elif alpha > 0.5:
-        raise ConstraintError("alpha must lie in (0, 1/2] for the infinity branch")
+    g = p.g
+    if g > 2.0 and alpha > 1.0 / (g - 2.0):
+        raise ConstraintError(f"alpha must lie in (0, {1.0 / (g - 2.0):g}] for p={p.label}")
+
+
+def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float,
+                offset: float, params: dict, derived: dict, expected: Verdict,
+                t_start: float) -> BarrierSpec:
+    """Envelope exp[c (R^beta - r^beta + offset)/(1+t)^alpha] of family `name`
+    (prefixed "inf-" for the infinity branch)."""
+    level = R ** p.power_exponent + offset
+    phi, residual_fn, logv = _power_log(
+        p, n,
+        A=lambda t: c * level / (1.0 + t) ** alpha,
+        dA=lambda t: -alpha * c * level / (1.0 + t) ** (alpha + 1.0),
+        B=lambda t: -c / (1.0 + t) ** alpha,
+        dB=lambda t: alpha * c / (1.0 + t) ** (alpha + 1.0),
+        R=R,
+    )
+    return BarrierSpec(
+        family=Family(name if p.is_finite else "inf-" + name), p=p, n=n,
+        params=params, derived=derived, phi=phi, residual_fn=residual_fn,
+        operator="log-form", expected=expected, r_range=(0.0, R), t_start=t_start,
+        log_phi=logv,
+    )
 
 
 def make_flattening_upper(p: Exponent, n: int, R: float, M: float, alpha: float,
@@ -535,51 +452,12 @@ def make_flattening_upper(p: Exponent, n: int, R: float, M: float, alpha: float,
     """
     if M <= 1:
         raise ConstraintError("M must exceed 1")
-    if R <= 0:
-        raise ConstraintError("R must be positive")
-    _check_flatten_alpha(p, alpha)
-    beta = p.power_exponent
+    _check_flatten(p, R, alpha)
     cst = flattening_constants(p, n, R, M, alpha, safety)
-    a, b, T0 = cst["a"], cst["b"], cst["T0"]
-    A, _ = power_solution_coefficients(p, n)
-    grad_coeff = power_solution_coefficients(p, n)[1]
-    w = p.time_weight
-    grad_w = p.p - 1.0 if p.is_finite else 1.0
-
-    def logv(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        return a * (R ** beta - r ** beta + b) / (1.0 + t) ** alpha
-
-    def residual_fn(r, t):
-        r = np.asarray(r, float)
-        t = np.asarray(t, float)
-        atil = a / (1.0 + t) ** alpha
-        zero_order = A * atil ** w
-        grad_term = grad_w * grad_coeff * atil ** (w + 1.0) * r ** beta
-        time_term = alpha * w * a * (R ** beta - r ** beta + b) / (1.0 + t) ** (alpha + 1.0)
-        return -zero_order + grad_term + time_term, zero_order + grad_term + np.abs(time_term)
-
-    phi = _log_form_function(
-        logv,
-        dlog_dr=lambda r, t: -a * beta * np.asarray(r, float) ** (beta - 1.0)
-        / (1.0 + np.asarray(t, float)) ** alpha,
-        dlog_drr=lambda r, t: -a * beta * (beta - 1.0) * np.asarray(r, float) ** (beta - 2.0)
-        / (1.0 + np.asarray(t, float)) ** alpha,
-        dlog_dt=lambda r, t: -alpha * a
-        * (R ** beta - np.asarray(r, float) ** beta + b)
-        / (1.0 + np.asarray(t, float)) ** (alpha + 1.0),
-        origin_exponent=beta,
-        origin_coefficient=lambda t: -a / (1.0 + t) ** alpha,
-        R=R,
-    )
-    fam = Family.FLATTEN_UPPER if p.is_finite else Family.INF_FLATTEN_UPPER
-    return BarrierSpec(
-        family=fam, p=p, n=n,
+    return _flattening(
+        "flatten-upper", p, n, R, alpha, cst["a"], cst["b"],
         params={"R": float(R), "M": float(M), "alpha": float(alpha), "safety": float(safety)},
-        derived=cst, phi=phi, residual_fn=residual_fn, operator="log-form",
-        expected=Verdict.SUPERSOLUTION, r_range=(0.0, R), t_start=T0, log_phi=logv,
-    )
+        derived=cst, expected=Verdict.SUPERSOLUTION, t_start=cst["T0"])
 
 
 def make_flattening_lower(p: Exponent, n: int, R: float, m: float, alpha: float,
@@ -592,152 +470,110 @@ def make_flattening_lower(p: Exponent, n: int, R: float, m: float, alpha: float,
     """
     if not 0.0 < m <= 1.0:
         raise ConstraintError("m must lie in (0, 1]")
-    if R <= 0:
-        raise ConstraintError("R must be positive")
-    _check_flatten_alpha(p, alpha)
-    beta = p.power_exponent
-    A, grad_coeff = power_solution_coefficients(p, n)
-    w = p.time_weight
-    grad_w = p.p - 1.0 if p.is_finite else 1.0
+    _check_flatten(p, R, alpha)
+    A, _ = power_solution_coefficients(p, n)
+    R_beta = R ** p.power_exponent
     log_m = np.log(m)
-
     if p.is_finite:
-        pf = p.p
-        K = alpha * (pf - 1.0) * (R ** beta - log_m)
+        K = alpha * (p.g - 1.0) * (R_beta - log_m)
         T1 = safety * max(K / A - 1.0, 0.0)
         amp = (1.0 + T1) ** alpha  # coefficient in front of the shrinking exponent
         derived = {"A": A, "K": K, "T1": T1, "amp": amp}
-
-        def logv(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            return -amp * (R ** beta - r ** beta - log_m) / (1.0 + t) ** alpha
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            g = amp / (1.0 + t) ** alpha
-            zero_order = A * g ** w
-            grad_term = grad_w * grad_coeff * g ** (w + 1.0) * r ** beta
-            time_term = alpha * w * amp * (R ** beta - r ** beta - log_m) / (1.0 + t) ** (alpha + 1.0)
-            return zero_order + grad_term - time_term, zero_order + grad_term + np.abs(time_term)
-
-        origin_coeff = lambda t: amp / (1.0 + t) ** alpha
-        dlog_dr = lambda r, t: amp * beta * np.asarray(r, float) ** (beta - 1.0) \
-            / (1.0 + np.asarray(t, float)) ** alpha
-        dlog_drr = lambda r, t: amp * beta * (beta - 1.0) * np.asarray(r, float) ** (beta - 2.0) \
-            / (1.0 + np.asarray(t, float)) ** alpha
-        dlog_dt = lambda r, t: alpha * amp * (R ** beta - np.asarray(r, float) ** beta - log_m) \
-            / (1.0 + np.asarray(t, float)) ** (alpha + 1.0)
+        c, offset = -amp, -log_m
     else:
         # smallest a with A a^3 >= 3 alpha (R^{4/3} a - log m), then 5% margin
         cubic = np.polynomial.polynomial.Polynomial(
-            [3.0 * alpha * log_m, -3.0 * alpha * R ** beta, 0.0, A])
-        roots = cubic.roots()
-        real_pos = [float(z.real) for z in roots if abs(z.imag) < 1e-12 and z.real > 0]
+            [3.0 * alpha * log_m, -3.0 * alpha * R_beta, 0.0, A])
+        real_pos = [float(z.real) for z in cubic.roots() if abs(z.imag) < 1e-12 and z.real > 0]
         if not real_pos:
             raise ConstraintError("no admissible amplitude for the infinity lower envelope")
         a = safety * max(real_pos)
-        b = -log_m / a
-        T1 = 0.0
-        derived = {"A": A, "a": a, "b": b, "T1": T1}
-
-        def logv(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            return -a * (R ** beta - r ** beta + b) / (1.0 + t) ** alpha
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            t = np.asarray(t, float)
-            g = a / (1.0 + t) ** alpha
-            zero_order = A * g ** 3
-            grad_term = grad_coeff * g ** 4 * r ** beta
-            time_term = 3.0 * alpha * a * (R ** beta - r ** beta + b) / (1.0 + t) ** (alpha + 1.0)
-            return zero_order + grad_term - time_term, zero_order + grad_term + np.abs(time_term)
-
-        origin_coeff = lambda t: a / (1.0 + t) ** alpha
-        dlog_dr = lambda r, t: a * beta * np.asarray(r, float) ** (beta - 1.0) \
-            / (1.0 + np.asarray(t, float)) ** alpha
-        dlog_drr = lambda r, t: a * beta * (beta - 1.0) * np.asarray(r, float) ** (beta - 2.0) \
-            / (1.0 + np.asarray(t, float)) ** alpha
-        dlog_dt = lambda r, t: alpha * a * (R ** beta - np.asarray(r, float) ** beta + b) \
-            / (1.0 + np.asarray(t, float)) ** (alpha + 1.0)
-
-    phi = _log_form_function(logv, dlog_dr, dlog_drr, dlog_dt,
-                             origin_exponent=beta, origin_coefficient=origin_coeff, R=R)
-    fam = Family.FLATTEN_LOWER if p.is_finite else Family.INF_FLATTEN_LOWER
-    return BarrierSpec(
-        family=fam, p=p, n=n,
+        derived = {"A": A, "a": a, "b": -log_m / a, "T1": 0.0}
+        c, offset = -a, derived["b"]
+    return _flattening(
+        "flatten-lower", p, n, R, alpha, c, offset,
         params={"R": float(R), "m": float(m), "alpha": float(alpha), "safety": float(safety)},
-        derived=derived, phi=phi, residual_fn=residual_fn, operator="log-form",
-        expected=Verdict.SUBSOLUTION, r_range=(0.0, R), t_start=derived["T1"], log_phi=logv,
-    )
+        derived=derived, expected=Verdict.SUBSOLUTION, t_start=derived["T1"])
 
 
-def make_time_factor(lam: float, p: Exponent, S: float, T: float) -> BarrierSpec:
+@dataclass(frozen=True)
+class TimeFactor:
     """Time damping factor F(t; S, T) interpolating 1 -> 1/2 over [S, T].
 
-    F = (1/2)[1 + (beta(t) - 1)/(beta(S) - 1)] with beta(t) = exp(lam (T-t)/w),
-    w = p-1 (3 for infinity); requires beta(S) >= 2 so that multiplying a
-    positive separable profile by F stays a supersolution.
+    F = (1/2)[1 + (beta(t) - 1)/(beta_S - 1)] with beta(t) = exp(lam (T-t)/w),
+    w = g - 1 the time weight, beta_S = beta(S) >= 2.
+    """
+
+    lam: float
+    S: float
+    T: float
+    w: float
+    beta_S: float
+
+    def _beta(self, t):
+        return np.exp(self.lam * (self.T - np.asarray(t, float)) / self.w)
+
+    def F(self, t):
+        return 0.5 * (1.0 + (self._beta(t) - 1.0) / (self.beta_S - 1.0))
+
+    def F_t(self, t):
+        return -self.lam * self._beta(t) / (2.0 * self.w * (self.beta_S - 1.0))
+
+
+def make_time_factor(lam: float, p: Exponent, S: float, T: float) -> TimeFactor:
+    """The time factor of one block [S, T]; requires beta(S) >= 2 so that
+    multiplying a positive separable profile by F stays a supersolution.
+    It carries no sign claim of its own: combine it with an elliptic profile.
     """
     if lam <= 0:
         raise ConstraintError("lam must be positive")
     if not S < T:
         raise ConstraintError("need S < T")
     w = p.time_weight
-
-    def beta_fn(t):
-        return np.exp(lam * (T - np.asarray(t, float)) / w)
-
-    beta_S = float(beta_fn(S))
+    beta_S = float(np.exp(lam * (T - S) / w))
     if beta_S < 2.0 - 1e-12:
         raise ConstraintError(
             f"beta(S,T)={beta_S:.6g} < 2; stretch the block so exp(lam (T-S)/{w:g}) >= 2")
+    return TimeFactor(float(lam), float(S), float(T), w, beta_S)
 
-    def F(t):
-        return 0.5 * (1.0 + (beta_fn(t) - 1.0) / (beta_S - 1.0))
 
-    def F_t(t):
-        return -lam * beta_fn(t) / (2.0 * w * (beta_S - 1.0))
+def _finite_p(p: Exponent) -> float:
+    if p.is_infinity:
+        raise ConstraintError("boundary barriers are defined for finite p only")
+    return p.p
 
-    phi = SpaceTimeFunction(
-        value=lambda r, t: F(t) + 0.0 * np.asarray(r, float),
-        dr=lambda r, t: 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-        drr=lambda r, t: 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-        dt=lambda r, t: F_t(t) + 0.0 * np.asarray(r, float),
-    )
 
-    def residual_fn(r, t):
-        raise ValueError("the time factor carries no standalone sign claim; "
-                         "combine it with an elliptic profile")
+def _boundary_law(p: Exponent, n: int, case_params: dict) -> tuple:
+    """(e, r0, r1, K, lam_max) of the boundary barrier w = delta + c |r^e - r0^e|.
 
-    spec = BarrierSpec(
-        family=Family.TIME_FACTOR, p=p, n=0,
-        params={"lam": float(lam), "S": float(S), "T": float(T)},
-        derived={"beta_S": beta_S},
-        phi=phi, residual_fn=residual_fn, operator="none",
-        expected=None, r_range=(0.0, np.inf), t_start=S,
-    )
-    object.__setattr__(spec, "F", F)
-    object.__setattr__(spec, "F_t", F_t)
-    return spec
+    Cone (n < p): e = theta (p-n)/(p-1) on 0 < r <= r1 = R, r0 = 0.  Outer
+    ball (p <= n): e = -alpha on r0 = rho <= r <= r1 = R + rho.  Then
+    Delta_p w = -c^{p-1} K r^{(e-1)(p-1)-1} with K = |e|^{p-1}(1 - n - (p-1)(e-1)),
+    and the zero-order rate must stay below K r1^{(e-1)(p-1)-1} / |r1^e - r0^e|^{p-1}.
+    """
+    pf = _finite_p(p)
+    R = case_params["R"]
+    if pf > n:
+        theta = case_params["theta"]
+        if not 0.0 < theta < 1.0:
+            raise ConstraintError("theta must lie in (0, 1)")
+        e, r0, r1 = theta * (pf - n) / (pf - 1.0), 0.0, R
+    else:
+        alpha, rho = case_params["alpha"], case_params["rho"]
+        if rho is None or rho <= 0:
+            raise ConstraintError("outer-ball case needs a positive outer radius rho")
+        alpha_min = max(0.0, (n - pf) / (pf - 1.0))
+        if not alpha > alpha_min:
+            raise ConstraintError(f"alpha must exceed {alpha_min:g}")
+        e, r0, r1 = -alpha, rho, R + rho
+    K = abs(e) ** (pf - 1.0) * (1.0 - n - (pf - 1.0) * (e - 1.0))
+    lam_max = K * r1 ** ((e - 1.0) * (pf - 1.0) - 1.0) / abs(r1 ** e - r0 ** e) ** (pf - 1.0)
+    return e, r0, r1, K, lam_max
 
 
 def boundary_barrier_max_rate(p: Exponent, n: int, case_params: dict) -> float:
     """Admissible zero-order rate bound for the elliptic boundary barriers."""
-    pf = p.p
-    if pf > n:
-        theta = case_params["theta"]
-        R = case_params["R"]
-        alpha = theta * (pf - n) / (pf - 1.0)
-        return (1.0 - theta) * (pf - n) * alpha ** (pf - 1.0) / R ** pf
-    alpha = case_params["alpha"]
-    rho = case_params["rho"]
-    R = case_params["R"]
-    k = alpha ** (pf - 1.0) * (alpha * (pf - 1.0) + pf - n)
-    return (k / (R + rho) ** pf) * (rho ** alpha / ((R + rho) ** alpha - rho ** alpha)) ** (pf - 1.0)
+    return _boundary_law(p, n, case_params)[-1]
 
 
 def make_boundary_barrier(p: Exponent, n: int, delta: float, lam: float,
@@ -750,109 +586,57 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float, lam: float,
     n < p: cone barrier delta + c r^alpha on 0 < r <= R with
     alpha = theta (p-n)/(p-1), 0 < theta < 1.  2 <= p <= n: outer-ball barrier
     delta + c (rho^{-alpha} - r^{-alpha}) on rho <= r <= R + rho with
-    alpha > max(0, (n-p)/(p-1)).  c is the smallest admissible value times
-    `safety`; lam above the admissible bound is rejected with the bound
-    reported.
+    alpha > max(0, (n-p)/(p-1)).  Both are `_boundary_law` powers; c is the
+    smallest admissible value times `safety`; lam above the admissible bound
+    is rejected with the bound reported.
     """
-    if p.is_infinity:
-        raise ConstraintError("boundary barriers are defined for finite p only")
-    pf = p.p
+    pf = _finite_p(p)
     if delta <= 0 or lam <= 0 or R <= 0:
         raise ConstraintError("delta, lam, R must be positive")
     if pf > n:
-        if theta is None:
-            theta = 0.5
-        if not 0.0 < theta < 1.0:
-            raise ConstraintError("theta must lie in (0, 1)")
-        alpha_c = theta * (pf - n) / (pf - 1.0)
-        lam_max = boundary_barrier_max_rate(p, n, {"theta": theta, "R": R})
-        if not lam < lam_max:
-            raise ConstraintError(
-                f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
-        Q = (1.0 - theta) * (pf - n) * alpha_c ** (pf - 1.0) / R ** pf
-        s = (lam / Q) ** (1.0 / (pf - 1.0))
-        c = safety * delta * s / (R ** alpha_c * (1.0 - s))
-        derived = {"alpha": alpha_c, "c": c, "lam_max": lam_max}
-
-        def value(r, t):
-            return delta + c * np.asarray(r, float) ** alpha_c + 0.0 * np.asarray(t, float)
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            wv = delta + c * r ** alpha_c
-            plap = -((c * alpha_c) ** (pf - 1.0) * (1.0 - theta) * (pf - n)
-                     * r ** (alpha_c * (pf - 1.0) - pf))
-            zero_order = lam * wv ** (pf - 1.0)
-            res = plap + zero_order + 0.0 * np.asarray(t, float)
-            return res, np.abs(plap) + zero_order
-
-        phi = SpaceTimeFunction(
-            value,
-            dr=lambda r, t: c * alpha_c * np.asarray(r, float) ** (alpha_c - 1.0)
-            + 0.0 * np.asarray(t, float),
-            drr=lambda r, t: c * alpha_c * (alpha_c - 1.0)
-            * np.asarray(r, float) ** (alpha_c - 2.0) + 0.0 * np.asarray(t, float),
-            dt=lambda r, t: 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-            R=R,
-        )
-        # the vertex r = 0 carries value delta but residual -> -inf; sample off it
-        r_range = (1e-6 * R, R)
-        fam = Family.BOUNDARY_CONE
-        params = {"delta": delta, "lam": lam, "R": R, "theta": theta, "safety": safety}
+        case = {"theta": 0.5 if theta is None else theta, "R": R}
     else:
-        if rho is None or rho <= 0:
-            raise ConstraintError("outer-ball case needs a positive outer radius rho")
-        alpha_min = max(0.0, (n - pf) / (pf - 1.0))
         if alpha is None:
-            alpha = alpha_min + 1.0
-        if not alpha > alpha_min:
-            raise ConstraintError(f"alpha must exceed {alpha_min:g}")
-        k = alpha ** (pf - 1.0) * (alpha * (pf - 1.0) + pf - n)
-        lam_max = boundary_barrier_max_rate(p, n, {"alpha": alpha, "rho": rho, "R": R})
-        if not lam < lam_max:
-            raise ConstraintError(
-                f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
-        J = rho ** (-alpha) - (R + rho) ** (-alpha)
-        s = (lam * (rho + R) ** (alpha * (pf - 1.0) + pf) / k) ** (1.0 / (pf - 1.0))
-        c = safety * delta * s / (1.0 - s * J)
-        derived = {"alpha": alpha, "c": c, "k": k, "J": J, "lam_max": lam_max}
+            alpha = max(0.0, (n - pf) / (pf - 1.0)) + 1.0
+        case = {"alpha": alpha, "rho": rho, "R": R}
+    e, r0, r1, K, lam_max = _boundary_law(p, n, case)
+    if not lam < lam_max:
+        raise ConstraintError(f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
+    w = pf - 1.0
+    span = abs(r1 ** e - r0 ** e)
+    q = (lam / lam_max) ** (1.0 / w)
+    c = safety * delta * q / (span * (1.0 - q))
+    sign = np.sign(e)  # c sign (r^e - r0^e) grows from 0 at the contact radius
 
-        def value(r, t):
-            r = np.asarray(r, float)
-            return delta + c * (rho ** (-alpha) - r ** (-alpha)) + 0.0 * np.asarray(t, float)
+    def residual_fn(r, t):
+        plap = -(c ** w * K * r ** ((e - 1.0) * w - 1.0))
+        zero_order = lam * (delta + c * sign * (r ** e - r0 ** e)) ** w
+        return plap + zero_order, np.abs(plap) + zero_order
 
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            wv = delta + c * (rho ** (-alpha) - r ** (-alpha))
-            plap = -(c ** (pf - 1.0) * k * r ** (-(alpha * (pf - 1.0) + pf)))
-            zero_order = lam * wv ** (pf - 1.0)
-            res = plap + zero_order + 0.0 * np.asarray(t, float)
-            return res, np.abs(plap) + zero_order
-
-        phi = SpaceTimeFunction(
-            value,
-            dr=lambda r, t: c * alpha * np.asarray(r, float) ** (-alpha - 1.0)
-            + 0.0 * np.asarray(t, float),
-            drr=lambda r, t: -c * alpha * (alpha + 1.0)
-            * np.asarray(r, float) ** (-alpha - 2.0) + 0.0 * np.asarray(t, float),
-            dt=lambda r, t: 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-            R=R + rho,
-        )
-        r_range = (rho, R + rho)
-        fam = Family.BOUNDARY_OUTER_BALL
-        params = {"delta": delta, "lam": lam, "R": R, "alpha": alpha,
-                  "rho": rho, "safety": safety}
-
+    phi = SpaceTimeFunction(
+        value=lambda r, t: delta + c * sign * (r ** e - r0 ** e),
+        dr=lambda r, t: c * abs(e) * r ** (e - 1.0),
+        drr=lambda r, t: c * abs(e) * (e - 1.0) * r ** (e - 2.0),
+        dt=lambda r, t: 0.0,
+        R=r1,
+    )
+    derived = {"alpha": abs(e), "c": c, "lam_max": lam_max}
+    if e > 0:
+        # the vertex r = 0 carries value delta but residual -> -inf; sample off it
+        fam, r_range = Family.BOUNDARY_CONE, (1e-6 * R, R)
+    else:
+        fam, r_range = Family.BOUNDARY_OUTER_BALL, (rho, r1)
+        derived.update(k=K, J=span)
     return BarrierSpec(
-        family=fam, p=p, n=n, params=params, derived=derived,
-        phi=phi, residual_fn=residual_fn, operator="elliptic",
+        family=fam, p=p, n=n, params={"delta": delta, "lam": lam, **case, "safety": safety},
+        derived=derived, phi=phi, residual_fn=residual_fn, operator="elliptic",
         expected=Verdict.SUPERSOLUTION, r_range=r_range, t_start=0.0,
     )
 
 
 def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
                        n: int, elliptic_sign: str = "solution") -> BarrierSpec:
-    """u = psi(r) e^{-mu t/(p-1)} (e^{-mu t/3} for infinity).
+    """u = psi(r) e^{-mu t/(g-1)}: e^{-mu t/(p-1)}, or e^{-mu t/3} for infinity.
 
     If Delta_p psi + lam psi^{p-1} >= 0 and mu >= lam the product is a
     subsolution, and symmetrically for <=; elliptic_sign declares which
@@ -893,6 +677,33 @@ def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
     )
 
 
+def make_paraboloid(p: Exponent, n: int, R: float) -> BarrierSpec:
+    """psi = R^2 - r^2: a non-decaying supersolution (strict except at r = 0).
+
+    Its residual is the radial operator -(2/k)(g + d - 2)(2r)^{g-2}.
+    """
+    if R <= 0:
+        raise ConstraintError("R must be positive")
+    g, k, d = p.g, p.k, p.d(n)
+    phi = SpaceTimeFunction(
+        value=lambda r, t: R ** 2 - r ** 2,
+        dr=lambda r, t: -2.0 * r,
+        drr=lambda r, t: -2.0,
+        dt=lambda r, t: 0.0,
+        R=R,
+    )
+
+    def residual_fn(r, t):
+        res = -(2.0 / k) * (g + d - 2.0) * (2.0 * r) ** (g - 2.0)
+        return res, np.abs(res)
+
+    return BarrierSpec(
+        family=Family.PARABOLOID, p=p, n=n, params={"R": float(R)}, derived={},
+        phi=phi, residual_fn=residual_fn, operator="trudinger",
+        expected=Verdict.SUPERSOLUTION, r_range=(0.0, R), t_start=0.0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # sign verification
 
@@ -900,8 +711,7 @@ def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
 DEFAULT_SEED = 20250807
 
 
-def verify_sign(spec: BarrierSpec, region: tuple | None = None,
-                expected: Verdict | None = None, samples: int = 10_000,
+def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 10_000,
                 tolerance: float = 1e-9, seed: int = DEFAULT_SEED,
                 random_samples: int = 1_000) -> ResidualReport:
     """Sample the family residual over an (r, t) box and classify the sign.
@@ -911,8 +721,6 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None,
     the largest term magnitude of the residual over the sample set, so exact
     solutions classify as Solution instead of drowning in their own rounding.
     """
-    if expected is None:
-        expected = spec.expected
     if region is None:
         region = spec.default_region()
     r_lo, r_hi, t_lo, t_hi = (float(x) for x in region)
@@ -932,9 +740,7 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None,
     t_all = np.concatenate([tg.ravel(), tr])
 
     res, scale_terms = spec.residual_fn(r_all, t_all)
-    res = np.asarray(res, float)
-    if res.shape != r_all.shape:
-        res = np.broadcast_to(res, r_all.shape)
+    res = np.broadcast_to(np.asarray(res, float), r_all.shape)
     scale_terms = np.broadcast_to(np.asarray(scale_terms, float), r_all.shape)
     if not np.all(np.isfinite(res)):
         bad = np.argmax(~np.isfinite(res))
@@ -956,8 +762,8 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None,
     else:
         verdict = Verdict.INDETERMINATE
 
-    notes = list(spec.notes)
-    if spec.p.is_finite and spec.p.p == 2.0:
+    notes = []
+    if spec.p.value == 2.0:
         vals = np.asarray(spec.value(r_all[:: max(1, len(r_all) // 64)],
                                      t_all[:: max(1, len(r_all) // 64)]), float)
         if np.any(vals == 0.0):
@@ -981,71 +787,76 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None,
     )
 
 
+# ---------------------------------------------------------------------------
+# the catalog and its defaults
+
+
+CATALOG_FAMILIES = ("eigen", "growth", "kernel", "power", "paraboloid",
+                    "flatten-upper", "flatten-lower", "boundary")
+"""Family names as the CLI spells them, in catalog order."""
+
+
+def default_flatten_alpha(p: Exponent) -> float:
+    """min(1, 1/(g-2)): the largest admissible flattening alpha, capped at 1."""
+    return min(1.0, 1.0 / (p.g - 2.0)) if p.g > 2.0 else 1.0
+
+
+def make_family(family: str, p: Exponent, n: int, given: dict) -> BarrierSpec:
+    """Build a catalog family by name; parameters missing from `given` take
+    the catalog defaults.
+
+    R = 1 throughout.  growth: T = 1, alpha = 1 (1/2 for infinity),
+    b = b_max/2.  flattening: M = 2, m = 1/2, `default_flatten_alpha`,
+    safety 1.05.  boundary (finite p): delta = 1; cone theta = 1/2; outer
+    ball rho = 1/2 and alpha one above its least value; lam half the
+    admissible rate.
+    """
+    R = float(given.get("R", 1.0))
+    if family in ("eigen", "paraboloid"):
+        maker = make_eigen_barrier if family == "eigen" else make_paraboloid
+        return maker(p, n, R)
+    if family == "growth":
+        T = float(given.get("T", 1.0))
+        alpha = float(given.get("alpha", 1.0 if p.is_finite else 0.5))
+        b = given.get("b")
+        if b is None:
+            b = 0.5 * growth_barrier_max_b(p, T, alpha)
+        return make_growth_barrier(p, n, T, alpha, float(b))
+    if family == "kernel":
+        return make_kernel(p, n)
+    if family == "power":
+        return make_power_solution(p, n, +1, f=lambda t: 1.0 / (1.0 + t),
+                                   fprime=lambda t: -1.0 / (1.0 + t) ** 2,
+                                   f_label="1/(1+t)")
+    if family in ("flatten-upper", "flatten-lower"):
+        alpha = float(given.get("alpha", default_flatten_alpha(p)))
+        safety = float(given.get("safety", 1.05))
+        if family == "flatten-upper":
+            return make_flattening_upper(p, n, R, float(given.get("M", 2.0)), alpha, safety)
+        return make_flattening_lower(p, n, R, float(given.get("m", 0.5)), alpha, safety)
+    if family == "boundary":
+        pf = _finite_p(p)
+        delta = float(given.get("delta", 1.0))
+        lam = given.get("lam")
+        if pf > n:
+            theta = float(given.get("theta", 0.5))
+            if lam is None:
+                lam = 0.5 * boundary_barrier_max_rate(p, n, {"theta": theta, "R": R})
+            return make_boundary_barrier(p, n, delta, float(lam), R, theta=theta)
+        rho = float(given.get("rho", 0.5))
+        alpha = float(given.get("alpha", 1.0 + max(0.0, (n - pf) / (pf - 1.0))))
+        if lam is None:
+            lam = 0.5 * boundary_barrier_max_rate(p, n, {"alpha": alpha, "rho": rho, "R": R})
+        return make_boundary_barrier(p, n, delta, float(lam), R, alpha=alpha, rho=rho)
+    raise ConstraintError(
+        f"unknown family {family!r}; choose from {', '.join(CATALOG_FAMILIES)}")
+
+
 def default_catalog(p: Exponent, n: int, R: float = 1.0) -> list:
     """One representative spec per family with a sign claim, for sweeps.
 
-    Boundary barriers appear only where their case applies (cone needs
-    n < p < infinity, outer-ball needs p <= n).
+    Boundary barriers appear only for finite p, as the cone (n < p) or the
+    outer ball (p <= n).
     """
-    specs = [
-        make_eigen_barrier(p, n, R),
-        make_growth_barrier(p, n, T=1.0, alpha=1.0 if p.is_finite else 0.5,
-                            b=0.5 * growth_barrier_max_b(
-                                p, 1.0, 1.0 if p.is_finite else 0.5)),
-        make_kernel(p, n),
-        make_power_solution(p, n, +1, f=lambda t: 1.0 / (1.0 + t),
-                            fprime=lambda t: -1.0 / (1.0 + t) ** 2,
-                            f_label="1/(1+t)"),
-        make_paraboloid(p, n, R),
-    ]
-    alpha_flat = 1.0 if (p.is_infinity or p.p <= 2.0) else min(1.0, 1.0 / (p.p - 2.0))
-    if p.is_infinity:
-        alpha_flat = 0.5
-    specs.append(make_flattening_upper(p, n, R, M=2.0, alpha=alpha_flat))
-    specs.append(make_flattening_lower(p, n, R, m=0.5, alpha=alpha_flat))
-    if p.is_finite:
-        if p.p > n:
-            lam = 0.5 * boundary_barrier_max_rate(p, n, {"theta": 0.5, "R": R})
-            specs.append(make_boundary_barrier(p, n, delta=1.0, lam=lam, R=R, theta=0.5))
-        else:
-            cp = {"alpha": 1.0 + max(0.0, (n - p.p) / (p.p - 1.0)), "rho": 0.5, "R": R}
-            lam = 0.5 * boundary_barrier_max_rate(p, n, cp)
-            specs.append(make_boundary_barrier(p, n, delta=1.0, lam=lam, R=R,
-                                               alpha=cp["alpha"], rho=0.5))
-    return specs
-
-
-
-def make_paraboloid(p: Exponent, n: int, R: float) -> BarrierSpec:
-    """psi = R^2 - r^2: a non-decaying supersolution (strict except at r = 0)."""
-    if R <= 0:
-        raise ConstraintError("R must be positive")
-
-    def value(r, t):
-        return R ** 2 - np.asarray(r, float) ** 2 + 0.0 * np.asarray(t, float)
-
-    phi = SpaceTimeFunction(
-        value,
-        dr=lambda r, t: -2.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-        drr=lambda r, t: -2.0 + 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-        dt=lambda r, t: 0.0 * np.asarray(r, float) + 0.0 * np.asarray(t, float),
-        R=R,
-    )
-    if p.is_finite:
-        pf = p.p
-        k = pf + n - 2.0
-
-        def residual_fn(r, t):
-            r = np.asarray(r, float)
-            res = -2.0 * k * (2.0 * r) ** (pf - 2.0) + 0.0 * np.asarray(t, float)
-            return res, np.abs(res)
-    else:
-        def residual_fn(r, t):
-            res = -8.0 * np.asarray(r, float) ** 2 + 0.0 * np.asarray(t, float)
-            return res, np.abs(res)
-
-    return BarrierSpec(
-        family=Family.PARABOLOID, p=p, n=n, params={"R": float(R)}, derived={},
-        phi=phi, residual_fn=residual_fn, operator="trudinger",
-        expected=Verdict.SUPERSOLUTION, r_range=(0.0, R), t_start=0.0,
-    )
+    names = CATALOG_FAMILIES if p.is_finite else CATALOG_FAMILIES[:-1]
+    return [make_family(name, p, n, {"R": R}) for name in names]

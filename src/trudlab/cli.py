@@ -9,17 +9,15 @@ the current directory.  JSON for configs/reports, CSV for fields and tables.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import itertools
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import barriers
+from .artifacts import create_artifacts
 from .barriers import ConstraintError, Verdict, verify_sign
 from .eigensolver import ShootingError, first_eigenvalue, scaling_check
 from .exponent import Exponent
@@ -39,32 +37,6 @@ def _out_dir(args) -> str:
     out = getattr(args, "out", None) or os.environ.get("TRUDLAB_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _create_artifacts(out_dir: str, stem: str, config, exts: tuple) -> tuple:
-    """Create the artifact set <stem>-<stamp>-<config hash>[-k] + exts in out_dir.
-
-    Each file is created exclusively, so runs that finish in the same second
-    never overwrite one another; on a clash the next free index k is taken.
-    Returns the base name and the first file, open for writing.
-    """
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode()).hexdigest()[:8]
-    head = os.path.join(out_dir, f"{stem}-{time.strftime('%Y%m%dT%H%M%S')}-{digest}")
-    for k in itertools.count():
-        base = head if k == 0 else f"{head}-{k}"
-        made = []
-        try:
-            for ext in exts:
-                made.append(open(base + ext, "x"))
-        except FileExistsError:
-            for fh in made:
-                fh.close()
-                os.remove(fh.name)
-            continue
-        for fh in made[1:]:
-            fh.close()
-        return base, made[0]
 
 
 def _load_config(path: str | None, allowed: set, overrides: dict) -> dict:
@@ -93,64 +65,9 @@ VERIFY_KEYS = {"family", "p", "n", "R", "T", "alpha", "b", "m", "M", "delta",
 
 
 def _build_barrier(cfg: dict):
-    family = cfg["family"]
-    p = Exponent.parse(cfg.get("p", 2))
-    n = int(cfg.get("n", 2))
-    R = float(cfg.get("R", 1.0))
-    if family == "eigen":
-        return barriers.make_eigen_barrier(p, n, R)
-    if family == "growth":
-        T = float(cfg.get("T", 1.0))
-        alpha = float(cfg.get("alpha", 1.0 if p.is_finite else 0.5))
-        b = cfg.get("b")
-        if b is None:
-            b = 0.5 * barriers.growth_barrier_max_b(p, T, alpha)
-        return barriers.make_growth_barrier(p, n, T, alpha, float(b))
-    if family == "kernel":
-        return barriers.make_kernel(p, n)
-    if family == "power":
-        return barriers.make_power_solution(
-            p, n, +1, f=lambda t: 1.0 / (1.0 + t),
-            fprime=lambda t: -1.0 / (1.0 + t) ** 2, f_label="1/(1+t)")
-    if family == "paraboloid":
-        return barriers.make_paraboloid(p, n, R)
-    if family == "flatten-upper":
-        return barriers.make_flattening_upper(
-            p, n, R, float(cfg.get("M", 2.0)),
-            float(cfg.get("alpha", _default_flatten_alpha(p))),
-            float(cfg.get("safety", 1.05)))
-    if family == "flatten-lower":
-        return barriers.make_flattening_lower(
-            p, n, R, float(cfg.get("m", 0.5)),
-            float(cfg.get("alpha", _default_flatten_alpha(p))),
-            float(cfg.get("safety", 1.05)))
-    if family == "boundary":
-        delta = float(cfg.get("delta", 1.0))
-        if p.is_finite and p.p > n:
-            theta = float(cfg.get("theta", 0.5))
-            lam = cfg.get("lam")
-            if lam is None:
-                lam = 0.5 * barriers.boundary_barrier_max_rate(p, n, {"theta": theta, "R": R})
-            return barriers.make_boundary_barrier(p, n, delta, float(lam), R, theta=theta)
-        rho = float(cfg.get("rho", 0.5))
-        alpha = float(cfg.get("alpha", 1.0 + max(0.0, (n - p.p) / (p.p - 1.0))))
-        lam = cfg.get("lam")
-        if lam is None:
-            lam = 0.5 * barriers.boundary_barrier_max_rate(
-                p, n, {"alpha": alpha, "rho": rho, "R": R})
-        return barriers.make_boundary_barrier(p, n, delta, float(lam), R,
-                                              alpha=alpha, rho=rho)
-    raise UsageError(
-        f"unknown family {family!r}; choose from eigen, growth, kernel, power, "
-        "paraboloid, flatten-upper, flatten-lower, boundary")
-
-
-def _default_flatten_alpha(p: Exponent) -> float:
-    if p.is_infinity:
-        return 0.5
-    if p.p <= 2.0:
-        return 1.0
-    return min(1.0, 1.0 / (p.p - 2.0))
+    """The family spec of a verify config; unset parameters take the catalog defaults."""
+    return barriers.make_family(cfg["family"], Exponent.parse(cfg.get("p", 2)),
+                                int(cfg.get("n", 2)), cfg)
 
 
 def _run_verify_one(cfg: dict, out_dir: str) -> int:
@@ -161,7 +78,7 @@ def _run_verify_one(cfg: dict, out_dir: str) -> int:
         tolerance=float(cfg.get("tolerance", 1e-9)),
         seed=int(cfg.get("seed", barriers.DEFAULT_SEED)),
     )
-    base, fh = _create_artifacts(
+    base, fh = create_artifacts(
         out_dir, f"verify-{spec.family.value}-{spec.p.label}-{spec.n}", cfg, (".json",))
     path = base + ".json"
     payload = {"config": cfg, "report": report.to_dict()}
@@ -212,7 +129,7 @@ def cmd_eigen(args) -> int:
         print(f"scaling spread of lambda_R * R^p over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
     res = first_eigenvalue(p, args.n, args.R)
-    base, fh = _create_artifacts(out_dir, f"eigen-{p.label}-{args.n}",
+    base, fh = create_artifacts(out_dir, f"eigen-{p.label}-{args.n}",
                                  {"p": p.label, "n": args.n, "R": args.R}, (".json", ".csv"))
     with fh:
         fh.write(res.to_json(indent=2))
@@ -277,7 +194,7 @@ def cmd_solve(args) -> int:
         scheme=cfg["scheme"], boundary=boundary, initial=initial,
         dt=cfg.get("dt"), tolerance=float(cfg.get("tolerance", 1e-9)))
     field = solve_trudinger_radial(sc)
-    base, fh = _create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
+    base, fh = create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
     with fh:
         field.to_csv(base + ".csv")
         field.metadata["config_echo"] = {k: cfg.get(k) for k in sorted(cfg)}
@@ -302,7 +219,7 @@ def cmd_experiment(args) -> int:
         report = decay_experiment(p, n, args.R, nodes=args.nodes or 401)
     elif args.kind == "flatten":
         report = flatten_experiment(p, n, args.R, m=args.m, M=args.M,
-                                    alpha=args.alpha or _default_flatten_alpha(p),
+                                    alpha=args.alpha or barriers.default_flatten_alpha(p),
                                     nodes=args.nodes or 201)
     elif args.kind == "pl":
         report = phragmen_lindelof_study(

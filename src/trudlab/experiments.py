@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+from .artifacts import create_artifacts
 from .barriers import (
     growth_barrier_max_b,
     make_eigen_barrier,
@@ -72,26 +73,19 @@ class ExperimentReport:
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, default=float, **kw)
 
-    def save(self, directory, timestamp: str | None = None) -> list:
-        """Write <name>-<p>-<n>-<timestamp>.json (+ .csv per table)."""
-        import os
-
-        stamp = timestamp or time.strftime("%Y%m%dT%H%M%S")
-        p_label = self.inputs.get("p", "na")
-        n_label = self.inputs.get("n", "na")
-        base = f"{self.name}-{p_label}-{n_label}-{stamp}"
-        paths = []
-        jpath = os.path.join(directory, base + ".json")
-        with open(jpath, "w") as fh:
+    def save(self, directory) -> list:
+        """Write <name>-<p>-<n>-<stamp>-<hash>.json plus <base>-<table>.csv per
+        table, named and created by `create_artifacts` from the inputs."""
+        stem = f"{self.name}-{self.inputs.get('p', 'na')}-{self.inputs.get('n', 'na')}"
+        exts = (".json", *(f"-{tname}.csv" for tname in self.tables))
+        base, fh = create_artifacts(directory, stem, self.inputs, exts)
+        with fh:
             fh.write(self.to_json(indent=2))
-        paths.append(jpath)
+        paths = [base + ".json"]
         for tname, rows in self.tables.items():
-            cpath = os.path.join(directory, f"{base}-{tname}.csv")
-            with open(cpath, "w", newline="") as fh:
-                w = csv.writer(fh)
-                for row in rows:
-                    w.writerow(row)
-            paths.append(cpath)
+            paths.append(f"{base}-{tname}.csv")
+            with open(paths[-1], "w", newline="") as out:
+                csv.writer(out).writerows(rows)
         return paths
 
 
@@ -114,9 +108,7 @@ def decay_experiment(p: Exponent, n: int, R: float, nodes: int = 401,
     far below the measurement window.
     """
     t0 = time.time()
-    if p.is_infinity:
-        raise ValueError("decay experiment treats finite p (the eigensolver scope)")
-    eig = first_eigenvalue(p, n, R)
+    eig = first_eigenvalue(p, n, R)  # finite p only: raises ValueError at infinity
     lam = eig.lam
     w = p.p - 1.0
     target_rate = -lam / w
@@ -200,14 +192,9 @@ def flatten_experiment(p: Exponent, n: int, R: float, m: float, M: float,
     over = float((U - up_vals).max())
     under = float((lo_vals - U).max())
 
-    # centerline envelope: |log u(0,t)| (1+t)^alpha <= C
-    beta = p.power_exponent
-    C_up = upper.derived["a"] * (R ** beta + upper.derived["b"])
-    if "amp" in lower.derived:
-        C_lo = lower.derived["amp"] * (R ** beta - np.log(m))
-    else:
-        C_lo = lower.derived["a"] * (R ** beta + lower.derived["b"])
-    C_env = max(C_up, C_lo)
+    # centerline envelope: |log u(0,t)| (1+t)^alpha <= C, where each envelope's
+    # |log phi(0, t)| (1+t)^alpha is constant, |log phi(0, 0)|
+    C_env = max(abs(float(env.log_value(0.0, 0.0))) for env in (upper, lower))
     center = np.abs(np.log(U[:, 0])) * (1.0 + tt) ** alpha
     envelope_excess = float(center.max() - C_env)
 
@@ -252,18 +239,19 @@ def phragmen_lindelof_study(p: Exponent, n: int, m: float, M: float,
                             eps_list, R_list, t_probe: float) -> ExperimentReport:
     """Closed-form bounds on the whole space: no PDE solve, barrier arithmetic.
 
-    Lower bound m exp(-lam_p(R) t/(p-1)) -> m as the ball radius grows, with
-    log-gap exactly proportional to R^{-p}; upper bound M exp((3 eps)^{p-1} K)
-    -> M as eps -> 0, with log-gap proportional to eps^{p-1} (eps^3 for the
-    infinity branch).
+    In the exponent law (g, k, d): lower bound m exp(-lam(R) t/(g-1)) -> m as
+    the ball radius grows, with log-gap exactly proportional to R^{-g}; upper
+    bound M exp((3 eps)^{g-1} K ((1+t)^g - 1)) with K = d g^{g-2}/((g-1)^g k)
+    -> M as eps -> 0, with log-gap proportional to eps^{g-1} (eps^{p-1} for
+    finite p, eps^3 for infinity).
     """
     t0 = time.time()
     R_list = sorted(float(R) for R in R_list)
     eps_list = sorted(float(e) for e in eps_list)
     if not R_list or not eps_list:
         raise ValueError("R_list and eps_list must be non-empty")
+    g, k, d = p.g, p.k, p.d(n)
     w = p.time_weight
-    scaling_power = p.p if p.is_finite else 4.0
 
     rows_lower = [("R", "rate", "lower_bound", "log_gap")]
     log_gaps_R = []
@@ -280,23 +268,15 @@ def phragmen_lindelof_study(p: Exponent, n: int, m: float, M: float,
         raise ValueError(
             f"eps values {bad} inadmissible at t_probe={t_probe:g}: "
             f"need 3*eps < {b_max:.12g}")
-    if p.is_finite:
-        pf = p.p
-        K1 = n * pf ** (pf - 2.0) / (pf - 1.0) ** pf
-        K_t = K1 * ((1.0 + t_probe) ** pf - 1.0)
-        gap_power = pf - 1.0
-        gaps_eps = [(3.0 * e) ** (pf - 1.0) * K_t for e in eps_list]
-    else:
-        K3 = 4.0 ** 3 / (3.0 ** 5 * 4.0)
-        K_t = K3 * ((1.0 + t_probe) ** 4 - 1.0)
-        gap_power = 3.0
-        gaps_eps = [27.0 * e ** 3 * K_t for e in eps_list]
+    K_t = d * g ** (g - 2.0) / ((g - 1.0) ** g * k) * ((1.0 + t_probe) ** g - 1.0)
+    gap_power = g - 1.0
+    gaps_eps = [(3.0 * e) ** gap_power * K_t for e in eps_list]
     rows_upper = [("eps", "upper_bound", "log_gap")]
     for e, gap in zip(eps_list, gaps_eps):
         rows_upper.append((e, M * np.exp(gap), gap))
 
     # measured diagnostics
-    ratio_target = 2.0 ** (-scaling_power)
+    ratio_target = 2.0 ** (-g)
     ratios = []
     for i, R in enumerate(R_list):
         if 2.0 * R in R_list:

@@ -1,7 +1,18 @@
-"""Diffusion exponent: a finite real p >= 2 or the distinguished infinity label.
+"""Diffusion exponent: a finite real p >= 2 or the distinguished infinity label,
+and the exponent law every formula of the package is written in.
 
-Every operator formula in the package branches on the label; infinity is never
-approximated by a large finite exponent.
+Trudinger's equation (u^{p-1})_t = Delta_p u and its infinity analogue
+(u^3)_t = Delta_inf u are one law in three numbers, the gradient power g, the
+flux normalisation k and the geometric dimension d:
+
+    finite p:  (g, k, d) = (p, 1, n)        infinity:  (g, k, d) = (4, 3, 1)
+
+From them: the flux |q|^{g-2} q / k and its derivative ((g-1)/k)|q|^{g-2},
+the radial operator flux'(u') u'' + (d-1) flux(u')/r, the time weight g - 1
+of (g-1) u^{g-2} u_t, the gradient coefficient (g-1)/k of the log form and
+the distinguished radial power g/(g-1).  Delta_inf u = (u')^2 u'' is the
+d = 1 operator at g = 4, k = 3: infinity is a law of its own, never a large
+finite exponent.
 """
 
 from __future__ import annotations
@@ -56,19 +67,28 @@ class Exponent:
         return self.value
 
     @property
-    def time_weight(self) -> float:
-        """Coefficient of the time term: p - 1 for finite p, 3 for infinity."""
-        return self.p - 1.0 if self.is_finite else 3.0
+    def g(self) -> float:
+        """Gradient power of the law: p for finite p, 4 for infinity."""
+        return 4.0 if self.value is None else self.value
 
     @property
-    def homogeneity(self) -> float:
-        """Degree of the spatial operator: p - 1 for finite p, 3 for infinity."""
-        return self.time_weight
+    def k(self) -> float:
+        """Flux normalisation of the law: 1 for finite p, 3 for infinity."""
+        return 3.0 if self.value is None else 1.0
+
+    def d(self, n: int) -> float:
+        """Geometric dimension of the law: n for finite p, 1 for infinity."""
+        return 1.0 if self.value is None else float(n)
+
+    @property
+    def time_weight(self) -> float:
+        """Coefficient g - 1 of the time term: p - 1, or 3 for infinity."""
+        return self.g - 1.0
 
     @property
     def power_exponent(self) -> float:
-        """The distinguished radial power p/(p-1) (4/3 for infinity)."""
-        return self.p / (self.p - 1.0) if self.is_finite else 4.0 / 3.0
+        """The distinguished radial power g/(g-1): p/(p-1), or 4/3 for infinity."""
+        return self.g / (self.g - 1.0)
 
     @property
     def label(self) -> str:

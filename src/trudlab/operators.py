@@ -1,18 +1,21 @@
 """Radial evaluation of the degenerate diffusion operators.
 
+Every evaluator is written once in the exponent law (g, k, d) of
+`exponent.Exponent`: (p, 1, n) for finite p and (4, 3, 1) for infinity.
 Two parabolic operators are implemented in their radial forms:
 
-    trudinger_residual:  Delta_p u - (p-1) u^{p-2} u_t      (finite p)
-                         Delta_inf u - 3 u^2 u_t            (infinity)
-    log_form_residual:   Delta_p v + (p-1)|Dv|^p - (p-1) v_t
-                         Delta_inf v + |Dv|^4 - 3 v_t
+    trudinger_residual:  L u - (g-1) u^{g-2} u_t
+    log_form_residual:   L v + ((g-1)/k)|Dv|^g - (g-1) v_t
 
-with Delta_p u = |u'|^{p-2}((p-1)u'' + (n-1)u'/r) and Delta_inf u = (u')^2 u''.
-If u = exp(v) > 0, the first residual equals u^{p-1} (u^3 for infinity) times
-the second evaluated at v; `log_transform_consistency` measures that identity.
+with the radial operator L u = |u'|^{g-2}((g-1)u'' + (d-1)u'/r)/k, that is
+Delta_p u for finite p and Delta_inf u = (u')^2 u'' for infinity.  If
+u = exp(v) > 0, the first residual equals u^{g-1} times the second evaluated
+at v; `log_transform_consistency` measures that identity.
 
 Profiles supply exact derivative callbacks; grid fields are audited with
-finite differences (`fd_residual_on_field`).  All evaluators broadcast over
+finite differences (`fd_residual_on_field`).  The audit is written out per
+branch on purpose, without the law: it is the independent oracle the solver
+and the closed forms are checked against.  All evaluators broadcast over
 numpy arrays.
 """
 
@@ -29,10 +32,6 @@ from .grids import SpaceTimeField
 
 class DomainError(ValueError):
     """Evaluation point outside the declared domain."""
-
-
-class UnsupportedExponentError(ValueError):
-    """Operation not defined for this exponent branch."""
 
 
 class EvaluationError(RuntimeError):
@@ -140,33 +139,33 @@ def grad_factor(q, p: float):
     return np.abs(q) ** (p - 2.0)
 
 
-def _power_origin_plap(origin: PowerOrigin, p: float, n: int) -> float:
-    """Limit of Delta_p (c r^gamma) at r = 0."""
-    gamma, c = origin.exponent, origin.coefficient
+def _radial(v1, v2, r, g: float, k: float, d: float):
+    """flux'(v') v'' + (d-1) flux(v')/r = |v'|^{g-2}((g-1)v'' + (d-1)v'/r)/k."""
+    return grad_factor(v1, g) * ((g - 1.0) * v2 + (d - 1.0) * v1 / r) / k
+
+
+def _axis_value(profile: RadialProfile, p: Exponent, n: int) -> float:
+    """The radial operator at r = 0.
+
+    Smooth profiles use the symmetric limit (d-1)v'/r -> (d-1)v''(0); a
+    power-flagged profile c r^gamma gives the closed-form constant of the
+    r^{g/(g-1)} calculus, 0 when the power is supercritical.
+    """
+    g, k, d = p.g, p.k, p.d(n)
+    if profile.origin is None:
+        v1 = float(profile.d1(0.0))
+        return float(grad_factor(v1, g) * ((g - 1.0) + (d - 1.0)) * float(profile.d2(0.0)) / k)
+    gamma, c = profile.origin.exponent, profile.origin.coefficient
     if c == 0.0:
         return 0.0
-    t_exp = gamma * (p - 1.0) - p
+    t_exp = gamma * (g - 1.0) - g
     if t_exp > 0:
         return 0.0
     if t_exp < 0:
         raise EvaluationError(
-            f"p-Laplacian of r^{gamma:g} profile is unbounded at the origin for p={p:g}")
-    bracket = (p - 1.0) * (gamma - 1.0) + (n - 1.0)
-    return abs(c * gamma) ** (p - 2.0) * (c * gamma) * bracket
-
-
-def _power_origin_inflap(origin: PowerOrigin) -> float:
-    """Limit of (u')^2 u'' at r = 0 for u = c r^gamma."""
-    gamma, c = origin.exponent, origin.coefficient
-    if c == 0.0:
-        return 0.0
-    t_exp = 3.0 * gamma - 4.0
-    if t_exp > 0:
-        return 0.0
-    if t_exp < 0:
-        raise EvaluationError(
-            f"infinity-Laplacian of r^{gamma:g} profile is unbounded at the origin")
-    return c ** 3 * gamma ** 3 * (gamma - 1.0)
+            f"radial operator of r^{gamma:g} profile is unbounded at the origin for p={p.label}")
+    bracket = (g - 1.0) * (gamma - 1.0) + (d - 1.0)
+    return abs(c * gamma) ** (g - 2.0) * (c * gamma) * bracket / k
 
 
 def _check_domain(r, R: float):
@@ -176,17 +175,12 @@ def _check_domain(r, R: float):
     return r
 
 
-def eval_p_laplacian_radial(profile: RadialProfile, p: Exponent, n: int, r):
-    """Delta_p of a radial profile: |v'|^{p-2}((p-1)v'' + (n-1)v'/r).
+def eval_radial_operator(profile: RadialProfile, p: Exponent, n: int, r):
+    """Delta_p (Delta_inf) of a radial profile: |v'|^{g-2}((g-1)v'' + (d-1)v'/r)/k.
 
-    At r = 0 smooth profiles use the symmetric limit (n-1)v'/r -> (n-1)v''(0);
-    power-flagged profiles return the closed-form constant of the r^{p/(p-1)}
-    calculus (0 when the power is supercritical).
+    (g, k, d) is the exponent law; at infinity this is (v')^2 v''.  The axis
+    value follows `_axis_value`.
     """
-    if p.is_infinity:
-        raise UnsupportedExponentError(
-            "p-Laplacian needs finite p; use eval_inf_laplacian_radial")
-    pf = p.p
     r = _check_domain(r, profile.R)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
@@ -197,35 +191,9 @@ def eval_p_laplacian_radial(profile: RadialProfile, p: Exponent, n: int, r):
         ro = r[off]
         v1 = np.asarray(profile.d1(ro), dtype=float)
         v2 = np.asarray(profile.d2(ro), dtype=float)
-        out[off] = grad_factor(v1, pf) * ((pf - 1.0) * v2 + (n - 1.0) * v1 / ro)
+        out[off] = _radial(v1, v2, ro, p.g, p.k, p.d(n))
     if np.any(at_axis):
-        if profile.origin is not None:
-            out[at_axis] = _power_origin_plap(profile.origin, pf, n)
-        else:
-            v1 = float(profile.d1(0.0))
-            v2 = float(profile.d2(0.0))
-            out[at_axis] = grad_factor(v1, pf) * ((pf - 1.0) + (n - 1.0)) * v2
-    return float(out[0]) if scalar else out
-
-
-def eval_inf_laplacian_radial(profile: RadialProfile, r):
-    """Delta_inf of a radial profile: (u'(r))^2 u''(r), with the axis rule."""
-    r = _check_domain(r, profile.R)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    at_axis = r == 0.0
-    off = ~at_axis
-    if np.any(off):
-        ro = r[off]
-        v1 = np.asarray(profile.d1(ro), dtype=float)
-        v2 = np.asarray(profile.d2(ro), dtype=float)
-        out[off] = v1 ** 2 * v2
-    if np.any(at_axis):
-        if profile.origin is not None:
-            out[at_axis] = _power_origin_inflap(profile.origin)
-        else:
-            out[at_axis] = float(profile.d1(0.0)) ** 2 * float(profile.d2(0.0))
+        out[at_axis] = _axis_value(profile, p, n)
     return float(out[0]) if scalar else out
 
 
@@ -233,132 +201,74 @@ def eval_inf_laplacian_radial(profile: RadialProfile, r):
 # parabolic residuals
 
 
-def _trudinger_terms_finite(u: SpaceTimeFunction, p: float, n: int, r, t):
-    prof_plap = np.empty(np.broadcast(r, t).shape)
-    r_b = np.broadcast_to(r, prof_plap.shape).astype(float)
-    t_b = np.broadcast_to(t, prof_plap.shape).astype(float)
-    at_axis = r_b == 0.0
-    off = ~at_axis
-    if np.any(off):
-        v1 = np.asarray(u.dr(r_b[off], t_b[off]), dtype=float)
-        v2 = np.asarray(u.drr(r_b[off], t_b[off]), dtype=float)
-        prof_plap[off] = grad_factor(v1, p) * ((p - 1.0) * v2 + (n - 1.0) * v1 / r_b[off])
-    if np.any(at_axis):
-        for idx in np.argwhere(at_axis):
-            prof = u.at_time(float(t_b[tuple(idx)]))
-            prof_plap[tuple(idx)] = eval_p_laplacian_radial(prof, Exponent.finite(p), n, 0.0)
-    uval = np.asarray(u.value(r_b, t_b), dtype=float)
-    ut = np.asarray(u.dt(r_b, t_b), dtype=float)
-    time_term = (p - 1.0) * grad_factor(uval, p) * ut
-    return prof_plap, time_term
-
-
-def _trudinger_terms_infinity(u: SpaceTimeFunction, r, t):
+def _spatial_terms(u: SpaceTimeFunction, p: Exponent, n: int, r, t):
+    """Broadcast (r, t); return the radial operator of u and u_r (0 on the axis)."""
     shape = np.broadcast(r, t).shape
-    dinf = np.empty(shape)
     r_b = np.broadcast_to(r, shape).astype(float)
     t_b = np.broadcast_to(t, shape).astype(float)
-    at_axis = r_b == 0.0
-    off = ~at_axis
+    spatial = np.empty(shape)
+    v1 = np.zeros(shape)  # radial symmetry on the axis
+    off = r_b != 0.0
     if np.any(off):
-        v1 = np.asarray(u.dr(r_b[off], t_b[off]), dtype=float)
+        v1[off] = u.dr(r_b[off], t_b[off])
         v2 = np.asarray(u.drr(r_b[off], t_b[off]), dtype=float)
-        dinf[off] = v1 ** 2 * v2
-    if np.any(at_axis):
-        for idx in np.argwhere(at_axis):
-            prof = u.at_time(float(t_b[tuple(idx)]))
-            dinf[tuple(idx)] = eval_inf_laplacian_radial(prof, 0.0)
-    uval = np.asarray(u.value(r_b, t_b), dtype=float)
-    ut = np.asarray(u.dt(r_b, t_b), dtype=float)
-    return dinf, 3.0 * uval ** 2 * ut
+        spatial[off] = _radial(v1[off], v2, r_b[off], p.g, p.k, p.d(n))
+    for idx in np.argwhere(~off):
+        spatial[tuple(idx)] = _axis_value(u.at_time(float(t_b[tuple(idx)])), p, n)
+    return spatial, v1, r_b, t_b
 
 
 def trudinger_residual_grid(u: SpaceTimeFunction, p: Exponent, n: int, r, t):
     """Vectorized Trudinger residual; returns (residual, term-magnitude scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if p.is_finite:
-        spatial, time_term = _trudinger_terms_finite(u, p.p, n, r, t)
-    else:
-        spatial, time_term = _trudinger_terms_infinity(u, r, t)
+    spatial, _, r_b, t_b = _spatial_terms(u, p, n, r, t)
+    uval = np.asarray(u.value(r_b, t_b), dtype=float)
+    ut = np.asarray(u.dt(r_b, t_b), dtype=float)
+    time_term = p.time_weight * grad_factor(uval, p.g) * ut
     return spatial - time_term, np.abs(spatial) + np.abs(time_term)
 
 
-def trudinger_residual(u: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
-    """Delta_p u - (p-1) u^{p-2} u_t at one point (Delta_inf u - 3 u^2 u_t)."""
+def _at_point(residual_grid, u: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
     pt = SpaceTimePoint(*pt)
     try:
-        res, _ = trudinger_residual_grid(u, p, n, pt.r, pt.t)
-    except (DomainError, UnsupportedExponentError, EvaluationError):
+        res, _ = residual_grid(u, p, n, pt.r, pt.t)
+    except (DomainError, EvaluationError):
         raise
     except Exception as exc:  # derivative callbacks are caller-supplied
         raise EvaluationError(f"derivative callbacks failed at {pt}: {exc}") from exc
     return float(np.asarray(res).flat[0])
 
 
-def _log_form_terms_finite(v: SpaceTimeFunction, p: float, n: int, r, t):
-    spatial, _ = _trudinger_terms_finite(v, p, n, r, t)  # Delta_p v only needs dr/drr
-    shape = np.broadcast(r, t).shape
-    r_b = np.broadcast_to(r, shape).astype(float)
-    t_b = np.broadcast_to(t, shape).astype(float)
-    # the |u|^{p-2} u_t factor inside _trudinger_terms is wrong for the log form;
-    # recompute the two first-order terms directly.
-    v1 = np.empty(shape)
-    off = r_b != 0.0
-    if np.any(off):
-        v1[off] = np.asarray(v.dr(r_b[off], t_b[off]), dtype=float)
-    v1[~off] = 0.0  # radial symmetry
-    grad_term = (p - 1.0) * np.abs(v1) ** p
-    vt = np.asarray(v.dt(r_b, t_b), dtype=float)
-    time_term = (p - 1.0) * vt
-    return spatial, grad_term, time_term
-
-
-def _log_form_terms_infinity(v: SpaceTimeFunction, r, t):
-    dinf, _ = _trudinger_terms_infinity(v, r, t)
-    shape = np.broadcast(r, t).shape
-    r_b = np.broadcast_to(r, shape).astype(float)
-    t_b = np.broadcast_to(t, shape).astype(float)
-    v1 = np.empty(shape)
-    off = r_b != 0.0
-    if np.any(off):
-        v1[off] = np.asarray(v.dr(r_b[off], t_b[off]), dtype=float)
-    v1[~off] = 0.0
-    vt = np.asarray(v.dt(r_b, t_b), dtype=float)
-    return dinf, v1 ** 4, 3.0 * vt
+def trudinger_residual(u: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
+    """Delta_p u - (p-1) u^{p-2} u_t at one point (Delta_inf u - 3 u^2 u_t)."""
+    return _at_point(trudinger_residual_grid, u, p, n, pt)
 
 
 def log_form_residual_grid(v: SpaceTimeFunction, p: Exponent, n: int, r, t):
     """Vectorized log-form residual; returns (residual, term-magnitude scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if p.is_finite:
-        spatial, grad_term, time_term = _log_form_terms_finite(v, p.p, n, r, t)
-    else:
-        spatial, grad_term, time_term = _log_form_terms_infinity(v, r, t)
+    spatial, v1, r_b, t_b = _spatial_terms(v, p, n, r, t)
+    grad_term = p.time_weight / p.k * np.abs(v1) ** p.g
+    time_term = p.time_weight * np.asarray(v.dt(r_b, t_b), dtype=float)
     res = spatial + grad_term - time_term
     return res, np.abs(spatial) + grad_term + np.abs(time_term)
 
 
 def log_form_residual(v: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
     """Delta_p v + (p-1)|Dv|^p - (p-1) v_t (Delta_inf v + |Dv|^4 - 3 v_t)."""
-    pt = SpaceTimePoint(*pt)
-    try:
-        res, _ = log_form_residual_grid(v, p, n, pt.r, pt.t)
-    except (DomainError, UnsupportedExponentError, EvaluationError):
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"derivative callbacks failed at {pt}: {exc}") from exc
-    return float(np.asarray(res).flat[0])
+    return _at_point(log_form_residual_grid, v, p, n, pt)
 
 
 def log_transform_consistency(u: SpaceTimeFunction, p: Exponent, n: int,
                               points) -> float:
-    """Max over sample points of |Trudinger(u) - u^w * log_form(log u)|.
+    """Max over sample points of |Trudinger(u) - u^{g-1} * log_form(log u)|.
 
-    w = p - 1 for finite p, 3 for infinity.  The identity is algebraic, so the
-    deviation must sit at rounding scale when analytic derivatives are used.
-    points is an (r, t) pair of arrays (or an iterable of pairs).
+    g - 1 is the time weight (p - 1, or 3 for infinity).  The identity is
+    algebraic, so the deviation must sit at rounding scale when analytic
+    derivatives are used.  points is an (r, t) pair of arrays (or an
+    iterable of pairs).
     """
     if isinstance(points, tuple) and len(points) == 2:
         r, t = np.asarray(points[0], float), np.asarray(points[1], float)
@@ -371,8 +281,7 @@ def log_transform_consistency(u: SpaceTimeFunction, p: Exponent, n: int,
     v = log_of(u)
     gamma, _ = trudinger_residual_grid(u, p, n, r, t)
     gform, _ = log_form_residual_grid(v, p, n, r, t)
-    weight = uval ** (p.p - 1.0) if p.is_finite else uval ** 3
-    return float(np.max(np.abs(gamma - weight * gform)))
+    return float(np.max(np.abs(gamma - uval ** p.time_weight * gform)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,19 @@ Two schemes, split by where the degenerate factor u^{p-2} is harmless:
   u_t = Delta_p u / ((p-1) max(u, eps)^{p-2}) by forward Euler under a
   frozen-coefficient step restriction.
 
-Space is discretized conservatively: face fluxes r^{n-1}|u_r|^{p-2} u_r
-(infinity: (u_r)^3/3, no geometric weight), with the one-sided
-symmetry-corrected stencil at the axis.  This stays consistent at r = 0 for
-the degenerate r^{p/(p-1)} profiles the continuum theory produces there.
+Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
+((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
+the same code: (u^3)_t = Delta_inf u is the d = 1 case with flux (u_r)^3/3.
+Space is discretized conservatively: face fluxes r^{d-1}|u_r|^{g-2} u_r / k
+with the one-sided symmetry-corrected stencil at the axis.  This stays
+consistent at r = 0 for the degenerate r^{g/(g-1)} profiles the continuum
+theory produces there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -102,49 +105,46 @@ class SolverConfig:
         }
 
 
-def _face_weights(grid: RadialGrid, n: int, p: Exponent):
-    """(axis factor, face weights, node weights) of the conservative stencil.
+class _Stencil(NamedTuple):
+    """Conservative stencil of one (grid, n, p): weights and the face flux.
 
-    Node weights are exact cell volumes (r_{i+1/2}^n - r_{i-1/2}^n)/n: the
-    midpoint surrogate r_i^{n-1} h loses consistency at the first node off
+    The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
+    flux_prime(q) = (g-1)|q|^{g-2}; at g = 2 they are the identity and one,
+    chosen here once instead of on every step.
+    """
+
+    axis: float
+    faces: np.ndarray
+    nodes: np.ndarray
+    flux: Callable
+    flux_prime: Callable
+
+
+def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
+    """Axis factor 2d/(hk), face weights r_{i+1/2}^{d-1}/k, node weights.
+
+    Node weights are exact cell volumes (r_{i+1/2}^d - r_{i-1/2}^d)/d: the
+    midpoint surrogate r_i^{d-1} h loses consistency at the first node off
     the axis, where r is comparable to h.
     """
-    h = grid.h
+    g, k, d = p.g, p.k, p.d(n)
     r = grid.r
-    if p.is_finite:
-        r_face = 0.5 * (r[:-1] + r[1:])
-        faces = r_face ** (n - 1)
-        nodes = (r_face[1:] ** n - r_face[:-1] ** n) / n
-        axis = 2.0 * n / h
-    else:
-        faces = np.ones(grid.count - 1)
-        nodes = np.full(grid.count - 2, h)
-        axis = 2.0 / h
-    return axis, faces, nodes
+    r_face = 0.5 * (r[:-1] + r[1:])
+    faces = r_face ** (d - 1.0) / k
+    nodes = (r_face[1:] ** d - r_face[:-1] ** d) / d
+    axis = 2.0 * d / (grid.h * k)
+    if g == 2.0:
+        return _Stencil(axis, faces, nodes, lambda q: q, np.ones_like)
+    return _Stencil(axis, faces, nodes,
+                    lambda q: np.abs(q) ** (g - 2.0) * q,
+                    lambda q: (g - 1.0) * np.abs(q) ** (g - 2.0))
 
 
-def _flux(q, p: Exponent):
-    if p.is_finite:
-        pf = p.p
-        return q if pf == 2.0 else np.abs(q) ** (pf - 2.0) * q
-    return q ** 3 / 3.0
-
-
-def _flux_prime(q, p: Exponent):
-    if p.is_finite:
-        pf = p.p
-        return np.ones_like(q) if pf == 2.0 else (pf - 1.0) * np.abs(q) ** (pf - 2.0)
-    return q ** 2
-
-
-def _spatial_operator(v: np.ndarray, grid: RadialGrid, p: Exponent, n: int,
-                      weights) -> np.ndarray:
-    """Discrete Delta_p v at nodes 0..count-2 (boundary node excluded)."""
-    axis, faces, nodes = weights
-    h = grid.h
-    q = np.diff(v) / h
-    flux = _flux(q, p)
-    out = np.empty(grid.count - 1)
+def _spatial_operator(v: np.ndarray, h: float, st: _Stencil) -> np.ndarray:
+    """Discrete radial operator of v at nodes 0..count-2 (boundary node excluded)."""
+    axis, faces, nodes, flux_fn, _ = st
+    flux = flux_fn(np.diff(v) / h)
+    out = np.empty(v.size - 1)
     out[0] = axis * flux[0]
     out[1:] = (faces[1:] * flux[1:] - faces[:-1] * flux[:-1]) / nodes
     return out
@@ -194,30 +194,27 @@ def _gradient_slope(v: np.ndarray, h: float, upwind: np.ndarray):
 
 def _gradient_sq_term(v: np.ndarray, grid: RadialGrid, p: Exponent,
                       upwind: np.ndarray):
-    """(p-1)|Dv|^p (|Dv|^4 for infinity) at nodes 0..m-1, with sensitivities."""
+    """((g-1)/k)|Dv|^g at nodes 0..m-1, with sensitivities."""
     slope, s_lo, s_mid, s_hi = _gradient_slope(v, grid.h, upwind)
-    if p.is_finite:
-        pf = p.p
-        term = (pf - 1.0) * slope ** pf
-        dterm = (pf - 1.0) * pf * slope ** (pf - 1.0)
-    else:
-        term = slope ** 4
-        dterm = 4.0 * slope ** 3
+    g = p.g
+    coeff = (g - 1.0) / p.k
+    term = coeff * slope ** g
+    dterm = coeff * g * slope ** (g - 1.0)
     return term, (dterm * s_lo / grid.h, dterm * s_mid / grid.h, dterm * s_hi / grid.h)
 
 
 def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float,
-                       grid: RadialGrid, p: Exponent, n: int, weights,
+                       grid: RadialGrid, p: Exponent, st: _Stencil,
                        tolerance: float, max_newton: int):
     """One backward-Euler step of the log-form equation; damped Newton."""
     h = grid.h
     w = p.time_weight
     m = grid.count - 1  # unknowns: nodes 0..m-1
-    axis, faces, nodes = weights
+    axis, faces, nodes, _, flux_prime = st
     upwind = _upwind_mask(v_prev, h)
 
     def assemble(vfull):
-        spatial = _spatial_operator(vfull, grid, p, n, weights)
+        spatial = _spatial_operator(vfull, h, st)
         grad_term, grad_sens = _gradient_sq_term(vfull, grid, p, upwind)
         F = spatial + grad_term - w * (vfull[:-1] - v_prev[:-1]) / dt
         return F, grad_sens
@@ -232,7 +229,7 @@ def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float,
             return vfull, it, norm
         # tridiagonal Jacobian in banded storage
         q = np.diff(vfull) / h
-        fp = _flux_prime(q, p)
+        fp = flux_prime(q)
         g_lo, g_mid, g_hi = grad_sens
         lower = np.zeros(m)
         diag = np.zeros(m)
@@ -279,8 +276,8 @@ def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float,
 
 def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
-    p, n = config.p, config.n
-    weights = _face_weights(grid, n, p)
+    p = config.p
+    st = _stencil(grid, config.n, p)
     f = np.asarray(config.initial(grid.r), float)
     v = np.log(f)
     t = 0.0
@@ -293,7 +290,7 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         dt = min(dt, config.t_end - t)
         v_bc = np.log(float(config.boundary(t + dt)))
         out, iters, norm = _log_implicit_step(
-            v, v_bc, dt, grid, p, n, weights, config.tolerance, config.max_newton)
+            v, v_bc, dt, grid, p, st, config.tolerance, config.max_newton)
         if out is None:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
@@ -320,27 +317,23 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
 
 
 def _cfl_dt(u: np.ndarray, grid: RadialGrid, p: Exponent, floor: float) -> float:
-    """Frozen-coefficient step bound 0.4 h^2 (p-1) u_min^{p-2} / (p max|u_r|^{p-2})."""
+    """Frozen-coefficient step bound 0.4 h^2 (g-1) u_min^{g-2} / (g max|u_r|^{g-2})."""
     h = grid.h
+    g = p.g
     slope = np.abs(np.diff(u)).max() / h
     u_min = max(u.min(), floor)
-    if p.is_finite:
-        pf = p.p
-        num = 0.4 * h * h * (pf - 1.0) * u_min ** (pf - 2.0)
-        den = pf * slope ** (pf - 2.0) + 1e-300
-    else:
-        num = 0.4 * h * h * 3.0 * u_min ** 2
-        den = 4.0 * slope ** 2 + 1e-300
+    num = 0.4 * h * h * (g - 1.0) * u_min ** (g - 2.0)
+    den = g * slope ** (g - 2.0) + 1e-300
     return num / den
 
 
 def _solve_direct_explicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
-    p, n = config.p, config.n
-    weights = _face_weights(grid, n, p)
+    p = config.p
+    st = _stencil(grid, config.n, p)
     u = np.asarray(config.initial(grid.r), float).copy()
     eps_reg = 1e-12 * max(u.max(), 1.0)
-    w = p.time_weight
+    w, g = p.time_weight, p.g
     t = 0.0
     values = [u.copy()]
     times = [0.0]
@@ -355,11 +348,8 @@ def _solve_direct_explicit(config: SolverConfig) -> SpaceTimeField:
         dt = min(dt, config.t_end - t)
         if dt <= 0 or not np.isfinite(dt):
             raise SolverError(f"step size underflow at t={t:.6g}")
-        spatial = _spatial_operator(u, grid, p, n, weights)
-        if p.is_finite:
-            denom = w * np.maximum(u[:-1], eps_reg) ** (p.p - 2.0)
-        else:
-            denom = 3.0 * np.maximum(u[:-1], eps_reg) ** 2
+        spatial = _spatial_operator(u, grid.h, st)
+        denom = w * np.maximum(u[:-1], eps_reg) ** (g - 2.0)
         u_new = u.copy()
         u_new[:-1] = u[:-1] + dt * spatial / denom
         t += dt
@@ -403,12 +393,9 @@ def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
         rate = utt / dts ** 2
         utt_term[1:] = 0.5 * dt_levels[1:] * rate
         utt_term[0] = utt_term[1]
-    if p.is_finite:
-        w_max = (p.p - 1.0) * np.abs(u).max() ** (p.p - 2.0)
-        w_min_levels = (p.p - 1.0) * np.maximum(u[1:].min(axis=1), 1e-30) ** (p.p - 2.0)
-    else:
-        w_max = 3.0 * np.abs(u).max() ** 2
-        w_min_levels = 3.0 * np.maximum(u[1:].min(axis=1), 1e-30) ** 2
+    w, g = p.time_weight, p.g
+    w_max = w * np.abs(u).max() ** (g - 2.0)
+    w_min_levels = w * np.maximum(u[1:].min(axis=1), 1e-30) ** (g - 2.0)
     bound_resid = float(audit_max + (utt_term * w_max).max())
     # integrate the per-level u_t error estimate over the run
     bound_u = float(np.sum(dt_levels * (res_levels + utt_term * w_max) / w_min_levels))

@@ -258,7 +258,7 @@ class TestTimeFactor:
         lam, w = 3.0, 2.0  # p = 3
         T = np.log(2.0) * w / lam
         s = make_time_factor(lam, Exponent.finite(3), S=0.0, T=T)
-        assert s.derived["beta_S"] == pytest.approx(2.0)
+        assert s.beta_S == pytest.approx(2.0)
 
     def test_short_block_rejected(self):
         with pytest.raises(ConstraintError):
@@ -271,7 +271,7 @@ class TestTimeFactor:
         s_ = np.sqrt(lam)
         S, T = 0.0, 2.0 * np.log(2.0) / lam * 1.0  # beta(S,T)=2 at w=1
         tf = make_time_factor(lam, Exponent.finite(2), S=S, T=T)
-        beta_S = tf.derived["beta_S"]
+        beta_S = tf.beta_S
 
         def psi(r):
             r = np.maximum(np.asarray(r, float), 1e-300)
@@ -312,7 +312,7 @@ class TestTimeFactor:
         w = 2.0  # p - 1
         T = 1.2 * np.log(2.0) * w / lam
         tf = make_time_factor(lam, Exponent.finite(3), S=0.0, T=T)
-        beta_S = tf.derived["beta_S"]
+        beta_S = tf.beta_S
         prof = eig.profile()
 
         from trudlab.operators import SpaceTimeFunction
@@ -489,26 +489,37 @@ class TestClosedFormVsFiniteDifference:
         ("growth", 3.0),
         ("upper", 3.0), ("lower", 3.0),
         ("kernel", 3.0),
+        *[(maker, pval) for pval in (2.5, "inf")
+          for maker in ("growth", "upper", "lower", "kernel", "power")],
     ])
     def test_refinement_agreement(self, maker, pval):
-        """The stored residual matches the FD audit of the sampled field at O(h^2)."""
-        p = Exponent.finite(pval)
+        """The stored residual matches the FD audit of the sampled field at O(h^2).
+
+        The FD residual is written out here per branch, without the exponent
+        law: Delta_p u - (p-1)|u|^{p-2} u_t, and ur^2 urr - 3 u^2 ut at infinity.
+        """
+        p = Exponent.parse(pval)
         n = 2
+        alpha = 1.0 if p.is_finite else 0.5  # 1/2 is the largest at infinity
         if maker == "eigen":
             spec = make_eigen_barrier(p, n, 1.0)
             # start at t = 0: the decay rate can be huge and drown the signal
             box_r, box_t = (0.1, 0.85), (0.0, 0.0)
         elif maker == "growth":
-            spec = make_growth_barrier(p, n, T=1.0, alpha=1.0,
-                                       b=0.5 * growth_barrier_max_b(p, 1.0, 1.0))
+            spec = make_growth_barrier(p, n, T=1.0, alpha=alpha,
+                                       b=0.5 * growth_barrier_max_b(p, 1.0, alpha))
             box_r, box_t = (0.2, 1.2), (0.2, 0.2001)
         elif maker == "upper":
-            spec = make_flattening_upper(p, n, 1.0, M=2.0, alpha=1.0)
+            spec = make_flattening_upper(p, n, 1.0, M=2.0, alpha=alpha)
             t0 = spec.t_start
             box_r, box_t = (0.2, 0.9), (t0 + 0.1, t0 + 0.1001)
         elif maker == "lower":
-            spec = make_flattening_lower(p, n, 1.0, m=0.5, alpha=1.0)
+            spec = make_flattening_lower(p, n, 1.0, m=0.5, alpha=alpha)
             box_r, box_t = (0.2, 0.9), (0.5, 0.5001)
+        elif maker == "power":
+            spec = make_power_solution(p, n, +1, f=lambda t: 1.0 / (1.0 + t),
+                                       fprime=lambda t: -1.0 / (1.0 + t) ** 2)
+            box_r, box_t = (0.3, 1.2), (0.4, 0.4001)
         else:
             spec = make_kernel(p, n)
             box_r, box_t = (0.3, 1.2), (0.8, 0.8001)
@@ -522,22 +533,32 @@ class TestClosedFormVsFiniteDifference:
             h = grid_r[1] - grid_r[0]
             dt = dt_factor * h ** 2
             times = np.array([box_t[0], box_t[0] + dt])
-            vals = spec.value(grid_r[None, :], times[:, None])
+            u = spec.value(grid_r[None, :], times[:, None])
             # interior central differences on the offset window
-            u = vals
             ur = (u[:, 2:] - u[:, :-2]) / (2 * h)
             urr = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h ** 2
-            mid = grid_r[1:-1]
-            pf = p.p
-            dpl = np.abs(ur) ** (pf - 2.0) * ((pf - 1.0) * urr + (n - 1.0) * ur / mid)
             ut = (u[1:, 1:-1] - u[:-1, 1:-1]) / dt
-            fd_res = dpl[1:] - (pf - 1.0) * np.abs(u[1:, 1:-1]) ** (pf - 2.0) * ut
+            mid = grid_r[1:-1]
+            uu = u[1:, 1:-1]
+            if p.is_finite:
+                pf = p.p
+                dpl = np.abs(ur) ** (pf - 2.0) * ((pf - 1.0) * urr + (n - 1.0) * ur / mid)
+                w, grad = pf - 1.0, (pf - 1.0) * np.abs(ur[1:]) ** pf
+                time_factor = (pf - 1.0) * np.abs(uu) ** (pf - 2.0)
+            else:
+                dpl = ur ** 2 * urr
+                w, grad = 3.0, ur[1:] ** 4
+                time_factor = 3.0 * uu ** 2
+            if maker == "power":
+                # phi = v itself: the FD log form Delta v + grad - w v_t
+                fd_res = dpl[1:] + grad - w * ut
+            else:
+                fd_res = dpl[1:] - time_factor * ut
             # closed-form residual of the family (converted to the direct form
-            # for log-form families: Gamma = phi^{p-1} * stored residual)
+            # for log-form envelopes: Gamma = phi^w * stored residual)
             closed = spec.residual(mid[None, :], np.full((1, mid.size), times[1]))
-            if spec.operator == "log-form":
-                closed = closed * spec.value(mid[None, :],
-                                             np.full((1, mid.size), times[1])) ** (pf - 1.0)
+            if spec.operator == "log-form" and maker != "power":
+                closed = closed * uu ** w
             errs.append(np.abs(fd_res - closed).max())
             hs.append(h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]

@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
 from trudlab import eigensolver
-from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from trudlab.barriers import CATALOG_FAMILIES, default_catalog
+from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_barrier, main
+from trudlab.exponent import Exponent
 
 
 def run(args, out_dir):
@@ -90,6 +94,18 @@ class TestVerifyCommand:
         assert configs == sorted(json.dumps(e, sort_keys=True) for e in entries)
 
 
+    @pytest.mark.parametrize("p", ["2", "2.5", "3", "4", "inf"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_defaults_match_catalog(self, p, n):
+        # a bare `trudlab verify --family F` checks the catalog's own entry
+        catalog = default_catalog(Exponent.parse(p), n)
+        assert len(catalog) == (8 if p != "inf" else 7)
+        for name, spec in zip(CATALOG_FAMILIES, catalog):
+            built = _build_barrier({"family": name, "p": p, "n": n})
+            assert built.family == spec.family
+            assert built.params == spec.params
+
+
 class TestEigenCommand:
     def test_linear_case_value(self, tmp_path, capsys):
         code = run(["eigen", "--p", "2", "--n", "3", "--R", "1"], tmp_path)
@@ -167,6 +183,14 @@ class TestExperimentCommand:
         code = run(["experiment", "decay", "--p", "3", "--n", "2",
                     "--nodes", "201"], tmp_path)
         assert code == EXIT_OK
+
+    def test_same_second_reports_kept(self, tmp_path):
+        # three identical runs within a second: one report set each
+        for _ in range(3):
+            assert run(["experiment", "pl", "--p", "3", "--n", "2"], tmp_path) == EXIT_OK
+        files = sorted(f.name for f in tmp_path.iterdir())
+        assert len(files) == 9
+        assert sum(f.endswith(".json") for f in files) == 3
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRUDLAB_OUT", str(tmp_path / "envout"))

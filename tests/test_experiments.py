@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -135,11 +137,13 @@ class TestPhragmenLindelof:
         assert "need 3*eps <" in str(err.value)
 
     def test_tables_and_save(self, study_p3, tmp_path):
-        paths = study_p3.save(tmp_path, timestamp="TEST")
-        names = sorted(p.split("/")[-1] for p in map(str, paths))
-        assert names == ["pl-3-2-TEST-lower.csv", "pl-3-2-TEST-upper.csv",
-                         "pl-3-2-TEST.json"]
-        data = json.loads((tmp_path / "pl-3-2-TEST.json").read_text())
+        paths = study_p3.save(tmp_path)
+        base = paths[0][: -len(".json")]
+        assert paths == [base + ".json", base + "-lower.csv", base + "-upper.csv"]
+        assert sorted(map(str, tmp_path.iterdir())) == sorted(paths)
+        # <name>-<p>-<n>-<stamp>-<config hash>
+        assert re.fullmatch(r"pl-3-2-\d{8}T\d{6}-[0-9a-f]{8}", os.path.basename(base))
+        data = json.loads(open(paths[0]).read())
         assert data["passes"]["lower_gap_ratio"]
 
 

@@ -2,12 +2,13 @@
 
 Frozen values come from hand differentiation of the radial forms:
 Delta_p u = |u'|^{p-2}((p-1)u'' + (n-1)u'/r), Delta_inf u = (u')^2 u''.
+Both are one `eval_radial_operator` of the exponent law; the hand-written
+infinity formulas below check the law at (g, k, d) = (4, 3, 1).
 """
 
 import numpy as np
 import pytest
 
-import trudlab.operators as ops
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import (
@@ -16,9 +17,7 @@ from trudlab.operators import (
     PowerOrigin,
     RadialProfile,
     SpaceTimeFunction,
-    UnsupportedExponentError,
-    eval_inf_laplacian_radial,
-    eval_p_laplacian_radial,
+    eval_radial_operator,
     fd_residual_on_field,
     log_form_residual,
     log_transform_consistency,
@@ -52,7 +51,7 @@ class TestPLaplacianRadial:
         p = Exponent.finite(3)
         prof = power_profile(p.power_exponent)
         for r in [0.0, 0.3, 1.0, 5.0]:
-            assert eval_p_laplacian_radial(prof, p, 2, r) == pytest.approx(4.5, abs=1e-12)
+            assert eval_radial_operator(prof, p, 2, r) == pytest.approx(4.5, abs=1e-12)
 
     @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
     @pytest.mark.parametrize("n", [2, 3])
@@ -62,15 +61,15 @@ class TestPLaplacianRadial:
         expected = n * beta ** (pv - 1.0)
         prof = power_profile(beta)
         r = np.linspace(0.0, 2.0, 13)
-        vals = eval_p_laplacian_radial(prof, p, n, r)
+        vals = eval_radial_operator(prof, p, n, r)
         assert np.allclose(vals, expected, rtol=1e-12)
 
     def test_quadratic_gives_2n(self):
         prof = RadialProfile(lambda r: r ** 2, lambda r: 2.0 * r,
                              lambda r: 2.0 + 0.0 * np.asarray(r), R=5.0)
         for n in (2, 3, 5):
-            assert eval_p_laplacian_radial(prof, Exponent.finite(2), n, 0.7) == pytest.approx(2 * n)
-            assert eval_p_laplacian_radial(prof, Exponent.finite(2), n, 0.0) == pytest.approx(2 * n)
+            assert eval_radial_operator(prof, Exponent.finite(2), n, 0.7) == pytest.approx(2 * n)
+            assert eval_radial_operator(prof, Exponent.finite(2), n, 0.0) == pytest.approx(2 * n)
 
     def test_radial_p_harmonic_profiles(self):
         # r^{(p-n)/(p-1)} is p-harmonic away from the origin (p != n)
@@ -78,7 +77,7 @@ class TestPLaplacianRadial:
             g = (pv - n) / (pv - 1.0)
             prof = power_profile(g, R=2.0)
             r = np.linspace(0.1, 1.0, 50)
-            vals = eval_p_laplacian_radial(prof, Exponent.finite(pv), n, r)
+            vals = eval_radial_operator(prof, Exponent.finite(pv), n, r)
             assert np.abs(vals).max() < 1e-9
 
     def test_log_profile_n_harmonic(self):
@@ -87,46 +86,48 @@ class TestPLaplacianRadial:
                              lambda r: -1.0 / r ** 2, R=2.0)
         for n in (2, 3):
             r = np.linspace(0.1, 1.0, 50)
-            vals = eval_p_laplacian_radial(prof, Exponent.finite(n), n, r)
+            vals = eval_radial_operator(prof, Exponent.finite(n), n, r)
             assert np.abs(vals).max() < 1e-9
 
     def test_constant_profile_zero(self):
         prof = RadialProfile(lambda r: 3.0 + 0 * np.asarray(r),
                              lambda r: 0.0 * np.asarray(r),
                              lambda r: 0.0 * np.asarray(r), R=1.0)
-        assert eval_p_laplacian_radial(prof, Exponent.finite(2.5), 3, 0.4) == 0.0
+        assert eval_radial_operator(prof, Exponent.finite(2.5), 3, 0.4) == 0.0
 
     def test_domain_and_exponent_errors(self):
         prof = power_profile(1.5, R=1.0)
         with pytest.raises(DomainError):
-            eval_p_laplacian_radial(prof, Exponent.finite(3), 2, 1.5)
+            eval_radial_operator(prof, Exponent.finite(3), 2, 1.5)
         with pytest.raises(DomainError):
-            eval_p_laplacian_radial(prof, Exponent.finite(3), 2, -0.1)
-        with pytest.raises(UnsupportedExponentError):
-            eval_p_laplacian_radial(prof, INFINITY, 2, 0.5)
+            eval_radial_operator(prof, Exponent.finite(3), 2, -0.1)
+        with pytest.raises(ValueError):
+            Exponent.finite(1.5)
 
     def test_subcritical_power_unbounded_at_axis(self):
         prof = power_profile(1.1)
         with pytest.raises(EvaluationError):
-            eval_p_laplacian_radial(prof, Exponent.finite(4), 2, 0.0)
+            eval_radial_operator(prof, Exponent.finite(4), 2, 0.0)
 
 
 class TestInfLaplacianRadial:
     def test_four_thirds_power(self):
         prof = power_profile(4.0 / 3.0)
         for r in [0.0, 0.5, 2.0]:
-            assert eval_inf_laplacian_radial(prof, r) == pytest.approx(64.0 / 81.0, rel=1e-12)
+            for n in (2, 3):
+                assert eval_radial_operator(prof, INFINITY, n, r) == pytest.approx(
+                    64.0 / 81.0, rel=1e-12)
 
     def test_linear_profile_zero(self):
         prof = RadialProfile(lambda r: np.asarray(r, float),
                              lambda r: 1.0 + 0 * np.asarray(r),
                              lambda r: 0.0 * np.asarray(r), R=3.0)
-        assert eval_inf_laplacian_radial(prof, 1.3) == 0.0
+        assert eval_radial_operator(prof, INFINITY, 2, 1.3) == 0.0
 
     def test_quadratic_at_one(self):
         prof = RadialProfile(lambda r: r ** 2, lambda r: 2.0 * r,
                              lambda r: 2.0 + 0 * np.asarray(r), R=3.0)
-        assert eval_inf_laplacian_radial(prof, 1.0) == pytest.approx(8.0)
+        assert eval_radial_operator(prof, INFINITY, 3, 1.0) == pytest.approx(8.0)
 
 
 class TestParabolicResiduals:
@@ -151,18 +152,23 @@ class TestParabolicResiduals:
                               lambda r, t: a + 0 * np.asarray(r))
         assert log_form_residual(v, Exponent.finite(3), 2, (0.3, 0.5)) == pytest.approx(-2 * a)
 
-    def test_infinity_branch_never_calls_finite_path(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("finite-p path invoked on the infinity branch")
-
-        monkeypatch.setattr(ops, "_trudinger_terms_finite", boom)
-        monkeypatch.setattr(ops, "_log_form_terms_finite", boom)
-        u = SpaceTimeFunction(lambda r, t: 2.0 + 0 * np.asarray(r) + 0 * np.asarray(t),
-                              lambda r, t: 0.0 * np.asarray(r),
-                              lambda r, t: 0.0 * np.asarray(r),
-                              lambda r, t: 0.0 * np.asarray(r))
-        assert trudinger_residual(u, INFINITY, 2, (0.5, 0.5)) == 0.0
-        assert log_form_residual(u, INFINITY, 2, (0.5, 0.5)) == 0.0
+    def test_infinity_matches_hand_formula(self):
+        # u = exp(r^2 + t): Delta_inf u - 3u^2 u_t and, for v = r^2 + t,
+        # Delta_inf v + |Dv|^4 - 3v_t, written out by hand; no dimension enters
+        e = lambda r, t: np.exp(r ** 2 + t)
+        u = SpaceTimeFunction(e, lambda r, t: 2 * r * e(r, t),
+                              lambda r, t: (2 + 4 * r ** 2) * e(r, t), e)
+        v = SpaceTimeFunction(lambda r, t: r ** 2 + t, lambda r, t: 2 * r,
+                              lambda r, t: 2.0 + 0 * r, lambda r, t: 1.0 + 0 * r)
+        for r, t in [(0.3, 0.2), (1.1, 0.7)]:
+            ur, urr, uu = 2 * r * e(r, t), (2 + 4 * r ** 2) * e(r, t), e(r, t)
+            want_u = ur ** 2 * urr - 3 * uu ** 2 * uu
+            want_v = (2 * r) ** 2 * 2 + (2 * r) ** 4 - 3
+            for n in (2, 3):
+                assert trudinger_residual(u, INFINITY, n, (r, t)) == pytest.approx(
+                    want_u, rel=1e-12)
+                assert log_form_residual(v, INFINITY, n, (r, t)) == pytest.approx(
+                    want_v, rel=1e-12)
 
 
 class TestLogTransformConsistency:
@@ -242,7 +248,7 @@ class TestFieldResidual:
             vals = np.tile(prof.value(grid.r), (2, 1))
             field = SpaceTimeField(vals, grid, np.array([0.0, 1.0]))
             res = fd_residual_on_field(field, p, n)[0]
-            exact = eval_p_laplacian_radial(prof, p, n, grid.r[:-1])
+            exact = eval_radial_operator(prof, p, n, grid.r[:-1])
             window = (grid.r[:-1] >= 0.2)
             errs.append(np.abs(res - exact)[window].max())
             hs.append(grid.h)
