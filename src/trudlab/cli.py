@@ -216,11 +216,11 @@ def cmd_experiment(args) -> int:
     p = Exponent.parse(args.p)
     n = args.n
     if args.kind == "decay":
-        report = decay_experiment(p, n, args.R, nodes=args.nodes or 401)
+        report = decay_experiment(p, n, args.R, nodes=401 if args.nodes is None else args.nodes)
     elif args.kind == "flatten":
-        report = flatten_experiment(p, n, args.R, m=args.m, M=args.M,
-                                    alpha=args.alpha or barriers.default_flatten_alpha(p),
-                                    nodes=args.nodes or 201)
+        alpha = barriers.default_flatten_alpha(p) if args.alpha is None else args.alpha
+        report = flatten_experiment(p, n, args.R, m=args.m, M=args.M, alpha=alpha,
+                                    nodes=201 if args.nodes is None else args.nodes)
     elif args.kind == "pl":
         report = phragmen_lindelof_study(
             p, n, m=args.m, M=args.M,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -70,13 +69,16 @@ class SpaceTimeField:
         return self.values[1:, :-1]
 
     def to_csv(self, path) -> None:
+        """t,r,u rows as csv.writer writes them (%.17g, CRLF), one level per write."""
+        block = np.empty((self.grid.count, 3))
+        block[:, 1] = self.grid.r
+        row = "%.17g,%.17g,%.17g\r\n" * self.grid.count
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "r", "u"])
-            r = self.grid.r
-            for j, t in enumerate(self.times):
-                for i in range(self.grid.count):
-                    writer.writerow([f"{t:.17g}", f"{r[i]:.17g}", f"{self.values[j, i]:.17g}"])
+            fh.write("t,r,u\r\n")
+            for t, level in zip(self.times, self.values):
+                block[:, 0] = t
+                block[:, 2] = level
+                fh.write(row % tuple(block.ravel().tolist()))
 
     def manifest(self) -> dict:
         return {

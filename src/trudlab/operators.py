@@ -76,7 +76,8 @@ class SpaceTimeFunction:
     """Space-time function u(r, t) with analytic derivative callbacks.
 
     origin_coefficient gives the (possibly time-dependent) coefficient of the
-    leading r**origin_exponent term near the axis.
+    leading r**origin_exponent term near the axis; like the derivative
+    callbacks it must broadcast over an array of times.
     """
 
     value: Callable
@@ -144,28 +145,28 @@ def _radial(v1, v2, r, g: float, k: float, d: float):
     return grad_factor(v1, g) * ((g - 1.0) * v2 + (d - 1.0) * v1 / r) / k
 
 
-def _axis_value(profile: RadialProfile, p: Exponent, n: int) -> float:
-    """The radial operator at r = 0.
+def _axis_values(u: SpaceTimeFunction, p: Exponent, n: int, t: np.ndarray) -> np.ndarray:
+    """The radial operator at r = 0, for an array of times in one pass.
 
-    Smooth profiles use the symmetric limit (d-1)v'/r -> (d-1)v''(0); a
-    power-flagged profile c r^gamma gives the closed-form constant of the
-    r^{g/(g-1)} calculus, 0 when the power is supercritical.
+    Smooth functions use the symmetric limit (d-1)v'/r -> (d-1)v''(0); one
+    flagged c(t) r^gamma gives the closed-form constant of the r^{g/(g-1)}
+    calculus, 0 when the power is supercritical (its v'' is infinite on the
+    axis and is never evaluated there).
     """
     g, k, d = p.g, p.k, p.d(n)
-    if profile.origin is None:
-        v1 = float(profile.d1(0.0))
-        return float(grad_factor(v1, g) * ((g - 1.0) + (d - 1.0)) * float(profile.d2(0.0)) / k)
-    gamma, c = profile.origin.exponent, profile.origin.coefficient
-    if c == 0.0:
-        return 0.0
+    gamma = u.origin_exponent
+    if gamma is None:
+        r0 = np.zeros_like(t)
+        return grad_factor(u.dr(r0, t), g) * ((g - 1.0) + (d - 1.0)) * u.drr(r0, t) / k
+    c = np.asarray(u.origin_coefficient(t), dtype=float)
     t_exp = gamma * (g - 1.0) - g
-    if t_exp > 0:
-        return 0.0
-    if t_exp < 0:
+    if t_exp < 0 and np.any(c != 0.0):
         raise EvaluationError(
             f"radial operator of r^{gamma:g} profile is unbounded at the origin for p={p.label}")
+    if t_exp != 0:
+        return np.zeros_like(c)
     bracket = (g - 1.0) * (gamma - 1.0) + (d - 1.0)
-    return abs(c * gamma) ** (g - 2.0) * (c * gamma) * bracket / k
+    return np.abs(c * gamma) ** (g - 2.0) * (c * gamma) * bracket / k
 
 
 def _check_domain(r, R: float):
@@ -179,22 +180,17 @@ def eval_radial_operator(profile: RadialProfile, p: Exponent, n: int, r):
     """Delta_p (Delta_inf) of a radial profile: |v'|^{g-2}((g-1)v'' + (d-1)v'/r)/k.
 
     (g, k, d) is the exponent law; at infinity this is (v')^2 v''.  The axis
-    value follows `_axis_value`.
+    value follows `_axis_values`.
     """
     r = _check_domain(r, profile.R)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    out = np.empty_like(r)
-    at_axis = r == 0.0
-    off = ~at_axis
-    if np.any(off):
-        ro = r[off]
-        v1 = np.asarray(profile.d1(ro), dtype=float)
-        v2 = np.asarray(profile.d2(ro), dtype=float)
-        out[off] = _radial(v1, v2, ro, p.g, p.k, p.d(n))
-    if np.any(at_axis):
-        out[at_axis] = _axis_value(profile, p, n)
-    return float(out[0]) if scalar else out
+    origin = profile.origin
+    u = SpaceTimeFunction(
+        lambda r, t: profile.value(r), lambda r, t: profile.d1(r),
+        lambda r, t: profile.d2(r), dt=None, R=profile.R,
+        origin_exponent=None if origin is None else origin.exponent,
+        origin_coefficient=lambda t: origin.coefficient)
+    spatial = _spatial_terms(u, p, n, r, 0.0)[0]
+    return float(spatial) if r.ndim == 0 else spatial
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +209,8 @@ def _spatial_terms(u: SpaceTimeFunction, p: Exponent, n: int, r, t):
         v1[off] = u.dr(r_b[off], t_b[off])
         v2 = np.asarray(u.drr(r_b[off], t_b[off]), dtype=float)
         spatial[off] = _radial(v1[off], v2, r_b[off], p.g, p.k, p.d(n))
-    for idx in np.argwhere(~off):
-        spatial[tuple(idx)] = _axis_value(u.at_time(float(t_b[tuple(idx)])), p, n)
+    if not np.all(off):
+        spatial[~off] = _axis_values(u, p, n, t_b[~off])
     return spatial, v1, r_b, t_b
 
 

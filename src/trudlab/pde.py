@@ -5,9 +5,12 @@ Two schemes, split by where the degenerate factor u^{p-2} is harmless:
 * log-implicit: for strictly positive data, advance v = log u with backward
   Euler on Delta_p v + (p-1)|Dv|^p - (p-1) v_t = 0 (the transform removes the
   degenerate time factor); a damped Newton iteration solves each step.
+  `_log_residual` caches its slopes; `_log_jacobian` builds the three
+  diagonals from them when Newton needs an update; LAPACK dgtsv solves.
 * direct-explicit: for nonnegative data (zero boundary allowed), advance
   u_t = Delta_p u / ((p-1) max(u, eps)^{p-2}) by forward Euler under a
-  frozen-coefficient step restriction.
+  frozen-coefficient step restriction (constant at p = 2, like the time
+  denominator); one difference of u per step feeds bound and flux.
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -20,11 +23,12 @@ theory produces there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .exponent import Exponent
 from .grids import RadialGrid, SpaceTimeField
@@ -106,13 +110,17 @@ class SolverConfig:
 
 
 class _Stencil(NamedTuple):
-    """Conservative stencil of one (grid, n, p): weights and the face flux.
+    """Conservative stencil of one (grid, n, p): spacing, law, weights, flux.
 
     The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
     flux_prime(q) = (g-1)|q|^{g-2}; at g = 2 they are the identity and one,
-    chosen here once instead of on every step.
+    chosen here once instead of on every step.  grad = (g-1)/k is the
+    coefficient of the log form's gradient term.
     """
 
+    h: float
+    g: float
+    grad: float
     axis: float
     faces: np.ndarray
     nodes: np.ndarray
@@ -132,138 +140,127 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
     r_face = 0.5 * (r[:-1] + r[1:])
     faces = r_face ** (d - 1.0) / k
     nodes = (r_face[1:] ** d - r_face[:-1] ** d) / d
-    axis = 2.0 * d / (grid.h * k)
+    law = (grid.h, g, (g - 1.0) / k, 2.0 * d / (grid.h * k), faces, nodes)
     if g == 2.0:
-        return _Stencil(axis, faces, nodes, lambda q: q, np.ones_like)
-    return _Stencil(axis, faces, nodes,
-                    lambda q: np.abs(q) ** (g - 2.0) * q,
+        return _Stencil(*law, lambda q: q, np.ones_like)
+    return _Stencil(*law, lambda q: np.abs(q) ** (g - 2.0) * q,
                     lambda q: (g - 1.0) * np.abs(q) ** (g - 2.0))
 
 
-def _spatial_operator(v: np.ndarray, h: float, st: _Stencil) -> np.ndarray:
-    """Discrete radial operator of v at nodes 0..count-2 (boundary node excluded)."""
-    axis, faces, nodes, flux_fn, _ = st
-    flux = flux_fn(np.diff(v) / h)
-    out = np.empty(v.size - 1)
-    out[0] = axis * flux[0]
-    out[1:] = (faces[1:] * flux[1:] - faces[:-1] * flux[:-1]) / nodes
+def _divergence(q: np.ndarray, st: _Stencil, out: np.ndarray) -> np.ndarray:
+    """Discrete radial operator at nodes 0..m-1 from face slopes q = diff(v)/h.
+
+    The boundary node m is excluded; the result is written into out.
+    """
+    flux = st.flux(q)
+    out[0] = st.axis * flux[0]
+    flux = st.faces * flux
+    np.divide(flux[1:] - flux[:-1], st.nodes, out=out[1:])
     return out
 
 
-def _upwind_mask(v_prev: np.ndarray, h: float, threshold: float = 0.2):
+def _upwind_nodes(v_prev: np.ndarray, h: float, threshold: float = 0.2) -> np.ndarray:
     """Nodes where one-sided slopes disagree badly: use the monotone gradient.
 
     Frozen at the previous level so the step's residual stays smooth for
     Newton.  Smooth profiles keep the centered (second-order) gradient; the
     switch only engages in under-resolved layers and at extrema, where the
-    gradient term is small anyway.
+    gradient term is small anyway.  Returns node indices in 1..m-1.
     """
-    d_minus = np.diff(v_prev[:-1]) / h   # (v_i - v_{i-1})/h at nodes 1..m-1
-    d_plus = np.diff(v_prev[1:]) / h     # (v_{i+1} - v_i)/h at nodes 1..m-1
-    return np.abs(d_plus - d_minus) > threshold * (np.abs(d_plus) + np.abs(d_minus)) + 1e-300
+    q = (v_prev[1:] - v_prev[:-1]) / h
+    d_minus, d_plus = q[:-1], q[1:]   # (v_i - v_{i-1})/h, (v_{i+1} - v_i)/h
+    mask = np.abs(d_plus - d_minus) > threshold * (np.abs(d_plus) + np.abs(d_minus)) + 1e-300
+    return 1 + np.flatnonzero(mask)
 
 
-def _gradient_slope(v: np.ndarray, h: float, upwind: np.ndarray):
-    """|v_r| estimate at nodes 0..m-1 plus the d/dv_{i-1}, d/dv_i, d/dv_{i+1}
-    sensitivities (per unit 1/h) of that estimate."""
-    m = v.size - 1
-    slope = np.zeros(m)
-    s_lo = np.zeros(m)   # d slope / d v_{i-1} * h
-    s_mid = np.zeros(m)  # d slope / d v_i * h
-    s_hi = np.zeros(m)   # d slope / d v_{i+1} * h
-    d_minus = (v[1:-1] - v[:-2]) / h
-    d_plus = (v[2:] - v[1:-1]) / h
-    centered = 0.5 * (d_minus + d_plus)
-    # centered branch
-    slope[1:] = np.abs(centered)
-    sgn = np.sign(centered)
-    s_lo[1:] = -0.5 * sgn
-    s_hi[1:] = 0.5 * sgn
-    # Godunov branch: max(max(d_plus, 0), max(-d_minus, 0))
-    up = np.where(upwind)[0]
+def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float,
+                  st: _Stencil, up: np.ndarray):
+    """Backward-Euler residual F = div flux(v_r) + ((g-1)/k)|Dv|^g - w (v - v_prev)/dt
+    at nodes 0..m-1, |Dv| centered or Godunov at the frozen upwind nodes up.
+
+    Returns F and the cache (q = diff(v)/h, centered gradient, |Dv|).
+    """
+    q = (v[1:] - v[:-1]) / st.h
+    F = _divergence(q, st, np.empty(q.size))
+    centered = 0.5 * (q[:-1] + q[1:])
+    slope = np.empty(q.size)
+    slope[0] = 0.0
+    np.abs(centered, out=slope[1:])
+    if up.size:  # Godunov: max(max(d_plus, 0), max(-d_minus, 0))
+        slope[up] = np.maximum(np.maximum(q[up], 0.0), np.maximum(-q[up - 1], 0.0))
+    F += st.grad * slope ** st.g
+    F -= w * (v[:-1] - v_prev[:-1]) / dt
+    return F, (q, centered, slope)
+
+
+def _log_jacobian(cache: tuple, st: _Stencil, up: np.ndarray, w_dt: float,
+                  nodes_h: np.ndarray):
+    """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
+    w_dt = w/dt and nodes_h = nodes h are the step's constants."""
+    q, centered, slope = cache
+    h = st.h
+    fp = st.flux_prime(q)
+    a = st.faces * fp   # node i couples through faces a[i-1] (left), a[i] (right)
+    top = st.axis * fp[0] / h
+    diag = np.empty(q.size)
+    diag[0] = -top - w_dt
+    np.divide(-(a[1:] + a[:-1]), nodes_h, out=diag[1:])
+    diag[1:] -= w_dt
+    upper = np.empty(q.size - 1)
+    upper[0] = top
+    np.divide(a[1:-1], nodes_h[:-1], out=upper[1:])
+    lower = a[:-1] / nodes_h
+    # gradient term: d slope^g at nodes 1..m-1 per d v_{i-1}, v_i, v_{i+1}
+    dterm = st.grad * st.g * slope[1:] ** (st.g - 1.0)
+    hi = dterm * (0.5 * np.sign(centered)) / h
+    lo = -hi
     if up.size:
-        a = np.maximum(d_plus[up], 0.0)
-        b = np.maximum(-d_minus[up], 0.0)
-        use_a = a >= b
-        slope[1 + up] = np.where(use_a, a, b)
-        s_hi[1 + up] = np.where(use_a & (a > 0), 1.0, 0.0)
-        s_lo[1 + up] = np.where(~use_a & (b > 0), 1.0, 0.0)
-        s_mid[1 + up] = -(s_hi[1 + up] + s_lo[1 + up])
-    return slope, s_lo, s_mid, s_hi
+        # a Godunov slope is the right face's (a >= b, a > 0), the left
+        # face's (b > a) or 0; its v_i derivative is minus the other two
+        a = np.maximum(q[up], 0.0)
+        b = np.maximum(-q[up - 1], 0.0)
+        d_up = dterm[up - 1] / h
+        hi[up - 1] = d_up * ((a >= b) & (a > 0))
+        lo[up - 1] = d_up * (a < b)
+        diag[up] -= hi[up - 1] + lo[up - 1]
+    upper[1:] += hi[:-1]
+    lower += lo
+    return lower, diag, upper
 
 
-def _gradient_sq_term(v: np.ndarray, grid: RadialGrid, p: Exponent,
-                      upwind: np.ndarray):
-    """((g-1)/k)|Dv|^g at nodes 0..m-1, with sensitivities."""
-    slope, s_lo, s_mid, s_hi = _gradient_slope(v, grid.h, upwind)
-    g = p.g
-    coeff = (g - 1.0) / p.k
-    term = coeff * slope ** g
-    dterm = coeff * g * slope ** (g - 1.0)
-    return term, (dterm * s_lo / grid.h, dterm * s_mid / grid.h, dterm * s_hi / grid.h)
-
-
-def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float,
-                       grid: RadialGrid, p: Exponent, st: _Stencil,
-                       tolerance: float, max_newton: int):
+def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float, w: float,
+                       st: _Stencil, tolerance: float, max_newton: int):
     """One backward-Euler step of the log-form equation; damped Newton."""
-    h = grid.h
-    w = p.time_weight
-    m = grid.count - 1  # unknowns: nodes 0..m-1
-    axis, faces, nodes, _, flux_prime = st
-    upwind = _upwind_mask(v_prev, h)
-
-    def assemble(vfull):
-        spatial = _spatial_operator(vfull, h, st)
-        grad_term, grad_sens = _gradient_sq_term(vfull, grid, p, upwind)
-        F = spatial + grad_term - w * (vfull[:-1] - v_prev[:-1]) / dt
-        return F, grad_sens
-
+    up = _upwind_nodes(v_prev, st.h)
+    w_dt = w / dt
+    nodes_h = st.nodes * st.h
     vfull = np.concatenate([v_prev[:-1], [v_bc]])
-    F, grad_sens = assemble(vfull)
+    F, cache = _log_residual(vfull, v_prev, dt, w, st, up)
     norm0 = np.abs(F).max()
-    tol_abs = tolerance * (w / dt) * (1.0 + np.abs(v_prev).max())
+    tol_abs = tolerance * w_dt * (1.0 + np.abs(v_prev).max())
     for it in range(max_newton):
         norm = np.abs(F).max()
         if norm <= tol_abs:
             return vfull, it, norm
-        # tridiagonal Jacobian in banded storage
-        q = np.diff(vfull) / h
-        fp = flux_prime(q)
-        g_lo, g_mid, g_hi = grad_sens
-        lower = np.zeros(m)
-        diag = np.zeros(m)
-        upper = np.zeros(m)
-        diag[0] = -axis * fp[0] / h - w / dt
-        upper[0] = axis * fp[0] / h
-        a_r = faces[1:] * fp[1:]   # face i+1/2 for node i>=1
-        a_l = faces[:-1] * fp[:-1]
-        diag[1:] = -(a_r + a_l)[: m - 1] / (nodes[: m - 1] * h) - w / dt
-        lower[1:] = a_l[: m - 1] / (nodes[: m - 1] * h)
-        upper[1:] = a_r[: m - 1] / (nodes[: m - 1] * h)
-        lower += g_lo
-        diag += g_mid
-        upper += g_hi
-        ab = np.zeros((3, m))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        try:
-            delta = solve_banded((1, 1), ab, -F)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"newton linear solve failed: {exc}")
+        lower, diag, upper = _log_jacobian(cache, st, up, w_dt, nodes_h)
+        *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
+        if info != 0:
+            raise SolverError(f"newton linear solve failed: dgtsv info {info}")
         # trust-region style clip: log-space updates beyond ~2 invite blowups
         big = np.abs(delta).max()
         if big > 2.0:
             delta *= 2.0 / big
-        merit = float(np.linalg.norm(F))
+        merit = math.sqrt(F.dot(F))  # |F|_2
         step = 1.0
         for _ in range(25):
             trial = vfull.copy()
             trial[:-1] += step * delta
-            F_try, sens_try = assemble(trial)
-            if np.all(np.isfinite(F_try)) and np.linalg.norm(F_try) < merit:
-                vfull, F, grad_sens = trial, F_try, sens_try
+            F_try, cache_try = _log_residual(trial, v_prev, dt, w, st, up)
+            # the squared norm is finite exactly when every residual entry is
+            # (an overflowing sum of squares fails the merit test either way)
+            sq = F_try.dot(F_try)
+            if math.isfinite(sq) and math.sqrt(sq) < merit:
+                vfull, F, cache = trial, F_try, cache_try
                 break
             step *= 0.5
         else:
@@ -290,7 +287,7 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         dt = min(dt, config.t_end - t)
         v_bc = np.log(float(config.boundary(t + dt)))
         out, iters, norm = _log_implicit_step(
-            v, v_bc, dt, grid, p, st, config.tolerance, config.max_newton)
+            v, v_bc, dt, p.time_weight, st, config.tolerance, config.max_newton)
         if out is None:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
@@ -309,18 +306,14 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         # regrow toward the target after transient halvings
         if iters <= 6:
             dt = min(dt * 1.3, dt_target)
-    field = SpaceTimeField(np.asarray(values), grid, np.asarray(times),
-                           metadata={**config.manifest(),
-                                     "newton_iterations_max": int(max(newton_iters or [0]))})
-    _attach_consistency(field, config)
-    return field
+    return SpaceTimeField(np.asarray(values), grid, np.asarray(times),
+                          metadata={**config.manifest(),
+                                    "newton_iterations_max": int(max(newton_iters or [0]))})
 
 
-def _cfl_dt(u: np.ndarray, grid: RadialGrid, p: Exponent, floor: float) -> float:
-    """Frozen-coefficient step bound 0.4 h^2 (g-1) u_min^{g-2} / (g max|u_r|^{g-2})."""
-    h = grid.h
-    g = p.g
-    slope = np.abs(np.diff(u)).max() / h
+def _cfl_dt(du: np.ndarray, u: np.ndarray, h: float, g: float, floor: float) -> float:
+    """Step bound 0.4 h^2 (g-1) u_min^{g-2} / (g max|u_r|^{g-2}), du = diff(u)."""
+    slope = np.abs(du).max() / h
     u_min = max(u.min(), floor)
     num = 0.4 * h * h * (g - 1.0) * u_min ** (g - 2.0)
     den = g * slope ** (g - 2.0) + 1e-300
@@ -331,32 +324,40 @@ def _solve_direct_explicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
     p = config.p
     st = _stencil(grid, config.n, p)
+    h, g, w = st.h, st.g, p.time_weight
     u = np.asarray(config.initial(grid.r), float).copy()
     eps_reg = 1e-12 * max(u.max(), 1.0)
-    w, g = p.time_weight, p.g
+    du = np.diff(u)
+    # at g = 2, u_min^{g-2} = |u_r|^{g-2} = max(u, eps)^{g-2} = 1: the step
+    # bound and the time denominator are constants of the solve
+    frozen = g == 2.0
+    dt_cfl, denom = _cfl_dt(du, u, h, g, eps_reg), w
+    spatial = np.empty(u.size - 1)
+    u_new = np.empty_like(u)
     t = 0.0
     values = [u.copy()]
     times = [0.0]
     # store at most ~400 levels; sub-steps in between
-    store_every = max(1, int(np.ceil(
-        config.t_end / (_cfl_dt(u, grid, p, eps_reg) + 1e-300) / 400.0)))
+    store_every = max(1, int(np.ceil(config.t_end / (dt_cfl + 1e-300) / 400.0)))
     step_count = 0
     while t < config.t_end - 1e-12 * config.t_end:
-        dt = _cfl_dt(u, grid, p, eps_reg)
-        if config.dt is not None:
-            dt = min(dt, config.dt)
+        np.subtract(u[1:], u[:-1], out=du)
+        if not frozen:
+            dt_cfl = _cfl_dt(du, u, h, g, eps_reg)
+            denom = w * np.maximum(u[:-1], eps_reg) ** (g - 2.0)
+        dt = dt_cfl if config.dt is None else min(dt_cfl, config.dt)
         dt = min(dt, config.t_end - t)
         if dt <= 0 or not np.isfinite(dt):
             raise SolverError(f"step size underflow at t={t:.6g}")
-        spatial = _spatial_operator(u, grid.h, st)
-        denom = w * np.maximum(u[:-1], eps_reg) ** (g - 2.0)
-        u_new = u.copy()
-        u_new[:-1] = u[:-1] + dt * spatial / denom
+        _divergence(np.divide(du, h, out=du), st, spatial)
+        spatial *= dt
+        spatial /= denom
+        np.add(u[:-1], spatial, out=u_new[:-1])
         t += dt
         u_new[-1] = float(config.boundary(t))
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise SolverError(f"explicit step produced non-finite values at t={t:.6g}")
-        u = u_new
+        u, u_new = u_new, u
         step_count += 1
         if step_count % store_every == 0:
             values.append(u.copy())
@@ -364,10 +365,8 @@ def _solve_direct_explicit(config: SolverConfig) -> SpaceTimeField:
     if times[-1] < t:
         values.append(u.copy())
         times.append(t)
-    field = SpaceTimeField(np.asarray(values), grid, np.asarray(times),
-                           metadata={**config.manifest(), "steps": step_count})
-    _attach_consistency(field, config)
-    return field
+    return SpaceTimeField(np.asarray(values), grid, np.asarray(times),
+                          metadata={**config.manifest(), "steps": step_count})
 
 
 def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
@@ -413,9 +412,10 @@ def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
     bounds (audit residual, residual-unit and solution-unit estimates).
     """
     config.validate()
-    if config.scheme == LOG_IMPLICIT:
-        return _solve_log_implicit(config)
-    return _solve_direct_explicit(config)
+    solve = _solve_log_implicit if config.scheme == LOG_IMPLICIT else _solve_direct_explicit
+    field = solve(config)
+    _attach_consistency(field, config)
+    return field
 
 
 def measure_decay_rate(field: SpaceTimeField, window: tuple) -> float:

@@ -184,6 +184,13 @@ class TestExperimentCommand:
                     "--nodes", "201"], tmp_path)
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [["flatten", "--p", "2", "--alpha", "0"],
+                                      ["decay", "--p", "2", "--nodes", "0"]])
+    def test_explicit_zero_is_not_the_default(self, tmp_path, argv):
+        # an explicit 0 reaches the experiment and is rejected there
+        assert run(["experiment", *argv], tmp_path) == EXIT_USAGE
+        assert not list(tmp_path.iterdir())
+
     def test_same_second_reports_kept(self, tmp_path):
         # three identical runs within a second: one report set each
         for _ in range(3):

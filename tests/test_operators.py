@@ -9,6 +9,7 @@ infinity formulas below check the law at (g, k, d) = (4, 3, 1).
 import numpy as np
 import pytest
 
+from trudlab.barriers import make_family
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import (
@@ -22,7 +23,9 @@ from trudlab.operators import (
     log_form_residual,
     log_transform_consistency,
     trudinger_residual,
+    trudinger_residual_grid,
 )
+from trudlab.operators import _spatial_terms
 
 
 def power_profile(gamma, R=10.0, coeff=1.0):
@@ -169,6 +172,34 @@ class TestParabolicResiduals:
                     want_u, rel=1e-12)
                 assert log_form_residual(v, INFINITY, n, (r, t)) == pytest.approx(
                     want_v, rel=1e-12)
+
+
+class TestAxisColumn:
+    """The r = 0 samples of a residual grid are evaluated in one pass over t."""
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
+                             ids=["p2", "p3", "inf"])
+    @pytest.mark.parametrize("family", ["kernel", "eigen", "power"])
+    def test_column_matches_per_point(self, family, p):
+        spec = make_family(family, p, 2, {})
+        t = np.linspace(spec.t_start + 0.05, 2.0, 40)
+        column, *_ = _spatial_terms(spec.phi, p, 2, 0.0, t)
+        per_point = [eval_radial_operator(spec.phi.at_time(float(s)), p, 2, 0.0) for s in t]
+        # callbacks evaluated on an array of times may round in the last
+        # place differently from the same callbacks on one scalar time
+        np.testing.assert_allclose(column, per_point, rtol=1e-14, atol=0.0)
+
+    def test_subcritical_power_still_raises(self):
+        # c(t) r^1.2 at p = 3: 1.2 < p/(p-1), the operator blows up on the axis
+        u = SpaceTimeFunction(
+            value=lambda r, t: (1.0 + t) * r ** 1.2,
+            dr=lambda r, t: 1.2 * (1.0 + t) * r ** 0.2,
+            drr=lambda r, t: 0.24 * (1.0 + t) * r ** -0.8,
+            dt=lambda r, t: r ** 1.2 + 0.0 * t,
+            origin_exponent=1.2, origin_coefficient=lambda t: 1.0 + t)
+        with pytest.raises(EvaluationError):
+            trudinger_residual_grid(u, Exponent.finite(3), 2,
+                                    np.array([0.5, 0.0]), np.array([1.0, 2.0]))
 
 
 class TestLogTransformConsistency:

@@ -5,9 +5,12 @@ exact positive solution on the unit ball in three dimensions and serves as
 the separation-of-variables oracle throughout.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
+from trudlab import pde
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import fd_residual_on_field
@@ -16,6 +19,7 @@ from trudlab.pde import (
     LOG_IMPLICIT,
     ConfigError,
     SolverConfig,
+    SolverError,
     comparison_check,
     max_principle_check,
     measure_decay_rate,
@@ -205,6 +209,66 @@ class TestFieldProperties:
         manifest = json.loads(man_path.read_text())
         assert manifest["scheme"] == LOG_IMPLICIT
         assert "consistency_bound_u" in manifest
+
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([[-0.0, 1e-300, 1.0 / 3.0],
+                           [1.7976931348623157e308, -2.5e17, 123456789.123456789]])
+        field = SpaceTimeField(values, RadialGrid(2.0, 3), np.array([0.0, 0.1 + 0.2]))
+        field.to_csv(tmp_path / "field.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "r", "u"])
+            for t, level in zip(field.times, values):
+                for r, u in zip(field.grid.r, level):
+                    writer.writerow([f"{t:.17g}", f"{r:.17g}", f"{u:.17g}"])
+        got = (tmp_path / "field.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\r\n") == 7 and b",-0\r\n" in got
+
+
+class TestNewtonStep:
+    """The log-implicit residual, its assembled Jacobian and the linear solve."""
+
+    @staticmethod
+    def state(p, nodes=41):
+        grid = RadialGrid(1.0, nodes)
+        st = pde._stencil(grid, 2, p)
+        r = grid.r
+        # a narrow off-center bump: one-sided slopes disagree around it
+        v_prev = np.log(1.0 + 0.3 * (1.0 - r ** 2) + 0.4 * np.exp(-((r - 0.55) / 0.06) ** 2))
+        v = v_prev + 0.02 * np.sin(3.0 * r) * (1.0 - r)
+        return st, v_prev, v, pde._upwind_nodes(v_prev, st.h)
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
+                             ids=["p2", "p3", "inf"])
+    def test_jacobian_matches_central_differences(self, p):
+        st, v_prev, v, up = self.state(p)
+        assert up.size >= 3  # the upwind (Godunov) rows are exercised
+        dt, w = 2e-3, p.time_weight
+
+        def residual(x):
+            return pde._log_residual(x, v_prev, dt, w, st, up)[0]
+
+        _, cache = pde._log_residual(v, v_prev, dt, w, st, up)
+        lower, diag, upper = pde._log_jacobian(cache, st, up, w / dt, st.nodes * st.h)
+        jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        m, eps = v.size - 1, 1e-6
+        fd = np.empty((m, m))
+        for j in range(m):  # the boundary node m is data, not an unknown
+            e = np.zeros_like(v)
+            e[j] = eps
+            fd[:, j] = (residual(v + e) - residual(v - e)) / (2.0 * eps)
+        scale = np.abs(jac).max()
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * scale)
+
+    def test_singular_linear_solve_raises(self, monkeypatch):
+        def singular(dl, d, du, b, *flags):
+            return dl, d, du, b, 1
+
+        monkeypatch.setattr(pde, "dgtsv", singular)
+        with pytest.raises(SolverError, match="linear solve"):
+            solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3))
 
 
 class TestComparison:
