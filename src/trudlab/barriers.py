@@ -112,7 +112,6 @@ class BarrierSpec:
     derived: dict
     phi: SpaceTimeFunction
     residual_fn: Callable  # (r, t) -> (residual, term-magnitude scale)
-    operator: str  # "trudinger" | "log-form" | "elliptic"
     expected: Verdict | None
     r_range: tuple
     t_start: float = 0.0
@@ -280,7 +279,7 @@ def make_eigen_barrier(p: Exponent, n: int, R: float) -> BarrierSpec:
     phi = separable_function(eta, decay, lambda t: -lam / (g - 1.0) * decay(t))
     return BarrierSpec(
         family=Family.EIGEN_SEPARABLE, p=p, n=n, params={"R": float(R)}, derived=derived,
-        phi=phi, residual_fn=residual_fn, operator="trudinger",
+        phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUBSOLUTION, r_range=(0.0, R), t_start=0.0,
     )
 
@@ -321,7 +320,7 @@ def make_growth_barrier(p: Exponent, n: int, T: float, alpha: float, b: float) -
         family=Family.GROWTH_ENVELOPE, p=p, n=n,
         params={"T": float(T), "alpha": float(alpha), "b": float(b)},
         derived={"a": a, "b_max": b_max, "power_coeff": A, "grad_coeff": Bgrad},
-        phi=phi, residual_fn=residual_fn, operator="log-form",
+        phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUPERSOLUTION, r_range=(0.0, np.inf), t_start=0.0,
         t_end=float(T), log_phi=logv,
     )
@@ -353,7 +352,7 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
 
     return BarrierSpec(
         family=Family.KERNEL, p=p, n=n, params={}, derived={"m": m, "c": c},
-        phi=phi, residual_fn=residual_fn, operator="trudinger",
+        phi=phi, residual_fn=residual_fn,
         expected=Verdict.SOLUTION, r_range=(0.0, np.inf), t_start=1e-2,
     )
 
@@ -384,8 +383,7 @@ def make_power_solution(p: Exponent, n: int, sign: int, f: Callable,
         family=Family.POWER_PROFILE, p=p, n=n,
         params={"sign": sign, "f": f_label, "t_max": float(t_max) if np.isfinite(t_max) else None},
         derived={"power_coeff": A, "grad_coeff": B},
-        phi=phi, residual_fn=residual_fn, operator="log-form",
-        expected=expected, r_range=(0.0, np.inf), t_start=0.0,
+        phi=phi, residual_fn=residual_fn, expected=expected, r_range=(0.0, np.inf), t_start=0.0,
     )
 
 
@@ -438,8 +436,7 @@ def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float
     return BarrierSpec(
         family=Family(name if p.is_finite else "inf-" + name), p=p, n=n,
         params=params, derived=derived, phi=phi, residual_fn=residual_fn,
-        operator="log-form", expected=expected, r_range=(0.0, R), t_start=t_start,
-        log_phi=logv,
+        expected=expected, r_range=(0.0, R), t_start=t_start, log_phi=logv,
     )
 
 
@@ -629,7 +626,7 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float, lam: float,
         derived.update(k=K, J=span)
     return BarrierSpec(
         family=fam, p=p, n=n, params={"delta": delta, "lam": lam, **case, "safety": safety},
-        derived=derived, phi=phi, residual_fn=residual_fn, operator="elliptic",
+        derived=derived, phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUPERSOLUTION, r_range=r_range, t_start=0.0,
     )
 
@@ -672,7 +669,7 @@ def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
     return BarrierSpec(
         family=Family.SEPARATED, p=p, n=n,
         params={"lam": float(lam), "mu": float(mu), "elliptic_sign": elliptic_sign},
-        derived={}, phi=phi, residual_fn=residual_fn, operator="trudinger",
+        derived={}, phi=phi, residual_fn=residual_fn,
         expected=expected, r_range=(0.0, psi.R), t_start=0.0,
     )
 
@@ -699,7 +696,7 @@ def make_paraboloid(p: Exponent, n: int, R: float) -> BarrierSpec:
 
     return BarrierSpec(
         family=Family.PARABOLOID, p=p, n=n, params={"R": float(R)}, derived={},
-        phi=phi, residual_fn=residual_fn, operator="trudinger",
+        phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUPERSOLUTION, r_range=(0.0, R), t_start=0.0,
     )
 

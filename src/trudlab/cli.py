@@ -9,10 +9,10 @@ the current directory.  JSON for configs/reports, CSV for fields and tables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,8 +60,11 @@ def _load_config(path: str | None, allowed: set, overrides: dict) -> dict:
 # verify
 
 
-VERIFY_KEYS = {"family", "p", "n", "R", "T", "alpha", "b", "m", "M", "delta",
-               "lam", "theta", "rho", "samples", "tolerance", "seed", "safety"}
+# the verify flags and their types; config files may also set "safety"
+VERIFY_FLAGS = {"family": str, "p": str, "n": int, "R": float, "T": float, "alpha": float,
+                "b": float, "m": float, "M": float, "delta": float, "lam": float,
+                "theta": float, "rho": float, "samples": int, "tolerance": float, "seed": int}
+VERIFY_KEYS = set(VERIFY_FLAGS) | {"safety"}
 
 
 def _build_barrier(cfg: dict):
@@ -95,9 +98,6 @@ def _run_verify_one(cfg: dict, out_dir: str) -> int:
 
 def cmd_verify(args) -> int:
     out_dir = _out_dir(args)
-    overrides = {k: getattr(args, k.replace("-", "_"), None) for k in
-                 ("family", "p", "n", "R", "T", "alpha", "b", "m", "M",
-                  "delta", "lam", "theta", "rho", "samples", "tolerance", "seed")}
     if args.sweep:
         with open(args.sweep) as fh:
             entries = json.load(fh)
@@ -107,10 +107,8 @@ def cmd_verify(args) -> int:
             unknown = set(entry) - VERIFY_KEYS
             if unknown:
                 raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            codes = list(pool.map(lambda e: _run_verify_one(e, out_dir), entries))
-        return max(codes) if codes else EXIT_OK
-    cfg = _load_config(args.config, VERIFY_KEYS, overrides)
+        return max([_run_verify_one(e, out_dir) for e in entries], default=EXIT_OK)
+    cfg = _load_config(args.config, VERIFY_KEYS, {k: getattr(args, k) for k in VERIFY_FLAGS})
     return _run_verify_one(cfg, out_dir)
 
 
@@ -238,32 +236,19 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every main call."""
     ap = argparse.ArgumentParser(
         prog="trudlab",
         description="Numerical laboratory for Trudinger-type doubly nonlinear diffusion")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="verify a barrier family's sign claim")
-    v.add_argument("--family")
-    v.add_argument("--p")
-    v.add_argument("--n", type=int)
-    v.add_argument("--R", type=float)
-    v.add_argument("--T", type=float)
-    v.add_argument("--alpha", type=float)
-    v.add_argument("--b", type=float)
-    v.add_argument("--m", type=float)
-    v.add_argument("--M", type=float)
-    v.add_argument("--delta", type=float)
-    v.add_argument("--lam", type=float)
-    v.add_argument("--theta", type=float)
-    v.add_argument("--rho", type=float)
-    v.add_argument("--samples", type=int)
-    v.add_argument("--tolerance", type=float)
-    v.add_argument("--seed", type=int)
+    for name, kind in VERIFY_FLAGS.items():
+        v.add_argument(f"--{name}", type=kind)
     v.add_argument("--config")
     v.add_argument("--sweep", help="JSON list of verify configs")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

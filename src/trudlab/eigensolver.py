@@ -7,12 +7,15 @@ keeps the right-hand side regular through the degenerate axis:
 
     psi' = sign(w) |w|^{1/(p-1)},     w' = -lam |psi|^{p-2} psi - (n-1) w / r.
 
-Near r = 0 the solution behaves like psi0 - C r^{p/(p-1)}; a two-term series
-steps off the singular origin before handing over to an adaptive high-order
-integrator.  No parameter is searched for: the equation is invariant under
-r -> s r, lam -> lam s^p (the lam_R R^p law) and (p-1)-homogeneous in psi, so
-a single shot yields the eigenvalue (from where its first zero falls) or the
-center value (from its boundary trace).
+Near r = 0 the solution is the series psi0 - C r^{p/(p-1)}, written once in
+`_series`: the start value at the handover h0 = 1e-6 R, the solution below h0
+and the eigenfunction's `PowerOrigin` coefficient.  Above h0 an adaptive
+integrator takes over; one integration is one frozen `Shot` holding the dense
+solution sol(r) -> (psi, w) on [0, r_end].  No parameter is searched for: the
+equation is invariant under r -> s r, lam -> lam s^p (the lam_R R^p law,
+`Shot.stretched`) and (p-1)-homogeneous in psi, so a single shot yields the
+eigenvalue (from where its first zero falls) or the center value (from its
+boundary trace).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,55 +31,57 @@ from scipy.integrate import solve_ivp
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
 from .grids import RadialGrid
-from .operators import fd_laplacian_grid
+from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
 
 
 class ShootingError(RuntimeError):
-    """Integration or bracketing failure in the shooting method."""
-
-
-@dataclass
-class ShootResult:
-    """One integration of the radial problem from the axis."""
-
-    r: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    first_zero: float | None
-    lam: float
-    psi0: float
-    sol: object = None  # dense output over the integrated range
-
-    def profile_on(self, grid: RadialGrid) -> tuple:
-        """(psi, psi') resampled on a grid (clipped at the first zero)."""
-        rr = np.clip(grid.r, 0.0, self.r[-1])
-        vals = self.sol(rr)
-        return vals[0], _dpsi_from_flux(vals[1], self._p_exponent)
-
-    _p_exponent: float = 2.0
+    """Integration failure, or a shot that contradicts a certified bound."""
 
 
 def _dpsi_from_flux(w, p: float):
     return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
 
 
-def _series_start(p: float, n: int, lam: float, psi0: float, h0: float):
-    """Two-term start psi ~ psi0 - C r^{p/(p-1)} matched to the axis calculus."""
-    beta = p / (p - 1.0)
-    if lam == 0.0:
-        return psi0, 0.0
+def _series(p: float, n: int, lam: float, psi0: float, r):
+    """Axis series (psi, w) = (psi0 - C r^{p/(p-1)}, -lam psi0^{p-1} r / n) and its C."""
     C = (lam * psi0 ** (p - 1.0) / n) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
-    psi_h = psi0 - C * h0 ** beta
-    w_h = -lam * psi0 ** (p - 1.0) * h0 / n  # flux of the series term
-    return psi_h, w_h
+    return psi0 - C * r ** (p / (p - 1.0)), -lam * psi0 ** (p - 1.0) * r / n, C
+
+
+@dataclass(frozen=True)
+class Shot:
+    """One integration of the radial problem from the axis (p is the finite exponent)."""
+
+    p: float
+    n: int
+    lam: float
+    psi0: float
+    r_end: float
+    first_zero: float | None
+    sol: Callable  # r -> (psi, w) on [0, r_end]
+
+    def profile_on(self, grid: RadialGrid) -> tuple:
+        """(psi, psi') resampled on a grid (clipped at r_end)."""
+        psi, w = self.sol(np.clip(grid.r, 0.0, self.r_end))
+        return psi, _dpsi_from_flux(w, self.p)
+
+    def stretched(self, s: float, R: float) -> Shot:
+        """r -> psi(s r) on [0, R]: the shot at rate lam s^p, with w scaled by s^{p-1}."""
+
+        def sol(r):
+            psi, w = self.sol(s * np.asarray(r, float))
+            return np.vstack([psi, s ** (self.p - 1.0) * w])
+
+        return Shot(self.p, self.n, self.lam * s ** self.p, self.psi0, R, R, sol)
 
 
 def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
-                 steps: int = 512, rtol: float = 1e-11, atol: float = 1e-13) -> ShootResult:
+                 rtol: float = 1e-11, atol: float = 1e-13) -> Shot:
     """Integrate the radial eigen-equation from the axis out to r = R.
 
     Stops at R or at the first sign change of psi (location recorded in
-    first_zero).  lam = 0 returns the constant profile.
+    first_zero).  At lam = 0 the series and the right-hand side vanish, so
+    the shot is the constant profile psi0.
     """
     if p.is_infinity:
         raise ValueError("shooting treats finite p only")
@@ -84,17 +90,7 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     if psi0 <= 0:
         raise ValueError("psi0 must be positive")
     pf = p.p
-    if lam == 0.0:
-        r = np.linspace(0.0, R, steps + 1)
-        res = ShootResult(r=r, psi=np.full_like(r, psi0), dpsi=np.zeros_like(r),
-                          first_zero=None, lam=lam, psi0=psi0)
-        res.sol = lambda rr: np.vstack([np.full_like(np.asarray(rr, float), psi0),
-                                        np.zeros_like(np.asarray(rr, float))])
-        res._p_exponent = pf
-        return res
-
     h0 = 1e-6 * R
-    y0 = _series_start(pf, n, lam, psi0, h0)
 
     def rhs(r, y):
         psi, w = y
@@ -108,59 +104,27 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     crossing.terminal = True
     crossing.direction = -1
 
-    sol = solve_ivp(rhs, (h0, R), y0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True, events=crossing)
-    if not sol.success and sol.status != 1:
+    out = solve_ivp(rhs, (h0, R), _series(pf, n, lam, psi0, h0)[:2], method="RK45",
+                    rtol=rtol, atol=atol, dense_output=True, events=crossing)
+    if not out.success and out.status != 1:
         raise ShootingError(
-            f"integration failed at r={sol.t[-1]:.6g}: {sol.message}")
+            f"integration failed at r={out.t[-1]:.6g}: {out.message}")
+    r_end = out.t[-1]
 
-    first_zero = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    r_end = sol.t[-1]
-    r = np.linspace(0.0, r_end, steps + 1)
-    dense = sol.sol
-
-    def eval_dense(rr):
-        rr = np.asarray(rr, dtype=float)
-        rr_c = np.clip(rr, h0, r_end)
-        vals = dense(rr_c)
-        # below the series handover, use the series itself
-        small = rr < h0
+    def sol(r):
+        r = np.asarray(r, dtype=float)
+        vals = out.sol(np.clip(r, h0, r_end))
+        small = r < h0  # below the handover the series is the solution
         if np.any(small):
-            beta = pf / (pf - 1.0)
-            C = (lam * psi0 ** (pf - 1.0) / n) ** (1.0 / (pf - 1.0)) * (pf - 1.0) / pf
-            vals = vals.copy()
-            vals[0, small] = psi0 - C * rr[small] ** beta
-            vals[1, small] = -lam * psi0 ** (pf - 1.0) * rr[small] / n
+            vals[:, small] = _series(pf, n, lam, psi0, r[small])[:2]
         return vals
 
-    vals = eval_dense(r)
-    res = ShootResult(r=r, psi=vals[0], dpsi=_dpsi_from_flux(vals[1], pf),
-                      first_zero=first_zero, lam=lam, psi0=psi0)
-    res.sol = eval_dense
-    res._p_exponent = pf
-    return res
+    first_zero = float(out.t_events[0][0]) if out.t_events[0].size else None
+    return Shot(pf, n, lam, psi0, r_end, first_zero, sol)
 
 
-@dataclass
-class EigenResult:
-    lam: float
-    grid: RadialGrid
-    psi: np.ndarray
-    dpsi: np.ndarray
-    rate_bound: float  # certified barrier rate the eigenvalue was checked against
-    residual_norm: float
-    p: Exponent = None
-    n: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "p": self.p.label if self.p else None,
-            "n": self.n,
-            "R": self.grid.R,
-            "rate_bound": self.rate_bound,
-            "residual_norm": self.residual_norm,
-        }
+class _ProfileWriter:
+    """JSON and CSV writers of the two result types; the CSV holds (r, `column`)."""
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
@@ -168,62 +132,56 @@ class EigenResult:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["r", "psi"])
-            for r, v in zip(self.grid.r, self.psi):
+            w.writerow(["r", self.column])
+            for r, v in zip(self.grid.r, getattr(self, self.column)):
                 w.writerow([f"{r:.17g}", f"{v:.17g}"])
 
-    def profile(self):
-        """RadialProfile view with ODE-consistent second derivative."""
-        return eigen_profile(self.p, self.n, self.grid.R, self.lam, self._shoot)
 
-    _shoot: ShootResult = None
+@dataclass(frozen=True)
+class EigenResult(_ProfileWriter):
+    lam: float
+    grid: RadialGrid
+    psi: np.ndarray
+    dpsi: np.ndarray
+    rate_bound: float  # certified barrier rate the eigenvalue was checked against
+    residual_norm: float
+    p: Exponent
+    n: int
+    shot: Shot  # the eigenfunction shot, stretched to [0, R]
 
+    column = "psi"
 
-def eigen_profile(p: Exponent, n: int, R: float, lam: float, shoot: ShootResult):
-    """Build a RadialProfile from dense shooting output.
+    def to_dict(self) -> dict:
+        return {"lambda": self.lam, "p": self.p.label, "n": self.n, "R": self.grid.R,
+                "rate_bound": self.rate_bound, "residual_norm": self.residual_norm}
 
-    The second derivative comes from differencing the dense first derivative
-    (independent of the equation, so residual checks are not circular).
-    """
-    from .operators import PowerOrigin, RadialProfile
+    def profile(self) -> RadialProfile:
+        """RadialProfile view of the shot.
 
-    pf = p.p
-    beta = pf / (pf - 1.0)
-    C = (lam * shoot.psi0 ** (pf - 1.0) / n) ** (1.0 / (pf - 1.0)) * (pf - 1.0) / pf
+        The second derivative comes from differencing the dense first
+        derivative (independent of the equation, so residual checks are not
+        circular).
+        """
+        shot, R = self.shot, self.grid.R
 
-    def value(r):
-        return shoot.sol(r)[0]
+        def d1(r):
+            return _dpsi_from_flux(shot.sol(r)[1], shot.p)
 
-    def d1(r):
-        return _dpsi_from_flux(shoot.sol(r)[1], pf)
+        def d2(r, eps=1e-6 * R):
+            r = np.asarray(r, float)
+            lo = np.maximum(r - eps, 1e-9 * R)
+            hi = np.minimum(r + eps, shot.r_end)
+            return (d1(hi) - d1(lo)) / (hi - lo)
 
-    def d2(r, eps=1e-6 * R):
-        r = np.asarray(r, float)
-        lo = np.maximum(r - eps, 1e-9 * R)
-        hi = np.minimum(r + eps, shoot.r[-1])
-        return (d1(hi) - d1(lo)) / (hi - lo)
-
-    return RadialProfile(value=value, d1=d1, d2=d2, R=min(R, shoot.r[-1]),
-                         origin=PowerOrigin(beta, -C))
+        C = _series(shot.p, shot.n, shot.lam, shot.psi0, 0.0)[2]
+        return RadialProfile(value=lambda r: shot.sol(r)[0], d1=d1, d2=d2,
+                             R=min(R, shot.r_end),
+                             origin=PowerOrigin(shot.p / (shot.p - 1.0), -C))
 
 
 def bracket_rate(p: Exponent, n: int, R: float) -> float:
     """Certified upper bound for the first eigenvalue from the eigen barrier."""
     return make_eigen_barrier(p, n, R).derived["rate"]
-
-
-def _stretched(shot: ShootResult, s: float, R: float, lam: float) -> ShootResult:
-    """The shot r -> psi(s r) on [0, R]; it solves the equation at rate lam = shot.lam s^p."""
-    pf = shot._p_exponent
-
-    def sol(rr):
-        vals = shot.sol(s * np.asarray(rr, float))
-        return np.vstack([vals[0], s ** (pf - 1.0) * vals[1]])  # w scales as s^{p-1}
-
-    r = np.linspace(0.0, R, shot.r.size)
-    vals = sol(r)
-    return ShootResult(r=r, psi=vals[0], dpsi=_dpsi_from_flux(vals[1], pf), first_zero=R,
-                       lam=lam, psi0=shot.psi0, sol=sol, _p_exponent=pf)
 
 
 def first_eigenvalue(p: Exponent, n: int, R: float, grid_count: int = 2001) -> EigenResult:
@@ -245,26 +203,21 @@ def first_eigenvalue(p: Exponent, n: int, R: float, grid_count: int = 2001) -> E
         raise ShootingError(
             f"the barrier rate {rate:g} is not an upper bound for the first "
             f"eigenvalue: the profile shot at that rate stays positive on [0, {R:g}]")
-    s = shot.first_zero / R
-    lam = rate * s ** p.p
-    shot = _stretched(shot, s, R, lam)
+    shot = shot.stretched(shot.first_zero / R, R)
     grid = RadialGrid(R, grid_count)
     psi, dpsi = shot.profile_on(grid)
     psi = np.maximum(psi, 0.0)
     res_norm = float(np.abs(
-        elliptic_residual_grid(psi, grid, p, n, lam)).max())
-    out = EigenResult(lam=lam, grid=grid, psi=psi / psi[0], dpsi=dpsi / psi[0],
-                      rate_bound=rate, residual_norm=res_norm, p=p, n=n)
-    out._shoot = shot
-    return out
+        elliptic_residual_grid(psi, grid, p, n, shot.lam)).max())
+    return EigenResult(lam=shot.lam, grid=grid, psi=psi / psi[0], dpsi=dpsi / psi[0],
+                       rate_bound=rate, residual_norm=res_norm, p=p, n=n, shot=shot)
 
 
 def elliptic_residual_grid(psi: np.ndarray, grid: RadialGrid, p: Exponent,
                            n: int, lam: float) -> np.ndarray:
     """FD audit of Delta_p psi + lam psi^{p-1} at nodes 1..count-2."""
     spatial = fd_laplacian_grid(psi[None, :], grid, p, n)[0]
-    res = spatial[1:] + lam * np.abs(psi[1:-1]) ** (p.p - 2.0) * psi[1:-1]
-    return res
+    return spatial[1:] + lam * np.abs(psi[1:-1]) ** (p.p - 2.0) * psi[1:-1]
 
 
 def scaling_check(p: Exponent, n: int, radii) -> float:
@@ -278,36 +231,22 @@ def scaling_check(p: Exponent, n: int, radii) -> float:
     return float(np.max(np.abs(vals - med)) / med)
 
 
-@dataclass
-class BvpResult:
+@dataclass(frozen=True)
+class BvpResult(_ProfileWriter):
     lam: float
     delta: float
     grid: RadialGrid
     u: np.ndarray
     du: np.ndarray
     M_lambda: float
-    p: Exponent = None
-    n: int = 0
+    p: Exponent
+    n: int
+
+    column = "u"
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "delta": self.delta,
-            "M_lambda": self.M_lambda,
-            "p": self.p.label if self.p else None,
-            "n": self.n,
-            "R": self.grid.R,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "u"])
-            for r, v in zip(self.grid.r, self.u):
-                w.writerow([f"{r:.17g}", f"{v:.17g}"])
+        return {"lambda": self.lam, "delta": self.delta, "M_lambda": self.M_lambda,
+                "p": self.p.label, "n": self.n, "R": self.grid.R}
 
 
 def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
@@ -318,10 +257,9 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
     from psi_1(0) = 1, the solution is u = M psi_1 with center value
     M_lambda = delta / psi_1(R).  Requires 0 < lam < lam_R, certified by
     psi_1 staying positive on [0, R]; at or above the eigenvalue the center
-    value blows up and no bounded positive solution exists.
+    value blows up and no bounded positive solution exists.  Finite p only
+    (the shot raises ValueError at infinity).
     """
-    if p.is_infinity:
-        raise ValueError("the delta-boundary problem treats finite p only")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if lam <= 0:
@@ -332,7 +270,7 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
     if probe.first_zero is not None or trace <= 0.0:
         raise ShootingError(
             f"lam={lam:g} is at or above the first eigenvalue of the ball: the "
-            f"normalized profile vanishes at r={probe.r[-1]:.6g} <= R, and the "
+            f"normalized profile vanishes at r={probe.r_end:.6g} <= R, and the "
             "center value M_lambda blows up as lam approaches the eigenvalue; "
             "no bounded positive solution exists")
     M = delta / trace

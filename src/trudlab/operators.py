@@ -88,18 +88,6 @@ class SpaceTimeFunction:
     origin_exponent: float | None = None
     origin_coefficient: Callable | None = None
 
-    def at_time(self, t: float) -> RadialProfile:
-        origin = None
-        if self.origin_exponent is not None:
-            origin = PowerOrigin(self.origin_exponent, float(self.origin_coefficient(t)))
-        return RadialProfile(
-            value=lambda r, t=t: self.value(r, t),
-            d1=lambda r, t=t: self.dr(r, t),
-            d2=lambda r, t=t: self.drr(r, t),
-            R=self.R,
-            origin=origin,
-        )
-
 
 def separable_function(profile: RadialProfile, time_factor: Callable,
                        time_factor_prime: Callable) -> SpaceTimeFunction:

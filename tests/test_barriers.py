@@ -557,7 +557,7 @@ class TestClosedFormVsFiniteDifference:
             # closed-form residual of the family (converted to the direct form
             # for log-form envelopes: Gamma = phi^w * stored residual)
             closed = spec.residual(mid[None, :], np.full((1, mid.size), times[1]))
-            if spec.operator == "log-form" and maker != "power":
+            if spec.is_log_form:
                 closed = closed * uu ** w
             errs.append(np.abs(fd_res - closed).max())
             hs.append(h)

@@ -1,10 +1,11 @@
 """Command-line front end: exit codes, file outputs, config round trips."""
 
+import argparse
 import json
 
 import pytest
 
-from trudlab import eigensolver
+from trudlab import cli, eigensolver
 from trudlab.barriers import CATALOG_FAMILIES, default_catalog
 from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_barrier, main
 from trudlab.exponent import Exponent
@@ -64,14 +65,14 @@ class TestVerifyCommand:
         assert json.dumps(first["report"], sort_keys=True) == \
             json.dumps(second["report"], sort_keys=True)
 
-    def test_sweep_with_jobs(self, tmp_path):
+    def test_sweep(self, tmp_path):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps([
             {"family": "paraboloid", "p": "2", "n": 2, "samples": 400},
             {"family": "paraboloid", "p": "inf", "n": 2, "samples": 400},
             {"family": "kernel", "p": "3", "n": 2, "samples": 400},
         ]))
-        code = run(["verify", "--sweep", str(sweep), "--jobs", "2"], tmp_path)
+        code = run(["verify", "--sweep", str(sweep)], tmp_path)
         assert code == EXIT_OK
         assert len(list(tmp_path.glob("verify-*.json"))) == 3
 
@@ -85,7 +86,7 @@ class TestVerifyCommand:
         ]
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps(entries))
-        code = run(["verify", "--sweep", str(sweep), "--jobs", "2"], tmp_path)
+        code = run(["verify", "--sweep", str(sweep)], tmp_path)
         assert code == EXIT_OK
         reports = sorted(tmp_path.glob("verify-*.json"))
         assert len(reports) == 3
@@ -212,3 +213,19 @@ class TestExitContract:
 
     def test_codes_are_stable(self):
         assert EXIT_OK == 0 and EXIT_FAIL == 1 and EXIT_USAGE == 2
+
+    def test_parser_built_once(self, monkeypatch):
+        # two main calls share one argparse tree (its subparsers are named
+        # "trudlab <command>")
+        progs = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kw):
+            progs.append(kw.get("prog"))
+            real_init(self, *args, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["eigen", "--p", "inf"]) == EXIT_USAGE
+        assert progs.count("trudlab") == 1

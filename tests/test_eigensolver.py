@@ -7,6 +7,7 @@ solver before asserting against it.
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestShootRadial:
     def test_zero_rate_constant(self):
         sh = shoot_radial(Exponent.finite(3), 2, 1.0, 0.0, psi0=0.7)
         assert sh.first_zero is None
-        assert np.all(sh.psi == 0.7)
+        assert np.all(sh.sol(np.linspace(0.0, 1.0, 513))[0] == 0.7)
 
     def test_bessel_zero_oracle(self):
         lam = J01 ** 2
@@ -132,7 +133,7 @@ class TestFirstEigenvalue:
         # at r = 0 the r^{p/(p-1)} behaviour caps every FD stencil at O(1),
         # so there we only ask for boundedness
         res = eigen_cache(3.0, 2, 1.0)
-        shot = res._shoot
+        shot = res.shot
         norms, full = [], []
         for count in (501, 1001, 2001):
             grid = RadialGrid(1.0, count)
@@ -149,6 +150,11 @@ class TestFirstEigenvalue:
     def test_infinity_out_of_scope(self):
         with pytest.raises(ValueError):
             first_eigenvalue(INFINITY, 2, 1.0)
+
+    def test_result_frozen(self, eigen_cache):
+        res = eigen_cache(2.0, 3, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            res.lam = 0.0
 
     def test_serialization(self, eigen_cache, tmp_path):
         res = eigen_cache(2.0, 3, 1.0)

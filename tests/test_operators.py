@@ -174,6 +174,15 @@ class TestParabolicResiduals:
                     want_v, rel=1e-12)
 
 
+def profile_at(u, t):
+    """The radial profile u(., t) with its scalar-time axis coefficient."""
+    origin = None
+    if u.origin_exponent is not None:
+        origin = PowerOrigin(u.origin_exponent, float(u.origin_coefficient(t)))
+    return RadialProfile(value=lambda r: u.value(r, t), d1=lambda r: u.dr(r, t),
+                         d2=lambda r: u.drr(r, t), R=u.R, origin=origin)
+
+
 class TestAxisColumn:
     """The r = 0 samples of a residual grid are evaluated in one pass over t."""
 
@@ -184,7 +193,7 @@ class TestAxisColumn:
         spec = make_family(family, p, 2, {})
         t = np.linspace(spec.t_start + 0.05, 2.0, 40)
         column, *_ = _spatial_terms(spec.phi, p, 2, 0.0, t)
-        per_point = [eval_radial_operator(spec.phi.at_time(float(s)), p, 2, 0.0) for s in t]
+        per_point = [eval_radial_operator(profile_at(spec.phi, float(s)), p, 2, 0.0) for s in t]
         # callbacks evaluated on an array of times may round in the last
         # place differently from the same callbacks on one scalar time
         np.testing.assert_allclose(column, per_point, rtol=1e-14, atol=0.0)
