@@ -155,7 +155,8 @@ class BarrierSpec:
 
 
 def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
-               dB: Callable, R: float = np.inf, exponentiate: bool = True):
+               dB: Callable, R: float = np.inf, exponentiate: bool = True,
+               time_terms: Callable | None = None):
     """v = A(t) + B(t) r^beta, beta = g/(g-1), and its closed-form log-form residual.
 
     The radial operator of B r^beta is the constant d sgn(B)|beta B|^{g-1}/k,
@@ -166,7 +167,9 @@ def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
 
     with term-magnitude scale |zero order| + gradient + (g-1)|A' + B' r^beta|.
     Returns (phi, residual_fn, v): phi is exp(v) when exponentiate (the
-    envelopes), else v itself (the power profiles).
+    envelopes), else v itself (the power profiles).  The residual reads
+    (B, v_t) = time_terms(t, r^beta), by default from the four callables; a
+    family passes its own to share the time powers of B, A' and B'.
     """
     g, k = p.g, p.k
     beta = p.power_exponent
@@ -187,13 +190,16 @@ def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
     def v_t(r, t):
         return dA(t) + dB(t) * r ** beta
 
+    if time_terms is None:
+        time_terms = lambda t, r_beta: (B(t), dA(t) + dB(t) * r_beta)
+
     def residual_fn(r, t):
-        Bt = B(t)
-        flux_B = flux(Bt)
         r_beta = r ** beta
+        Bt, vt = time_terms(t, r_beta)
+        flux_B = flux(Bt)
         zero_order = P * flux_B
         grad_term = grad_coeff * flux_B * Bt * r_beta
-        time_term = (g - 1.0) * (dA(t) + dB(t) * r_beta)
+        time_term = (g - 1.0) * vt
         return (zero_order + grad_term - time_term,
                 np.abs(zero_order) + grad_term + np.abs(time_term))
 
@@ -425,13 +431,19 @@ def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float
     """Envelope exp[c (R^beta - r^beta + offset)/(1+t)^alpha] of family `name`
     (prefixed "inf-" for the infinity branch)."""
     level = R ** p.power_exponent + offset
+
+    def time_terms(t, r_beta):  # B' = -alpha B/(1+t), A' = -level B': one power
+        s = 1.0 + t
+        Bt = -c / s ** alpha
+        return Bt, (-alpha / s) * Bt * (r_beta - level)
+
     phi, residual_fn, logv = _power_log(
         p, n,
         A=lambda t: c * level / (1.0 + t) ** alpha,
         dA=lambda t: -alpha * c * level / (1.0 + t) ** (alpha + 1.0),
         B=lambda t: -c / (1.0 + t) ** alpha,
         dB=lambda t: alpha * c / (1.0 + t) ** (alpha + 1.0),
-        R=R,
+        R=R, time_terms=time_terms,
     )
     return BarrierSpec(
         family=Family(name if p.is_finite else "inf-" + name), p=p, n=n,

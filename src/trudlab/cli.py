@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nodes", type=int)
     s.add_argument("--t-end", dest="t_end", type=float)
     s.add_argument("--dt", type=float)
-    s.add_argument("--scheme", choices=["log-implicit", "direct-explicit"])
+    s.add_argument("--scheme", choices=["log-implicit", "direct-implicit"])
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 

@@ -20,7 +20,6 @@ boundary trace).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Callable
@@ -130,11 +129,11 @@ class _ProfileWriter:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
     def to_csv(self, path) -> None:
+        """r,<column> rows as csv.writer writes them (%.17g, CRLF), one write."""
+        rows = np.column_stack([self.grid.r, getattr(self, self.column)])
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", self.column])
-            for r, v in zip(self.grid.r, getattr(self, self.column)):
-                w.writerow([f"{r:.17g}", f"{v:.17g}"])
+            fh.write(f"r,{self.column}\r\n")
+            fh.write("%.17g,%.17g\r\n" * self.grid.count % tuple(rows.ravel().tolist()))
 
 
 @dataclass(frozen=True)

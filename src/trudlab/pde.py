@@ -1,16 +1,16 @@
 """Radial time stepping for the doubly nonlinear diffusion problem.
 
-Two schemes, split by where the degenerate factor u^{p-2} is harmless:
+Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
 
-* log-implicit: for strictly positive data, advance v = log u with backward
-  Euler on Delta_p v + (p-1)|Dv|^p - (p-1) v_t = 0 (the transform removes the
-  degenerate time factor); a damped Newton iteration solves each step.
-  `_log_residual` caches its slopes; `_log_jacobian` builds the three
-  diagonals from them when Newton needs an update; LAPACK dgtsv solves.
-* direct-explicit: for nonnegative data (zero boundary allowed), advance
-  u_t = Delta_p u / ((p-1) max(u, eps)^{p-2}) by forward Euler under a
-  frozen-coefficient step restriction (constant at p = 2, like the time
-  denominator); one difference of u per step feeds bound and flux.
+* log-implicit: for strictly positive data, backward Euler on the log form
+  L v + ((g-1)/k)|Dv|^g - (g-1) v_t = 0 of v = log u (the transform removes
+  the degenerate time factor); dt halves on a failed step and regrows.
+* direct-implicit: for nonnegative data (zero boundary allowed), fixed-step
+  BDF2 on b(u), backward Euler first: each step solves L u - (c b(u) - B)/dt
+  = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
+
+Both run one damped Newton loop (`_newton`) on the flux tridiagonal
+(`_flux_jacobian`) plus the scheme's own terms; LAPACK dgtsv solves.
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -36,7 +36,8 @@ from .operators import fd_residual_on_field
 
 
 LOG_IMPLICIT = "log-implicit"
-DIRECT_EXPLICIT = "direct-explicit"
+DIRECT_IMPLICIT = "direct-implicit"
+MAX_NEWTON = 50
 
 
 class SolverError(RuntimeError):
@@ -57,13 +58,11 @@ class SolverConfig:
     scheme: str
     boundary: Callable  # g(t) on r = R
     initial: Callable   # f(r), vectorized
-    dt: float | None = None  # None: adaptive (explicit CFL / implicit growth)
+    dt: float | None = None  # None: t_end/200 (log-implicit halves it on failure)
     tolerance: float = 1e-9
-    max_newton: int = 50
-    label: str = ""
 
     def __post_init__(self):
-        if self.scheme not in (LOG_IMPLICIT, DIRECT_EXPLICIT):
+        if self.scheme not in (LOG_IMPLICIT, DIRECT_IMPLICIT):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.n < 2:
             raise ConfigError("dimension n must be >= 2")
@@ -89,7 +88,7 @@ class SolverConfig:
                 raise ConfigError("log-implicit needs strictly positive data")
         else:
             if f.min() < 0 or g.min() < 0:
-                raise ConfigError("direct-explicit needs nonnegative data")
+                raise ConfigError("direct-implicit needs nonnegative data")
 
     @property
     def grid(self) -> RadialGrid:
@@ -105,7 +104,6 @@ class SolverConfig:
             "scheme": self.scheme,
             "dt": self.dt,
             "tolerance": self.tolerance,
-            "label": self.label,
         }
 
 
@@ -113,8 +111,8 @@ class _Stencil(NamedTuple):
     """Conservative stencil of one (grid, n, p): spacing, law, weights, flux.
 
     The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
-    flux_prime(q) = (g-1)|q|^{g-2}; at g = 2 they are the identity and one,
-    chosen here once instead of on every step.  grad = (g-1)/k is the
+    flux_prime(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme;
+    at g = 2 the identity and one, chosen once.  grad = (g-1)/k is the
     coefficient of the log form's gradient term.
     """
 
@@ -193,23 +191,30 @@ def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float,
     return F, (q, centered, slope)
 
 
+def _flux_jacobian(q: np.ndarray, st: _Stencil, nodes_h: np.ndarray):
+    """d `_divergence` / du at nodes 0..m-1 as (sub, diagonal, super) from the
+    face slopes q; nodes_h = nodes h is the solve's constant."""
+    h = st.h
+    fp = st.flux_prime(q)
+    a = st.faces * fp   # node i couples through faces a[i-1] (left), a[i] (right)
+    top = st.axis * fp[0] / h
+    diag = np.empty(q.size)
+    diag[0] = -top
+    np.divide(-(a[1:] + a[:-1]), nodes_h, out=diag[1:])
+    upper = np.empty(q.size - 1)
+    upper[0] = top
+    np.divide(a[1:-1], nodes_h[:-1], out=upper[1:])
+    return a[:-1] / nodes_h, diag, upper
+
+
 def _log_jacobian(cache: tuple, st: _Stencil, up: np.ndarray, w_dt: float,
                   nodes_h: np.ndarray):
     """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
     w_dt = w/dt and nodes_h = nodes h are the step's constants."""
     q, centered, slope = cache
     h = st.h
-    fp = st.flux_prime(q)
-    a = st.faces * fp   # node i couples through faces a[i-1] (left), a[i] (right)
-    top = st.axis * fp[0] / h
-    diag = np.empty(q.size)
-    diag[0] = -top - w_dt
-    np.divide(-(a[1:] + a[:-1]), nodes_h, out=diag[1:])
-    diag[1:] -= w_dt
-    upper = np.empty(q.size - 1)
-    upper[0] = top
-    np.divide(a[1:-1], nodes_h[:-1], out=upper[1:])
-    lower = a[:-1] / nodes_h
+    lower, diag, upper = _flux_jacobian(q, st, nodes_h)
+    diag -= w_dt
     # gradient term: d slope^g at nodes 1..m-1 per d v_{i-1}, v_i, v_{i+1}
     dterm = st.grad * st.g * slope[1:] ** (st.g - 1.0)
     hi = dterm * (0.5 * np.sign(centered)) / h
@@ -228,53 +233,52 @@ def _log_jacobian(cache: tuple, st: _Stencil, up: np.ndarray, w_dt: float,
     return lower, diag, upper
 
 
-def _log_implicit_step(v_prev: np.ndarray, v_bc: float, dt: float, w: float,
-                       st: _Stencil, tolerance: float, max_newton: int):
-    """One backward-Euler step of the log-form equation; damped Newton."""
-    up = _upwind_nodes(v_prev, st.h)
-    w_dt = w / dt
-    nodes_h = st.nodes * st.h
-    vfull = np.concatenate([v_prev[:-1], [v_bc]])
-    F, cache = _log_residual(vfull, v_prev, dt, w, st, up)
+def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
+            tol_abs: float, clip: float):
+    """Damped Newton for residual(x) = (F, cache) = 0 on x[:-1] (x[-1] is
+    boundary data); jacobian(cache) gives dF/dx's three diagonals.  Updates
+    are clipped to max-norm clip, then halved until |F|_2 falls.  Returns
+    (x, iterations, max|F|); x is None if the search stalls or MAX_NEWTON
+    iterations miss the tolerance."""
+    F, cache = residual(x)
     norm0 = np.abs(F).max()
-    tol_abs = tolerance * w_dt * (1.0 + np.abs(v_prev).max())
-    for it in range(max_newton):
+    for it in range(MAX_NEWTON):
         norm = np.abs(F).max()
         if norm <= tol_abs:
-            return vfull, it, norm
-        lower, diag, upper = _log_jacobian(cache, st, up, w_dt, nodes_h)
+            return x, it, norm
+        lower, diag, upper = jacobian(cache)
         *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
         if info != 0:
             raise SolverError(f"newton linear solve failed: dgtsv info {info}")
-        # trust-region style clip: log-space updates beyond ~2 invite blowups
         big = np.abs(delta).max()
-        if big > 2.0:
-            delta *= 2.0 / big
+        if big > clip:
+            delta *= clip / big
         merit = math.sqrt(F.dot(F))  # |F|_2
         step = 1.0
         for _ in range(25):
-            trial = vfull.copy()
+            trial = x.copy()
             trial[:-1] += step * delta
-            F_try, cache_try = _log_residual(trial, v_prev, dt, w, st, up)
+            F_try, cache_try = residual(trial)
             # the squared norm is finite exactly when every residual entry is
             # (an overflowing sum of squares fails the merit test either way)
             sq = F_try.dot(F_try)
             if math.isfinite(sq) and math.sqrt(sq) < merit:
-                vfull, F, cache = trial, F_try, cache_try
+                x, F, cache = trial, F_try, cache_try
                 break
             step *= 0.5
         else:
-            return None, it, norm  # no progress: caller halves dt
+            return None, it, norm
     norm = np.abs(F).max()
     if norm <= max(tol_abs, 1e-10 * norm0):
-        return vfull, max_newton, norm
-    return None, max_newton, norm
+        return x, MAX_NEWTON, norm
+    return None, MAX_NEWTON, norm
 
 
 def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
-    p = config.p
-    st = _stencil(grid, config.n, p)
+    w = config.p.time_weight
+    st = _stencil(grid, config.n, config.p)
+    nodes_h = st.nodes * st.h
     f = np.asarray(config.initial(grid.r), float)
     v = np.log(f)
     t = 0.0
@@ -285,9 +289,14 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     newton_iters = []
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
-        v_bc = np.log(float(config.boundary(t + dt)))
-        out, iters, norm = _log_implicit_step(
-            v, v_bc, dt, p.time_weight, st, config.tolerance, config.max_newton)
+        w_dt = w / dt
+        up = _upwind_nodes(v, st.h)
+        # log-space updates beyond 2 invite blowups, so Newton clips there
+        out, iters, norm = _newton(
+            np.concatenate([v[:-1], [np.log(float(config.boundary(t + dt)))]]),
+            lambda x: _log_residual(x, v, dt, w, st, up),
+            lambda cache: _log_jacobian(cache, st, up, w_dt, nodes_h),
+            config.tolerance * w_dt * (1.0 + np.abs(v).max()), clip=2.0)
         if out is None:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
@@ -311,69 +320,60 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
                                     "newton_iterations_max": int(max(newton_iters or [0]))})
 
 
-def _cfl_dt(du: np.ndarray, u: np.ndarray, h: float, g: float, floor: float) -> float:
-    """Step bound 0.4 h^2 (g-1) u_min^{g-2} / (g max|u_r|^{g-2}), du = diff(u)."""
-    slope = np.abs(du).max() / h
-    u_min = max(u.min(), floor)
-    num = 0.4 * h * h * (g - 1.0) * u_min ** (g - 2.0)
-    den = g * slope ** (g - 2.0) + 1e-300
-    return num / den
+def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil):
+    """BDF residual L u - c_dt b(u) + B_dt at nodes 0..m-1, with b(u) =
+    |u|^{g-2} u the stencil's flux law.  Returns F and the cache (q, u)."""
+    q = (u[1:] - u[:-1]) / st.h
+    F = _divergence(q, st, np.empty(q.size))
+    F += B_dt - c_dt * st.flux(u[:-1])
+    return F, (q, u)
 
 
-def _solve_direct_explicit(config: SolverConfig) -> SpaceTimeField:
+def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float, nodes_h: np.ndarray):
+    """dF/du of `_direct_residual`: the flux tridiagonal minus c_dt b'(u)."""
+    q, u = cache
+    lower, diag, upper = _flux_jacobian(q, st, nodes_h)
+    diag -= c_dt * st.flux_prime(u[:-1])
+    return lower, diag, upper
+
+
+def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
-    p = config.p
-    st = _stencil(grid, config.n, p)
-    h, g, w = st.h, st.g, p.time_weight
-    u = np.asarray(config.initial(grid.r), float).copy()
-    eps_reg = 1e-12 * max(u.max(), 1.0)
-    du = np.diff(u)
-    # at g = 2, u_min^{g-2} = |u_r|^{g-2} = max(u, eps)^{g-2} = 1: the step
-    # bound and the time denominator are constants of the solve
-    frozen = g == 2.0
-    dt_cfl, denom = _cfl_dt(du, u, h, g, eps_reg), w
-    spatial = np.empty(u.size - 1)
-    u_new = np.empty_like(u)
-    t = 0.0
-    values = [u.copy()]
-    times = [0.0]
-    # store at most ~400 levels; sub-steps in between
-    store_every = max(1, int(np.ceil(config.t_end / (dt_cfl + 1e-300) / 400.0)))
-    step_count = 0
-    while t < config.t_end - 1e-12 * config.t_end:
-        np.subtract(u[1:], u[:-1], out=du)
-        if not frozen:
-            dt_cfl = _cfl_dt(du, u, h, g, eps_reg)
-            denom = w * np.maximum(u[:-1], eps_reg) ** (g - 2.0)
-        dt = dt_cfl if config.dt is None else min(dt_cfl, config.dt)
-        dt = min(dt, config.t_end - t)
-        if dt <= 0 or not np.isfinite(dt):
-            raise SolverError(f"step size underflow at t={t:.6g}")
-        _divergence(np.divide(du, h, out=du), st, spatial)
-        spatial *= dt
-        spatial /= denom
-        np.add(u[:-1], spatial, out=u_new[:-1])
-        t += dt
-        u_new[-1] = float(config.boundary(t))
-        if not np.isfinite(u_new).all():
-            raise SolverError(f"explicit step produced non-finite values at t={t:.6g}")
-        u, u_new = u_new, u
-        step_count += 1
-        if step_count % store_every == 0:
-            values.append(u.copy())
-            times.append(t)
-    if times[-1] < t:
-        values.append(u.copy())
-        times.append(t)
-    return SpaceTimeField(np.asarray(values), grid, np.asarray(times),
-                          metadata={**config.manifest(), "steps": step_count})
+    st = _stencil(grid, config.n, config.p)
+    nodes_h = st.nodes * st.h
+    dt_target = config.dt if config.dt else config.t_end / 200.0
+    steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
+    times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
+    values = np.empty((steps + 1, grid.count))
+    u = values[0] = np.asarray(config.initial(grid.r), float)
+    b = st.flux(u)
+    newton_max = 0
+    for k in range(1, steps + 1):
+        if k == 1:  # backward Euler starts the two-step method
+            c_dt, B_dt = 1.0 / dt, b[:-1] / dt
+        else:
+            c_dt, B_dt = 1.5 / dt, (2.0 * b[:-1] - 0.5 * b_prev[:-1]) / dt
+        u_bc = float(config.boundary(times[k]))
+        u, iters, norm = _newton(
+            np.concatenate([u[:-1], [u_bc]]),
+            lambda x: _direct_residual(x, c_dt, B_dt, st),
+            lambda cache: _direct_jacobian(cache, st, c_dt, nodes_h),
+            config.tolerance * c_dt * max(np.abs(b).max(), abs(st.flux(u_bc))), clip=np.inf)
+        if u is None:
+            raise SolverError(f"newton failed at t={times[k]:.6g} (level {k}), "
+                              f"residual {norm:.3e}")
+        values[k] = u
+        b_prev, b = b, st.flux(u)
+        newton_max = max(newton_max, iters)
+    return SpaceTimeField(values, grid, times,
+                          metadata={**config.manifest(), "newton_iterations_max": newton_max})
 
 
 def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
     """Measured consistency bound on the field, in residual and solution units.
 
     audit_max is the FD residual of the computed field.  The backward time
-    difference of the audit coincides with the implicit scheme's, so the dt
+    difference of the audit coincides with backward Euler's, so the dt
     truncation is re-added from a measured second time difference.  The
     solution-unit bound divides by the degenerate time factor and multiplies
     by the horizon.
@@ -412,7 +412,7 @@ def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
     bounds (audit residual, residual-unit and solution-unit estimates).
     """
     config.validate()
-    solve = _solve_log_implicit if config.scheme == LOG_IMPLICIT else _solve_direct_explicit
+    solve = _solve_log_implicit if config.scheme == LOG_IMPLICIT else _solve_direct_implicit
     field = solve(config)
     _attach_consistency(field, config)
     return field

@@ -5,6 +5,7 @@ dimensions; the first Bessel J0 zero in two), built here independently of the
 solver before asserting against it.
 """
 
+import csv
 import json
 import math
 from dataclasses import FrozenInstanceError
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from trudlab import eigensolver
 from trudlab.eigensolver import (
+    BvpResult,
     ShootingError,
     elliptic_residual_grid,
     epsilon_gain,
@@ -165,6 +167,32 @@ class TestFirstEigenvalue:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "r,psi"
         assert len(rows) == res.grid.count + 1
+
+
+class TestProfileCsv:
+    @staticmethod
+    def reference(path, r, values, column):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["r", column])
+            for x, v in zip(r, values):
+                writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+
+    def test_eigen_bytes_match_csv_writer(self, eigen_cache, tmp_path):
+        res = eigen_cache(3.0, 2, 1.0)
+        res.to_csv(tmp_path / "eig.csv")
+        self.reference(tmp_path / "ref.csv", res.grid.r, res.psi, "psi")
+        assert (tmp_path / "eig.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_bvp_bytes_match_csv_writer(self, tmp_path):
+        u = np.array([-0.0, 1e-300, 1.0 / 3.0, 1.7976931348623157e308, -2.5e17])
+        res = BvpResult(lam=1.0, delta=1.0, grid=RadialGrid(2.0, 5), u=u, du=0.0 * u,
+                        M_lambda=1.0, p=Exponent.finite(2), n=2)
+        res.to_csv(tmp_path / "bvp.csv")
+        self.reference(tmp_path / "ref.csv", res.grid.r, u, "u")
+        got = (tmp_path / "bvp.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == 6 and b",-0\r\n" in got
 
 
 class TestScalingLaw:

@@ -63,6 +63,14 @@ class TestDecay:
         for tgt in data["targets"].values():
             assert {"value", "tolerance", "kind", "source"} <= set(tgt)
 
+    @pytest.mark.parametrize("pv", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_boundary_rate_at_101_nodes(self, pv, n):
+        rep = decay_experiment(Exponent.finite(pv), n, 1.0, nodes=101)
+        rate = -rep.measured["lambda"] / (pv - 1.0)
+        assert rep.measured["eigen_slope"] == pytest.approx(rate, rel=0.02)
+        assert rep.all_pass, rep.passes
+
     def test_infinity_rejected(self):
         with pytest.raises(ValueError):
             decay_experiment(INFINITY, 2, 1.0)

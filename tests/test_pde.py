@@ -15,7 +15,7 @@ from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import fd_residual_on_field
 from trudlab.pde import (
-    DIRECT_EXPLICIT,
+    DIRECT_IMPLICIT,
     LOG_IMPLICIT,
     ConfigError,
     SolverConfig,
@@ -55,9 +55,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             solve_trudinger_radial(cfg)
 
-    def test_explicit_allows_zero_boundary(self):
+    def test_direct_allows_zero_boundary(self):
         cfg = SolverConfig(p=Exponent.finite(2), n=3, R=1.0, nodes=41, t_end=1e-3,
-                           scheme=DIRECT_EXPLICIT, boundary=lambda t: 0.0,
+                           scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
                            initial=sinc_profile)
         field = solve_trudinger_radial(cfg)
         assert field.values.min() > -1e-12
@@ -70,7 +70,7 @@ class TestConfigValidation:
 
 
 class TestExactCases:
-    @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_EXPLICIT])
+    @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
     def test_constants_are_solutions(self, scheme):
         cfg = SolverConfig(p=Exponent.finite(3), n=2, R=1.0, nodes=31, t_end=0.2,
                            scheme=scheme, boundary=lambda t: 2.5,
@@ -87,9 +87,9 @@ class TestExactCases:
         err = np.abs(field.values[-1] - heat_oracle(field.grid.r, 0.1)).max()
         assert err < 1e-3
 
-    def test_heat_oracle_direct_explicit_zero_boundary(self):
+    def test_heat_oracle_direct_implicit_zero_boundary(self):
         cfg = SolverConfig(p=Exponent.finite(2), n=3, R=1.0, nodes=151, t_end=0.05,
-                           scheme=DIRECT_EXPLICIT, boundary=lambda t: 0.0,
+                           scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
                            initial=sinc_profile)
         field = solve_trudinger_radial(cfg)
         exact = np.exp(-np.pi ** 2 * field.times[-1]) * sinc_profile(field.grid.r)
@@ -128,12 +128,11 @@ class TestConvergenceOrders:
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2, (errs, slope)
 
-    def test_second_order_in_h_direct_explicit(self):
-        # the explicit step tracks dt ~ h^2, so the total error scales like h^2
+    def test_second_order_in_h_direct_implicit(self):
         errs, hs = [], []
         for nodes in (26, 51, 101):
             cfg = SolverConfig(p=Exponent.finite(2), n=3, R=1.0, nodes=nodes,
-                               t_end=0.02, scheme=DIRECT_EXPLICIT,
+                               t_end=0.02, scheme=DIRECT_IMPLICIT,
                                boundary=lambda t: 0.0, initial=sinc_profile)
             field = solve_trudinger_radial(cfg)
             exact = np.exp(-np.pi ** 2 * field.times[-1]) * sinc_profile(field.grid.r)
@@ -145,7 +144,7 @@ class TestConvergenceOrders:
     def test_scheme_cross_check(self):
         cfg_a = heat_config(nodes=101, t_end=0.02, dt=2e-5, scheme=LOG_IMPLICIT)
         a = solve_trudinger_radial(cfg_a)
-        cfg_b = heat_config(nodes=101, t_end=0.02, scheme=DIRECT_EXPLICIT, dt=None)
+        cfg_b = heat_config(nodes=101, t_end=0.02, scheme=DIRECT_IMPLICIT, dt=None)
         b = solve_trudinger_radial(cfg_b)
         diff = np.abs(a.values[-1] - b.values[-1]).max()
         bound = max(a.metadata["consistency_bound_u"], b.metadata["consistency_bound_u"])
@@ -174,7 +173,7 @@ class TestFieldProperties:
 
     def test_max_principle_heat_attained_at_start(self):
         cfg = SolverConfig(p=Exponent.finite(2), n=3, R=1.0, nodes=101, t_end=0.02,
-                           scheme=DIRECT_EXPLICIT, boundary=lambda t: 0.0,
+                           scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
                            initial=sinc_profile)
         field = solve_trudinger_radial(cfg)
         sup_v, inf_v = max_principle_check(field)
@@ -228,7 +227,7 @@ class TestFieldProperties:
 
 
 class TestNewtonStep:
-    """The log-implicit residual, its assembled Jacobian and the linear solve."""
+    """The step residuals, their assembled Jacobians and the linear solve."""
 
     @staticmethod
     def state(p, nodes=41):
@@ -251,7 +250,26 @@ class TestNewtonStep:
             return pde._log_residual(x, v_prev, dt, w, st, up)[0]
 
         _, cache = pde._log_residual(v, v_prev, dt, w, st, up)
-        lower, diag, upper = pde._log_jacobian(cache, st, up, w / dt, st.nodes * st.h)
+        self.assert_central_differences(
+            residual, v, pde._log_jacobian(cache, st, up, w / dt, st.nodes * st.h))
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
+                             ids=["p2", "p3", "inf"])
+    def test_direct_jacobian_matches_central_differences(self, p):
+        st, v_prev, v, _ = self.state(p)
+        c_dt, B_dt = 1.5 / 2e-3, np.exp(v_prev[:-1]) / 2e-3
+
+        def residual(x):
+            return pde._direct_residual(x, c_dt, B_dt, st)[0]
+
+        u = np.exp(v)
+        _, cache = pde._direct_residual(u, c_dt, B_dt, st)
+        self.assert_central_differences(
+            residual, u, pde._direct_jacobian(cache, st, c_dt, st.nodes * st.h))
+
+    @staticmethod
+    def assert_central_differences(residual, v, diagonals):
+        lower, diag, upper = diagonals
         jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         m, eps = v.size - 1, 1e-6
         fd = np.empty((m, m))
@@ -262,13 +280,46 @@ class TestNewtonStep:
         scale = np.abs(jac).max()
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * scale)
 
-    def test_singular_linear_solve_raises(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
+    def test_singular_linear_solve_raises(self, monkeypatch, scheme):
         def singular(dl, d, du, b, *flags):
             return dl, d, du, b, 1
 
         monkeypatch.setattr(pde, "dgtsv", singular)
         with pytest.raises(SolverError, match="linear solve"):
-            solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3))
+            solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3, scheme=scheme))
+
+    def test_direct_newton_failure_raises(self, monkeypatch):
+        # no dt halving on the direct scheme: the failed step is reported
+        monkeypatch.setattr(pde, "MAX_NEWTON", 1)
+        cfg = SolverConfig(p=Exponent.finite(3), n=2, R=1.0, nodes=21, t_end=0.05,
+                           scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
+                           initial=sinc_profile, tolerance=1e-300)
+        with pytest.raises(SolverError, match=r"newton failed at t=0.00025 \(level 1\)"):
+            solve_trudinger_radial(cfg)
+
+
+class TestDiscreteBalance:
+    @pytest.mark.parametrize("pv", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_direct_step_balance(self, pv, n):
+        # per step, sum vol*(c b(u_{k+1}) - B_k) = dt * flux through the last
+        # face; a tight Newton tolerance leaves only the scheme's arithmetic
+        p = Exponent.finite(pv)
+        cfg = SolverConfig(p=p, n=n, R=1.0, nodes=41, t_end=0.05, scheme=DIRECT_IMPLICIT,
+                           boundary=lambda t: 0.0, initial=sinc_profile, tolerance=1e-14)
+        field = solve_trudinger_radial(cfg)
+        d, u, r, h = n, field.values, field.grid.r, field.grid.h
+        edges = np.concatenate([[0.0], 0.5 * (r[:-1] + r[1:])])
+        vol = (edges[1:] ** d - edges[:-1] ** d) / d  # cells of nodes 0..m-1
+        b = np.abs(u) ** (pv - 2.0) * u
+        dt = np.diff(field.times)
+        for k in range(1, field.times.size):
+            c, B = (1.0, b[0]) if k == 1 else (1.5, 2.0 * b[k - 1] - 0.5 * b[k - 2])
+            q = (u[k, -1] - u[k, -2]) / h
+            face_flux = edges[-1] ** (d - 1) * abs(q) ** (pv - 2.0) * q
+            assert vol.dot(c * b[k, :-1] - B[:-1]) == pytest.approx(
+                dt[k - 1] * face_flux, rel=1e-12)
 
 
 class TestComparison:
