@@ -4,7 +4,8 @@ Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
 
 * log-implicit: for strictly positive data, backward Euler on the log form
   L v + ((g-1)/k)|Dv|^g - (g-1) v_t = 0 of v = log u (the transform removes
-  the degenerate time factor); dt halves on a failed step and regrows.
+  the degenerate time factor), with |Dv|^g = c flux(c) for the centered
+  gradient c; dt halves on a failed step and regrows.
 * direct-implicit: for nonnegative data (zero boundary allowed), fixed-step
   BDF2 on b(u), backward Euler first: each step solves L u - (c b(u) - B)/dt
   = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
@@ -48,7 +49,7 @@ class ConfigError(ValueError):
     """Invalid solver configuration (rejected before any stepping)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     p: Exponent
     n: int
@@ -157,38 +158,20 @@ def _divergence(q: np.ndarray, st: _Stencil, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _upwind_nodes(v_prev: np.ndarray, h: float, threshold: float = 0.2) -> np.ndarray:
-    """Nodes where one-sided slopes disagree badly: use the monotone gradient.
+def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float, st: _Stencil):
+    """Backward-Euler residual F = div flux(v_r) + ((g-1)/k) c flux(c) - w (v - v_prev)/dt
+    at nodes 0..m-1, where c flux(c) = |c|^g for the centered gradient c at
+    nodes 1..m-1; the axis has no gradient term.
 
-    Frozen at the previous level so the step's residual stays smooth for
-    Newton.  Smooth profiles keep the centered (second-order) gradient; the
-    switch only engages in under-resolved layers and at extrema, where the
-    gradient term is small anyway.  Returns node indices in 1..m-1.
-    """
-    q = (v_prev[1:] - v_prev[:-1]) / h
-    d_minus, d_plus = q[:-1], q[1:]   # (v_i - v_{i-1})/h, (v_{i+1} - v_i)/h
-    mask = np.abs(d_plus - d_minus) > threshold * (np.abs(d_plus) + np.abs(d_minus)) + 1e-300
-    return 1 + np.flatnonzero(mask)
-
-
-def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float,
-                  st: _Stencil, up: np.ndarray):
-    """Backward-Euler residual F = div flux(v_r) + ((g-1)/k)|Dv|^g - w (v - v_prev)/dt
-    at nodes 0..m-1, |Dv| centered or Godunov at the frozen upwind nodes up.
-
-    Returns F and the cache (q = diff(v)/h, centered gradient, |Dv|).
+    Returns F and the cache (q = diff(v)/h, flux(c)).
     """
     q = (v[1:] - v[:-1]) / st.h
     F = _divergence(q, st, np.empty(q.size))
-    centered = 0.5 * (q[:-1] + q[1:])
-    slope = np.empty(q.size)
-    slope[0] = 0.0
-    np.abs(centered, out=slope[1:])
-    if up.size:  # Godunov: max(max(d_plus, 0), max(-d_minus, 0))
-        slope[up] = np.maximum(np.maximum(q[up], 0.0), np.maximum(-q[up - 1], 0.0))
-    F += st.grad * slope ** st.g
+    c = 0.5 * (q[:-1] + q[1:])
+    flux_c = st.flux(c)
+    F[1:] += st.grad * c * flux_c
     F -= w * (v[:-1] - v_prev[:-1]) / dt
-    return F, (q, centered, slope)
+    return F, (q, flux_c)
 
 
 def _flux_jacobian(q: np.ndarray, st: _Stencil, nodes_h: np.ndarray):
@@ -207,29 +190,16 @@ def _flux_jacobian(q: np.ndarray, st: _Stencil, nodes_h: np.ndarray):
     return a[:-1] / nodes_h, diag, upper
 
 
-def _log_jacobian(cache: tuple, st: _Stencil, up: np.ndarray, w_dt: float,
-                  nodes_h: np.ndarray):
+def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, nodes_h: np.ndarray):
     """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
     w_dt = w/dt and nodes_h = nodes h are the step's constants."""
-    q, centered, slope = cache
-    h = st.h
+    q, flux_c = cache
     lower, diag, upper = _flux_jacobian(q, st, nodes_h)
     diag -= w_dt
-    # gradient term: d slope^g at nodes 1..m-1 per d v_{i-1}, v_i, v_{i+1}
-    dterm = st.grad * st.g * slope[1:] ** (st.g - 1.0)
-    hi = dterm * (0.5 * np.sign(centered)) / h
-    lo = -hi
-    if up.size:
-        # a Godunov slope is the right face's (a >= b, a > 0), the left
-        # face's (b > a) or 0; its v_i derivative is minus the other two
-        a = np.maximum(q[up], 0.0)
-        b = np.maximum(-q[up - 1], 0.0)
-        d_up = dterm[up - 1] / h
-        hi[up - 1] = d_up * ((a >= b) & (a > 0))
-        lo[up - 1] = d_up * (a < b)
-        diag[up] -= hi[up - 1] + lo[up - 1]
+    # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
+    hi = (0.5 * st.grad * st.g / st.h) * flux_c
     upper[1:] += hi[:-1]
-    lower += lo
+    lower -= hi
     return lower, diag, upper
 
 
@@ -290,12 +260,11 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
         w_dt = w / dt
-        up = _upwind_nodes(v, st.h)
         # log-space updates beyond 2 invite blowups, so Newton clips there
         out, iters, norm = _newton(
             np.concatenate([v[:-1], [np.log(float(config.boundary(t + dt)))]]),
-            lambda x: _log_residual(x, v, dt, w, st, up),
-            lambda cache: _log_jacobian(cache, st, up, w_dt, nodes_h),
+            lambda x: _log_residual(x, v, dt, w, st),
+            lambda cache: _log_jacobian(cache, st, w_dt, nodes_h),
             config.tolerance * w_dt * (1.0 + np.abs(v).max()), clip=2.0)
         if out is None:
             if dt <= dt_target * 2.0 ** -30:
@@ -375,7 +344,8 @@ def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
     audit_max is the FD residual of the computed field.  The backward time
     difference of the audit coincides with backward Euler's, so the dt
     truncation is re-added from a measured second time difference.  The
-    solution-unit bound divides by the degenerate time factor and multiplies
+    solution-unit bound divides by the degenerate time factor at the interior
+    minimum (r = R is boundary data, which the audit excludes) and multiplies
     by the horizon.
     """
     p, n = config.p, config.n
@@ -394,7 +364,7 @@ def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
         utt_term[0] = utt_term[1]
     w, g = p.time_weight, p.g
     w_max = w * np.abs(u).max() ** (g - 2.0)
-    w_min_levels = w * np.maximum(u[1:].min(axis=1), 1e-30) ** (g - 2.0)
+    w_min_levels = w * np.maximum(u[1:, :-1].min(axis=1), 1e-30) ** (g - 2.0)
     bound_resid = float(audit_max + (utt_term * w_max).max())
     # integrate the per-level u_t error estimate over the run
     bound_u = float(np.sum(dt_levels * (res_levels + utt_term * w_max) / w_min_levels))

@@ -3,9 +3,10 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
-from trudlab import cli, eigensolver
+from trudlab import cli, eigensolver, pde
 from trudlab.barriers import CATALOG_FAMILIES, default_catalog
 from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_barrier, main
 from trudlab.exponent import Exponent
@@ -144,6 +145,14 @@ class TestSolveCommand:
         manifest = json.loads(next(tmp_path.glob("solve-*.json")).read_text())
         assert manifest["audit_max"] == 0.0
         assert next(tmp_path.glob("solve-*.csv"))
+
+    def test_non_finite_audit_fails(self, tmp_path, monkeypatch):
+        audit = pde.fd_residual_on_field
+        monkeypatch.setattr(pde, "fd_residual_on_field",
+                            lambda *args: np.full_like(audit(*args), np.nan))
+        code = run(["solve", "--p", "3", "--n", "2", "--scheme", "log-implicit",
+                    "--t-end", "0.1", "--nodes", "21"], tmp_path)
+        assert code == EXIT_FAIL
 
     def test_incompatible_data_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from trudlab.barriers import default_flatten_alpha
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.experiments import (
     decay_experiment,
@@ -15,6 +16,7 @@ from trudlab.experiments import (
     phragmen_lindelof_study,
     straddle_initial,
 )
+from trudlab.pde import LOG_IMPLICIT, SolverConfig, solve_trudinger_radial
 
 PI2 = math.pi ** 2
 
@@ -97,6 +99,20 @@ class TestFlatten:
         # center gap bounded by the envelope at the horizon
         env = rep.measured["envelope_constant"] / (1.0 + rep.measured["t_end"])
         assert rep.measured["final_center_gap_to_1"] <= env + rep.measured["consistency_bound_u"]
+
+    def test_inf_flatten_halves_dt_at_start(self):
+        # the p = inf straddle data make the first full log-implicit steps
+        # fail, so the solver must halve dt and still reach t_end
+        rep = flatten_experiment(INFINITY, 2, 1.0, 0.5, 2.0, default_flatten_alpha(INFINITY),
+                                 nodes=41)
+        assert rep.all_pass, rep.passes
+        t_end = rep.measured["t_end"]
+        cfg = SolverConfig(p=INFINITY, n=2, R=1.0, nodes=41, t_end=t_end,
+                           scheme=LOG_IMPLICIT, boundary=lambda t: 1.0,
+                           initial=straddle_initial(0.5, 2.0, 1.0))
+        field = solve_trudinger_radial(cfg)
+        assert field.times[-1] == pytest.approx(t_end, rel=1e-12)
+        assert np.diff(field.times).min() < t_end / 200.0
 
     def test_straddle_profile_contract(self):
         f = straddle_initial(0.5, 2.0, 1.0)

@@ -6,6 +6,7 @@ the separation-of-variables oracle throughout.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ class TestConfigValidation:
             SolverConfig(p=Exponent.finite(2), n=2, R=1.0, nodes=21, t_end=0.1,
                          scheme="magic", boundary=lambda t: 1.0,
                          initial=lambda r: 1.0 + 0 * np.asarray(r))
+
+    def test_config_is_frozen(self):
+        cfg = heat_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.nodes = 11
 
 
 class TestExactCases:
@@ -193,6 +199,31 @@ class TestFieldProperties:
         assert np.all(np.diff(field.sup_per_level) <= bound + 1e-12)
         assert np.all(np.diff(field.inf_per_level) >= -bound - 1e-12)
 
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3),
+                                   Exponent.finite(4), INFINITY],
+                             ids=["p2", "p3", "p4", "inf"])
+    def test_max_principle_under_resolved_spike(self, p):
+        # a spike five nodes wide: the centered gradient term must not
+        # overshoot the data where the one-sided slopes disagree
+        spike = lambda r: 1.0 + 10.0 * np.exp(-((np.asarray(r, float) - 0.5) / 0.05) ** 2)
+        cfg = SolverConfig(p=p, n=2, R=1.0, nodes=41, t_end=0.05, scheme=LOG_IMPLICIT,
+                           boundary=lambda t: 1.0, initial=spike, dt=5e-4)
+        field = solve_trudinger_radial(cfg)
+        sup_v, inf_v = max_principle_check(field)
+        assert sup_v <= 1e-6 and inf_v <= 1e-6
+        assert field.values.min() > 0.0
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2.5), Exponent.finite(3),
+                                   Exponent.finite(4), INFINITY],
+                             ids=["p2.5", "p3", "p4", "inf"])
+    def test_solution_bound_ignores_zero_boundary(self, p):
+        # the time factor's minimum is taken where the audit looks, off r = R
+        cfg = SolverConfig(p=p, n=2, R=1.0, nodes=101, t_end=0.5, scheme=DIRECT_IMPLICIT,
+                           boundary=lambda t: 0.0,
+                           initial=lambda r: 1.0 - np.asarray(r, float) ** 2)
+        field = solve_trudinger_radial(cfg)
+        assert field.metadata["consistency_bound_u"] < 1e4
+
     def test_csv_and_manifest_export(self, tmp_path):
         cfg = heat_config(nodes=21, t_end=0.01, dt=1e-3)
         field = solve_trudinger_radial(cfg)
@@ -237,26 +268,25 @@ class TestNewtonStep:
         # a narrow off-center bump: one-sided slopes disagree around it
         v_prev = np.log(1.0 + 0.3 * (1.0 - r ** 2) + 0.4 * np.exp(-((r - 0.55) / 0.06) ** 2))
         v = v_prev + 0.02 * np.sin(3.0 * r) * (1.0 - r)
-        return st, v_prev, v, pde._upwind_nodes(v_prev, st.h)
+        return st, v_prev, v
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
     def test_jacobian_matches_central_differences(self, p):
-        st, v_prev, v, up = self.state(p)
-        assert up.size >= 3  # the upwind (Godunov) rows are exercised
+        st, v_prev, v = self.state(p)
         dt, w = 2e-3, p.time_weight
 
         def residual(x):
-            return pde._log_residual(x, v_prev, dt, w, st, up)[0]
+            return pde._log_residual(x, v_prev, dt, w, st)[0]
 
-        _, cache = pde._log_residual(v, v_prev, dt, w, st, up)
+        _, cache = pde._log_residual(v, v_prev, dt, w, st)
         self.assert_central_differences(
-            residual, v, pde._log_jacobian(cache, st, up, w / dt, st.nodes * st.h))
+            residual, v, pde._log_jacobian(cache, st, w / dt, st.nodes * st.h))
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
     def test_direct_jacobian_matches_central_differences(self, p):
-        st, v_prev, v, _ = self.state(p)
+        st, v_prev, v = self.state(p)
         c_dt, B_dt = 1.5 / 2e-3, np.exp(v_prev[:-1]) / 2e-3
 
         def residual(x):
