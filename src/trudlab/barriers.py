@@ -9,22 +9,24 @@ used to halve a solution over one time block is a `TimeFactor`, not a family.
 
 Every formula is written once in the exponent law (g, k, d) of
 `exponent.Exponent`: (p, 1, n) for finite p, (4, 3, 1) for infinity.  The
-growth, power and flattening families are all v = A(t) + B(t) r^beta with
-beta = g/(g-1); `_power_log` is their one constructor and its closed-form
-log-form residual.  A branch on the exponent is left only where the
-construction itself differs: the eigen barrier's (alpha, rate) rule, the
+growth, kernel, power and flattening families are all v = A(t) + B(t) r^beta
+with beta = g/(g-1); `_power_log` is their one constructor and its
+closed-form log-form residual.  A branch on the exponent is left only where
+the construction itself differs: the eigen barrier's (alpha, rate) rule, the
 infinity lower envelope's cubic amplitude, and the finite-p boundary barriers.
 
 A BarrierSpec validates its parameter constraints at construction, stores the
 derived constants, evaluates phi (and log phi where the family is naturally a
-log form), and exposes a vectorized signed residual.  `verify_sign` samples
-the residual over a space-time box and reports a Subsolution / Supersolution /
-Solution verdict against a relative tolerance.
+log form), and exposes a vectorized signed residual.  Each maker owns its
+parameter defaults; `CATALOG_FAMILIES` maps the CLI names to the makers.
+`verify_sign` samples the residual over a space-time box and reports a
+Subsolution / Supersolution / Solution verdict against a relative tolerance.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -69,13 +71,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class BarrierEval:
-    value: float
-    is_log_form: bool
-    log_value: float | None = None
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     family: str
     params: dict
@@ -89,13 +84,12 @@ class ResidualReport:
     tolerance: float
     scale: float
     seed: int
-    notes: tuple = ()
 
     def to_dict(self) -> dict:
         """Plain JSON types: the points as {"r", "t"}, the verdict by value."""
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "argmin": self.argmin._asdict(), "argmax": self.argmax._asdict(),
-                "verdict": self.verdict.value, "notes": list(self.notes)}
+                "verdict": self.verdict.value}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
@@ -131,12 +125,6 @@ class BarrierSpec:
         if self.log_phi is None:
             raise ValueError(f"{self.family.value} is not stored in log form")
         return self.log_phi(np.asarray(r, float), np.asarray(t, float))
-
-    def eval_point(self, r: float, t: float) -> BarrierEval:
-        v = float(self.value(r, t))
-        if self.is_log_form:
-            return BarrierEval(v, True, float(self.log_value(r, t)))
-        return BarrierEval(v, False, None)
 
     def residual(self, r, t):
         res, _ = self.residual_fn(np.asarray(r, float), np.asarray(t, float))
@@ -237,7 +225,7 @@ def power_solution_coefficients(p: Exponent, n: int) -> tuple:
 # family constructors
 
 
-def make_eigen_barrier(p: Exponent, n: int, R: float) -> BarrierSpec:
+def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     """Separable barrier (1 - (r/R)^2)^alpha e^{-lambda t/(g-1)} on the ball.
 
     Subsolution on B_R x (0, inf); vanishes on r = R, equals 1 at (0, 0).
@@ -297,17 +285,23 @@ def growth_barrier_max_b(p: Exponent, T: float, alpha: float) -> float:
     return (alpha * p.k / (beta ** g * (T + 1.0) ** (alpha * (g - 1.0) + 1.0))) ** (1.0 / (g - 1.0))
 
 
-def make_growth_barrier(p: Exponent, n: int, T: float, alpha: float, b: float) -> BarrierSpec:
+def make_growth_barrier(p: Exponent, n: int, T: float = 1.0, alpha: float | None = None,
+                        b: float | None = None) -> BarrierSpec:
     """Supersolution exp(a[(t+1)^gamma - 1] + b (t+1)^alpha r^beta), gamma = alpha(g-1) + 1.
 
     a = d (beta b)^{g-1}/(k (g-1) gamma) cancels the zero-order term.  Valid
     on all of space for 0 <= t <= T provided b stays strictly below the
     admissible bound; the spatial growth exp(b r^beta) is the critical growth
-    class of the unbounded-domain bounds.
+    class of the unbounded-domain bounds.  alpha defaults to 1 (1/2 for
+    infinity), b to half its bound.
     """
-    if T <= 0 or alpha <= 0 or b <= 0:
+    if alpha is None:
+        alpha = 1.0 if p.is_finite else 0.5
+    if T <= 0 or alpha <= 0 or (b is not None and b <= 0):
         raise ConstraintError("T, alpha, b must all be positive")
     b_max = growth_barrier_max_b(p, T, alpha)
+    if b is None:
+        b = 0.5 * b_max
     if not b < b_max:
         raise ConstraintError(
             f"b={b:g} inadmissible: need b < {b_max:.12g} for T={T:g}, alpha={alpha:g}")
@@ -338,7 +332,7 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
     m = d/(g(g-1)), c = (g-1) k^{1/(g-1)}/g^beta, s = 1/(g-1): the power-log
     function with A(t) = -m log t, B(t) = -c t^{-s}.  Exact solution on
     r >= 0, t > 0 (for p = 2 this is the heat kernel); its residual is the
-    Trudinger residual of phi with analytic r- and t-derivatives.
+    closed-form log-form residual of `_power_log`.
     """
     g, k, d = p.g, p.k, p.d(n)
     m = d / (g * (g - 1.0))
@@ -350,16 +344,13 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
             raise DomainError("kernel defined for t > 0 only")
         return np.log(t)
 
-    phi, _, _ = _power_log(p, n, A=lambda t: -m * log_t(t), dA=lambda t: -m / t,
-                           B=lambda t: -c * t ** (-s), dB=lambda t: c * s * t ** (-s - 1.0))
-
-    def residual_fn(r, t):
-        return trudinger_residual_grid(phi, p, n, r, t)
-
+    phi, residual_fn, logv = _power_log(
+        p, n, A=lambda t: -m * log_t(t), dA=lambda t: -m / t,
+        B=lambda t: -c * t ** (-s), dB=lambda t: c * s * t ** (-s - 1.0))
     return BarrierSpec(
         family=Family.KERNEL, p=p, n=n, params={}, derived={"m": m, "c": c},
         phi=phi, residual_fn=residual_fn,
-        expected=Verdict.SOLUTION, r_range=(0.0, np.inf), t_start=1e-2,
+        expected=Verdict.SOLUTION, r_range=(0.0, np.inf), t_start=1e-2, log_phi=logv,
     )
 
 
@@ -414,15 +405,24 @@ def flattening_constants(p: Exponent, n: int, R: float, M: float, alpha: float,
     return {"A": A, "B": B, "K": K, "Kbar": Kbar, "T0": T0, "a": a, "b": b}
 
 
-def _check_flatten(p: Exponent, R: float, alpha: float):
-    """R > 0 and alpha in (0, 1/(g-2)], any alpha > 0 at g = 2."""
+def default_flatten_alpha(p: Exponent) -> float:
+    """min(1, 1/(g-2)): the largest admissible flattening alpha, capped at 1."""
+    return min(1.0, 1.0 / (p.g - 2.0)) if p.g > 2.0 else 1.0
+
+
+def _check_flatten(p: Exponent, R: float, alpha: float | None) -> float:
+    """R > 0 and alpha in (0, 1/(g-2)], any alpha > 0 at g = 2; returns alpha,
+    `default_flatten_alpha` when None."""
     if R <= 0:
         raise ConstraintError("R must be positive")
+    if alpha is None:
+        return default_flatten_alpha(p)
     if alpha <= 0:
         raise ConstraintError("alpha must be positive")
     g = p.g
     if g > 2.0 and alpha > 1.0 / (g - 2.0):
         raise ConstraintError(f"alpha must lie in (0, {1.0 / (g - 2.0):g}] for p={p.label}")
+    return alpha
 
 
 def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float,
@@ -452,8 +452,8 @@ def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float
     )
 
 
-def make_flattening_upper(p: Exponent, n: int, R: float, M: float, alpha: float,
-                          safety: float = 1.05) -> BarrierSpec:
+def make_flattening_upper(p: Exponent, n: int, R: float = 1.0, M: float = 2.0,
+                          alpha: float | None = None, safety: float = 1.05) -> BarrierSpec:
     """Supersolution exp[a (R^beta - r^beta + b)/(1+t)^alpha] squeezing from above.
 
     Boundary trace >= 1 for all t, initial trace >= M at t = T0, and the
@@ -461,7 +461,7 @@ def make_flattening_upper(p: Exponent, n: int, R: float, M: float, alpha: float,
     """
     if M <= 1:
         raise ConstraintError("M must exceed 1")
-    _check_flatten(p, R, alpha)
+    alpha = _check_flatten(p, R, alpha)
     cst = flattening_constants(p, n, R, M, alpha, safety)
     return _flattening(
         "flatten-upper", p, n, R, alpha, cst["a"], cst["b"],
@@ -469,8 +469,8 @@ def make_flattening_upper(p: Exponent, n: int, R: float, M: float, alpha: float,
         derived=cst, expected=Verdict.SUPERSOLUTION, t_start=cst["T0"])
 
 
-def make_flattening_lower(p: Exponent, n: int, R: float, m: float, alpha: float,
-                          safety: float = 1.05) -> BarrierSpec:
+def make_flattening_lower(p: Exponent, n: int, R: float = 1.0, m: float = 0.5,
+                          alpha: float | None = None, safety: float = 1.05) -> BarrierSpec:
     """Subsolution squeezing from below toward 1 (boundary data 1, initial dip m).
 
     Finite p:  exp[-(1+T1)^alpha (R^beta - r^beta - log m)/(1+t)^alpha] for
@@ -479,7 +479,7 @@ def make_flattening_lower(p: Exponent, n: int, R: float, m: float, alpha: float,
     """
     if not 0.0 < m <= 1.0:
         raise ConstraintError("m must lie in (0, 1]")
-    _check_flatten(p, R, alpha)
+    alpha = _check_flatten(p, R, alpha)
     A, _ = power_solution_coefficients(p, n)
     R_beta = R ** p.power_exponent
     log_m = np.log(m)
@@ -585,10 +585,9 @@ def boundary_barrier_max_rate(p: Exponent, n: int, case_params: dict) -> float:
     return _boundary_law(p, n, case_params)[-1]
 
 
-def make_boundary_barrier(p: Exponent, n: int, delta: float, lam: float,
-                          R: float, theta: float | None = None,
-                          alpha: float | None = None, rho: float | None = None,
-                          safety: float = 1.05) -> BarrierSpec:
+def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | None = None,
+                          R: float = 1.0, theta: float = 0.5, alpha: float | None = None,
+                          rho: float = 0.5, safety: float = 1.05) -> BarrierSpec:
     """Elliptic supersolution w with Delta_p w + lam w^{p-1} <= 0 and w = delta
     at the contact point.
 
@@ -597,18 +596,21 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float, lam: float,
     delta + c (rho^{-alpha} - r^{-alpha}) on rho <= r <= R + rho with
     alpha > max(0, (n-p)/(p-1)).  Both are `_boundary_law` powers; c is the
     smallest admissible value times `safety`; lam above the admissible bound
-    is rejected with the bound reported.
+    is rejected with the bound reported, and defaults to half of it.  The
+    outer-ball alpha defaults to one above its least value.
     """
     pf = _finite_p(p)
-    if delta <= 0 or lam <= 0 or R <= 0:
+    if delta <= 0 or R <= 0 or (lam is not None and lam <= 0):
         raise ConstraintError("delta, lam, R must be positive")
     if pf > n:
-        case = {"theta": 0.5 if theta is None else theta, "R": R}
+        case = {"theta": theta, "R": R}
     else:
         if alpha is None:
             alpha = max(0.0, (n - pf) / (pf - 1.0)) + 1.0
         case = {"alpha": alpha, "rho": rho, "R": R}
     e, r0, r1, K, lam_max = _boundary_law(p, n, case)
+    if lam is None:
+        lam = 0.5 * lam_max
     if not lam < lam_max:
         raise ConstraintError(f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
     w = pf - 1.0
@@ -686,7 +688,7 @@ def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
     )
 
 
-def make_paraboloid(p: Exponent, n: int, R: float) -> BarrierSpec:
+def make_paraboloid(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     """psi = R^2 - r^2: a non-decaying supersolution (strict except at r = 0).
 
     Its residual is the radial operator -(2/k)(g + d - 2)(2r)^{g-2}.
@@ -771,13 +773,6 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
     else:
         verdict = Verdict.INDETERMINATE
 
-    notes = []
-    if spec.p.value == 2.0:
-        vals = np.asarray(spec.value(r_all[:: max(1, len(r_all) // 64)],
-                                     t_all[:: max(1, len(r_all) // 64)]), float)
-        if np.any(vals == 0.0):
-            notes.append("p=2 with vanishing values: 0^0 treated as 1 in the time factor")
-
     return ResidualReport(
         family=spec.family.value,
         params={**spec.params, "p": spec.p.label, "n": spec.n},
@@ -792,73 +787,36 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
         tolerance=tolerance,
         scale=scale,
         seed=seed,
-        notes=tuple(notes),
     )
 
 
 # ---------------------------------------------------------------------------
-# the catalog and its defaults
+# the catalog
 
 
-CATALOG_FAMILIES = ("eigen", "growth", "kernel", "power", "paraboloid",
-                    "flatten-upper", "flatten-lower", "boundary")
-"""Family names as the CLI spells them, in catalog order."""
-
-
-def default_flatten_alpha(p: Exponent) -> float:
-    """min(1, 1/(g-2)): the largest admissible flattening alpha, capped at 1."""
-    return min(1.0, 1.0 / (p.g - 2.0)) if p.g > 2.0 else 1.0
+CATALOG_FAMILIES = {
+    "eigen": (make_eigen_barrier, ("R",)),
+    "growth": (make_growth_barrier, ("T", "alpha", "b")),
+    "kernel": (make_kernel, ()),
+    "power": (functools.partial(make_power_solution, sign=+1, f=lambda t: 1.0 / (1.0 + t),
+                                fprime=lambda t: -1.0 / (1.0 + t) ** 2, f_label="1/(1+t)"), ()),
+    "paraboloid": (make_paraboloid, ("R",)),
+    "flatten-upper": (make_flattening_upper, ("R", "M", "alpha", "safety")),
+    "flatten-lower": (make_flattening_lower, ("R", "m", "alpha", "safety")),
+    "boundary": (make_boundary_barrier,
+                 ("delta", "lam", "R", "theta", "alpha", "rho", "safety")),
+}
+"""CLI family name -> (maker, the parameters it takes), in catalog order."""
 
 
 def make_family(family: str, p: Exponent, n: int, given: dict) -> BarrierSpec:
-    """Build a catalog family by name; parameters missing from `given` take
-    the catalog defaults.
-
-    R = 1 throughout.  growth: T = 1, alpha = 1 (1/2 for infinity),
-    b = b_max/2.  flattening: M = 2, m = 1/2, `default_flatten_alpha`,
-    safety 1.05.  boundary (finite p): delta = 1; cone theta = 1/2; outer
-    ball rho = 1/2 and alpha one above its least value; lam half the
-    admissible rate.
-    """
-    R = float(given.get("R", 1.0))
-    if family in ("eigen", "paraboloid"):
-        maker = make_eigen_barrier if family == "eigen" else make_paraboloid
-        return maker(p, n, R)
-    if family == "growth":
-        T = float(given.get("T", 1.0))
-        alpha = float(given.get("alpha", 1.0 if p.is_finite else 0.5))
-        b = given.get("b")
-        if b is None:
-            b = 0.5 * growth_barrier_max_b(p, T, alpha)
-        return make_growth_barrier(p, n, T, alpha, float(b))
-    if family == "kernel":
-        return make_kernel(p, n)
-    if family == "power":
-        return make_power_solution(p, n, +1, f=lambda t: 1.0 / (1.0 + t),
-                                   fprime=lambda t: -1.0 / (1.0 + t) ** 2,
-                                   f_label="1/(1+t)")
-    if family in ("flatten-upper", "flatten-lower"):
-        alpha = float(given.get("alpha", default_flatten_alpha(p)))
-        safety = float(given.get("safety", 1.05))
-        if family == "flatten-upper":
-            return make_flattening_upper(p, n, R, float(given.get("M", 2.0)), alpha, safety)
-        return make_flattening_lower(p, n, R, float(given.get("m", 0.5)), alpha, safety)
-    if family == "boundary":
-        pf = _finite_p(p)
-        delta = float(given.get("delta", 1.0))
-        lam = given.get("lam")
-        if pf > n:
-            theta = float(given.get("theta", 0.5))
-            if lam is None:
-                lam = 0.5 * boundary_barrier_max_rate(p, n, {"theta": theta, "R": R})
-            return make_boundary_barrier(p, n, delta, float(lam), R, theta=theta)
-        rho = float(given.get("rho", 0.5))
-        alpha = float(given.get("alpha", 1.0 + max(0.0, (n - pf) / (pf - 1.0))))
-        if lam is None:
-            lam = 0.5 * boundary_barrier_max_rate(p, n, {"alpha": alpha, "rho": rho, "R": R})
-        return make_boundary_barrier(p, n, delta, float(lam), R, alpha=alpha, rho=rho)
-    raise ConstraintError(
-        f"unknown family {family!r}; choose from {', '.join(CATALOG_FAMILIES)}")
+    """Build a catalog family by name from the values `given` sets; every
+    parameter left out or None takes its maker's default."""
+    if family not in CATALOG_FAMILIES:
+        raise ConstraintError(
+            f"unknown family {family!r}; choose from {', '.join(CATALOG_FAMILIES)}")
+    maker, names = CATALOG_FAMILIES[family]
+    return maker(p, n, **{k: float(given[k]) for k in names if given.get(k) is not None})
 
 
 def default_catalog(p: Exponent, n: int, R: float = 1.0) -> list:
@@ -867,5 +825,5 @@ def default_catalog(p: Exponent, n: int, R: float = 1.0) -> list:
     Boundary barriers appear only for finite p, as the cone (n < p) or the
     outer ball (p <= n).
     """
-    names = CATALOG_FAMILIES if p.is_finite else CATALOG_FAMILIES[:-1]
-    return [make_family(name, p, n, {"R": R}) for name in names]
+    return [make_family(name, p, n, {"R": R}) for name in CATALOG_FAMILIES
+            if p.is_finite or name != "boundary"]

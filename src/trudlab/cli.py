@@ -68,19 +68,16 @@ VERIFY_KEYS = set(VERIFY_FLAGS) | {"safety"}
 
 
 def _build_barrier(cfg: dict):
-    """The family spec of a verify config; unset parameters take the catalog defaults."""
+    """The family spec of a verify config; unset parameters take the makers' defaults."""
     return barriers.make_family(cfg["family"], Exponent.parse(cfg.get("p", 2)),
                                 int(cfg.get("n", 2)), cfg)
 
 
 def _run_verify_one(cfg: dict, out_dir: str) -> int:
     spec = _build_barrier(cfg)
-    report = verify_sign(
-        spec,
-        samples=int(cfg.get("samples", 10_000)),
-        tolerance=float(cfg.get("tolerance", 1e-9)),
-        seed=int(cfg.get("seed", barriers.DEFAULT_SEED)),
-    )
+    knobs = {k: VERIFY_FLAGS[k](cfg[k]) for k in ("samples", "tolerance", "seed")
+             if cfg.get(k) is not None}
+    report = verify_sign(spec, **knobs)
     base, fh = create_artifacts(
         out_dir, f"verify-{spec.family.value}-{spec.p.label}-{spec.n}", cfg, (".json",))
     path = base + ".json"
@@ -174,6 +171,15 @@ def _boundary_from_config(spec):
     raise UsageError("boundary config supports constants only")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float written as None: strict JSON has no NaN."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def cmd_solve(args) -> int:
     out_dir = _out_dir(args)
     cfg = _load_config(args.config, SOLVE_KEYS, {
@@ -192,11 +198,11 @@ def cmd_solve(args) -> int:
         scheme=cfg["scheme"], boundary=boundary, initial=initial,
         dt=cfg.get("dt"), tolerance=float(cfg.get("tolerance", 1e-9)))
     field = solve_trudinger_radial(sc)
+    manifest = {**field.manifest(), "config_echo": {k: cfg.get(k) for k in sorted(cfg)}}
     base, fh = create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
     with fh:
         field.to_csv(base + ".csv")
-        field.metadata["config_echo"] = {k: cfg.get(k) for k in sorted(cfg)}
-        json.dump(field.manifest(), fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(manifest), fh, indent=2, sort_keys=True)
     audit, bound = field.metadata["audit_max"], field.metadata["consistency_bound_residual"]
     print(f"levels {len(field.times)}, audit residual {audit:.3e}, bound {bound:.3e}")
     print(f"wrote {base}.csv, {base}.json")
@@ -212,12 +218,11 @@ def cmd_experiment(args) -> int:
     out_dir = _out_dir(args)
     p = Exponent.parse(args.p)
     n = args.n
+    nodes = {} if args.nodes is None else {"nodes": args.nodes}
     if args.kind == "decay":
-        report = decay_experiment(p, n, args.R, nodes=401 if args.nodes is None else args.nodes)
+        report = decay_experiment(p, n, args.R, **nodes)
     elif args.kind == "flatten":
-        alpha = barriers.default_flatten_alpha(p) if args.alpha is None else args.alpha
-        report = flatten_experiment(p, n, args.R, m=args.m, M=args.M, alpha=alpha,
-                                    nodes=201 if args.nodes is None else args.nodes)
+        report = flatten_experiment(p, n, args.R, m=args.m, M=args.M, alpha=args.alpha, **nodes)
     elif args.kind == "pl":
         report = phragmen_lindelof_study(
             p, n, m=args.m, M=args.M,

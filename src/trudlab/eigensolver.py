@@ -32,6 +32,8 @@ from .exponent import Exponent
 from .grids import RadialGrid
 from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
 
+GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
+
 
 class ShootingError(RuntimeError):
     """Integration failure, or a shot that contradicts a certified bound."""
@@ -183,7 +185,7 @@ def bracket_rate(p: Exponent, n: int, R: float) -> float:
     return make_eigen_barrier(p, n, R).derived["rate"]
 
 
-def first_eigenvalue(p: Exponent, n: int, R: float, grid_count: int = 2001) -> EigenResult:
+def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
     """First Dirichlet eigenvalue on B_R from one shot and the scaling law.
 
     The eigen barrier certifies lam_R <= rate, so the profile shot at
@@ -203,7 +205,7 @@ def first_eigenvalue(p: Exponent, n: int, R: float, grid_count: int = 2001) -> E
             f"the barrier rate {rate:g} is not an upper bound for the first "
             f"eigenvalue: the profile shot at that rate stays positive on [0, {R:g}]")
     shot = shot.stretched(shot.first_zero / R, R)
-    grid = RadialGrid(R, grid_count)
+    grid = RadialGrid(R, GRID_COUNT)
     psi, dpsi = shot.profile_on(grid)
     psi = np.maximum(psi, 0.0)
     res_norm = float(np.abs(
@@ -248,8 +250,7 @@ class BvpResult(_ProfileWriter):
                 "p": self.p.label, "n": self.n, "R": self.grid.R}
 
 
-def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
-                    grid_count: int = 2001) -> BvpResult:
+def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> BvpResult:
     """Positive radial solution of the delta-boundary problem on B_R from one shot.
 
     The equation is (p-1)-homogeneous in u, so with psi_1 the profile shot
@@ -273,7 +274,7 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float,
             "center value M_lambda blows up as lam approaches the eigenvalue; "
             "no bounded positive solution exists")
     M = delta / trace
-    grid = RadialGrid(R, grid_count)
+    grid = RadialGrid(R, GRID_COUNT)
     psi, dpsi = probe.profile_on(grid)
     return BvpResult(lam=lam, delta=delta, grid=grid, u=M * psi, du=M * dpsi,
                      M_lambda=M, p=p, n=n)

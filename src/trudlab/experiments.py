@@ -43,7 +43,11 @@ from .pde import (
 )
 
 
-@dataclass
+RATE_TOLERANCE = 0.02  # relative tolerance of the measured decay rates
+HORIZON_FACTOR = 10.0  # flattening t_end over the envelopes' start time (at least 0.1)
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     name: str
     inputs: dict
@@ -89,18 +93,17 @@ class ExperimentReport:
         return paths
 
 
-def straddle_initial(m: float, M: float, R: float, dip_at: float = 0.6):
-    """C^1 initial profile: M at the axis, dipping to m, back to 1 at r = R."""
-    spline = CubicHermiteSpline([0.0, dip_at * R, R], [M, m, 1.0], [0.0, 0.0, 0.0])
+def straddle_initial(m: float, M: float, R: float):
+    """C^1 initial profile: M at the axis, dipping to m at 0.6 R, back to 1 at r = R."""
+    spline = CubicHermiteSpline([0.0, 0.6 * R, R], [M, m, 1.0], [0.0, 0.0, 0.0])
     return lambda r: spline(np.asarray(r, float))
 
 
-def decay_experiment(p: Exponent, n: int, R: float, nodes: int = 401,
-                     rate_tolerance: float = 0.02) -> ExperimentReport:
+def decay_experiment(p: Exponent, n: int, R: float, nodes: int = 401) -> ExperimentReport:
     """Measure sup-norm decay rates against the eigenvalue prediction.
 
     Eigenfunction data attains the rate -lam_R/(p-1) (measured as equality
-    within rate_tolerance); generic nonnegative data satisfies it as an
+    within RATE_TOLERANCE); generic nonnegative data satisfies it as an
     inequality.  Both runs keep the boundary at zero with the direct-implicit
     scheme (BDF2 in b(u) = u^{p-1}, 200 steps to t_end = 5 (p-1)/lam_R).
     """
@@ -128,30 +131,29 @@ def decay_experiment(p: Exponent, n: int, R: float, nodes: int = 401,
         "generic_slope": generic_slope,
     }
     targets = {
-        "eigen_slope": {"value": target_rate, "tolerance": rate_tolerance,
+        "eigen_slope": {"value": target_rate, "tolerance": RATE_TOLERANCE,
                         "kind": "relative", "source": "eigensolver rate"},
-        "generic_slope": {"value": target_rate, "tolerance": rate_tolerance,
+        "generic_slope": {"value": target_rate, "tolerance": RATE_TOLERANCE,
                           "kind": "upper", "source": "eigensolver rate"},
     }
     passes = {
-        "eigen_rate_attained": abs(eigen_slope - target_rate) <= rate_tolerance * abs(target_rate),
-        "generic_rate_inequality": generic_slope <= target_rate * (1.0 - rate_tolerance),
+        "eigen_rate_attained": abs(eigen_slope - target_rate) <= RATE_TOLERANCE * abs(target_rate),
+        "generic_rate_inequality": generic_slope <= target_rate * (1.0 - RATE_TOLERANCE),
     }
     return ExperimentReport(
         name="decay",
-        inputs={"p": p.label, "n": n, "R": R, "nodes": nodes,
-                "rate_tolerance": rate_tolerance},
+        inputs={"p": p.label, "n": n, "R": R, "nodes": nodes},
         measured=measured, targets=targets, passes=passes,
         runtime=time.time() - t0,
     )
 
 
 def flatten_experiment(p: Exponent, n: int, R: float, m: float, M: float,
-                       alpha: float, nodes: int = 201,
-                       horizon_factor: float = 10.0) -> ExperimentReport:
+                       alpha: float | None = None, nodes: int = 201) -> ExperimentReport:
     """Squeeze a straddling solution to constant boundary data 1.
 
-    Runs the log-form scheme with g = 1 and inf f = m < 1 < M = sup f, then
+    Runs the log-form scheme with g = 1 and inf f = m < 1 < M = sup f (alpha
+    None takes the envelopes' default), then
     checks (a) the solution sits inside the closed-form envelope pair for
     t >= max(T0, T1) at every node up to the consistency bound, (b) the
     centerline satisfies |log u(0, t)| <= C (1+t)^{-alpha} with the envelope
@@ -161,9 +163,10 @@ def flatten_experiment(p: Exponent, n: int, R: float, m: float, M: float,
     t0 = time.time()
     upper = make_flattening_upper(p, n, R, M, alpha)
     lower = make_flattening_lower(p, n, R, m, alpha)
+    alpha = upper.params["alpha"]
     T0, T1 = upper.t_start, lower.t_start
     t_star = max(T0, T1)
-    t_end = horizon_factor * max(t_star, 0.1)
+    t_end = HORIZON_FACTOR * max(t_star, 0.1)
     f0 = straddle_initial(m, M, R)
     cfg = SolverConfig(p=p, n=n, R=R, nodes=nodes, t_end=t_end,
                        scheme=LOG_IMPLICIT, boundary=lambda t: 1.0,
@@ -217,7 +220,7 @@ def flatten_experiment(p: Exponent, n: int, R: float, m: float, M: float,
     return ExperimentReport(
         name="flatten",
         inputs={"p": p.label, "n": n, "R": R, "m": m, "M": M, "alpha": alpha,
-                "nodes": nodes, "horizon_factor": horizon_factor},
+                "nodes": nodes},
         measured=measured, targets=targets, passes=passes,
         runtime=time.time() - t0,
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ class RadialGrid:
         return np.linspace(0.0, self.R, self.count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceTimeField:
     """Solution samples u(r_i, t_j): values[j, i] on grid x times.
 
@@ -44,8 +43,8 @@ class SpaceTimeField:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.times = np.asarray(self.times, dtype=float)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         if self.values.shape != (self.times.size, self.grid.count):
             raise ValueError(
                 f"field shape {self.values.shape} does not match "
@@ -88,7 +87,3 @@ class SpaceTimeField:
             "levels": int(self.times.size),
             **self.metadata,
         }
-
-    def save_manifest(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)

@@ -25,7 +25,7 @@ theory produces there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -338,8 +338,8 @@ def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
                           metadata={**config.manifest(), "newton_iterations_max": newton_max})
 
 
-def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
-    """Measured consistency bound on the field, in residual and solution units.
+def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
+    """Measured consistency bounds of the field, in residual and solution units.
 
     audit_max is the FD residual of the computed field.  The backward time
     difference of the audit coincides with backward Euler's, so the dt
@@ -368,11 +368,11 @@ def _attach_consistency(field: SpaceTimeField, config: SolverConfig) -> None:
     bound_resid = float(audit_max + (utt_term * w_max).max())
     # integrate the per-level u_t error estimate over the run
     bound_u = float(np.sum(dt_levels * (res_levels + utt_term * w_max) / w_min_levels))
-    field.metadata.update({
+    return {
         "audit_max": audit_max,
         "consistency_bound_residual": bound_resid,
         "consistency_bound_u": float(min(bound_u, 1e30)),
-    })
+    }
 
 
 def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
@@ -384,8 +384,7 @@ def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
     config.validate()
     solve = _solve_log_implicit if config.scheme == LOG_IMPLICIT else _solve_direct_implicit
     field = solve(config)
-    _attach_consistency(field, config)
-    return field
+    return replace(field, metadata={**field.metadata, **_consistency(field, config)})
 
 
 def measure_decay_rate(field: SpaceTimeField, window: tuple) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from trudlab.barriers import (
+    CATALOG_FAMILIES,
     ConstraintError,
     Family,
     Verdict,
@@ -19,6 +20,7 @@ from trudlab.barriers import (
     make_boundary_barrier,
     make_eigen_barrier,
     make_flattening_lower,
+    make_family,
     make_flattening_upper,
     make_growth_barrier,
     make_kernel,
@@ -32,8 +34,10 @@ from trudlab.exponent import INFINITY, Exponent
 from trudlab.operators import (
     RadialProfile,
     fd_residual_on_field,
+    log_form_residual_grid,
     log_transform_consistency,
     trudinger_residual,
+    trudinger_residual_grid,
 )
 
 P_SWEEP = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
@@ -591,12 +595,63 @@ class TestTransformIdentityAcrossCatalog:
 class TestBarrierEval:
     def test_log_form_exponential_consistency(self):
         s = make_growth_barrier(Exponent.finite(3), 2, T=1.0, alpha=1.0, b=0.1)
-        ev = s.eval_point(0.7, 0.4)
-        assert ev.is_log_form
-        assert np.exp(ev.log_value) == pytest.approx(ev.value, rel=1e-12)
+        assert s.is_log_form
+        assert np.exp(s.log_value(0.7, 0.4)) == pytest.approx(s.value(0.7, 0.4), rel=1e-12)
 
     def test_direct_form_flag(self):
-        s = make_kernel(Exponent.finite(2), 2)
-        ev = s.eval_point(0.5, 1.0)
-        assert not ev.is_log_form
-        assert ev.log_value is None
+        s = make_paraboloid(Exponent.finite(2), 2, 1.0)
+        assert not s.is_log_form
+        with pytest.raises(ValueError):
+            s.log_value(0.5, 1.0)
+
+
+class TestPowerLogClosedForm:
+    """The `_power_log` residual against the operator path on the same phi."""
+
+    @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family",
+                             ["growth", "kernel", "power", "flatten-upper", "flatten-lower"])
+    def test_matches_operator_path(self, family, n, p):
+        spec = make_family(family, p, n, {})
+        r_lo, r_hi, t_lo, t_hi = spec.default_region()
+        rng = np.random.default_rng(31)
+        r = rng.uniform(max(r_lo, 0.05), r_hi, 200)
+        t = rng.uniform(t_lo, t_hi, 200)
+        closed = spec.residual(r, t)
+        if spec.is_log_form:
+            # Gamma(phi) = phi^(g-1) times the log-form residual of log phi
+            closed = closed * spec.value(r, t) ** (p.g - 1.0)
+            ref, scale = trudinger_residual_grid(spec.phi, p, n, r, t)
+        else:
+            ref, scale = log_form_residual_grid(spec.phi, p, n, r, t)
+        assert np.all(np.abs(closed - ref) <= 1e-12 * scale)  # scale: per-point term sizes
+
+
+class TestCatalogDefaults:
+    """Each default of `make_family`'s makers, written out by hand."""
+
+    FLATTEN_ALPHA = {"2": 1.0, "2.5": 1.0, "3": 1.0, "4": 0.5, "inf": 0.5}  # min(1, 1/(g-2))
+
+    @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_defaults_pinned(self, p, n):
+        built = {name: make_family(name, p, n, {}).params for name in CATALOG_FAMILIES
+                 if p.is_finite or name != "boundary"}
+        alpha = 1.0 if p.is_finite else 0.5
+        assert built["growth"] == {
+            "T": 1.0, "alpha": alpha, "b": 0.5 * growth_barrier_max_b(p, 1.0, alpha)}
+        a = self.FLATTEN_ALPHA[p.label]
+        assert built["flatten-upper"] == {"R": 1.0, "M": 2.0, "alpha": a, "safety": 1.05}
+        assert built["flatten-lower"] == {"R": 1.0, "m": 0.5, "alpha": a, "safety": 1.05}
+        assert built["eigen"] == built["paraboloid"] == {"R": 1.0}
+        assert built["kernel"] == {}
+        assert built["power"] == {"sign": 1, "f": "1/(1+t)", "t_max": None}
+        if p.is_infinity:
+            return
+        if p.p > n:
+            case = {"theta": 0.5, "R": 1.0}
+        else:
+            case = {"alpha": 1.0 + max(0.0, (n - p.p) / (p.p - 1.0)), "rho": 0.5, "R": 1.0}
+        lam = 0.5 * boundary_barrier_max_rate(p, n, case)
+        assert built["boundary"] == {"delta": 1.0, "lam": lam, **case, "safety": 1.05}

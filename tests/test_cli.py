@@ -154,6 +154,13 @@ class TestSolveCommand:
                     "--t-end", "0.1", "--nodes", "21"], tmp_path)
         assert code == EXIT_FAIL
 
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = next(tmp_path.glob("solve-*.json")).read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["audit_max"] is None
+
     def test_incompatible_data_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

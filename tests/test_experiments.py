@@ -1,5 +1,6 @@
 """Scripted experiments: decay rates, flattening envelopes, whole-space bounds."""
 
+import dataclasses
 import json
 import math
 import os
@@ -178,6 +179,10 @@ class TestDeterminism:
         b = phragmen_lindelof_study(Exponent.finite(3), 2, **kw)
         assert json.dumps(a.core_dict(), sort_keys=True, default=float) == \
             json.dumps(b.core_dict(), sort_keys=True, default=float)
+
+    def test_report_is_frozen(self, study_p3):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study_p3.passes = {}
 
     def test_flatten_reports_reproducible(self):
         a = flatten_experiment(Exponent.finite(2), 2, 1.0, 0.5, 2.0, 1.0, nodes=61)

@@ -232,13 +232,16 @@ class TestFieldProperties:
         rows = csv_path.read_text().strip().splitlines()
         assert rows[0] == "t,r,u"
         assert len(rows) == 1 + field.times.size * field.grid.count
-        man_path = tmp_path / "run.json"
-        field.save_manifest(man_path)
         import json
 
-        manifest = json.loads(man_path.read_text())
+        manifest = json.loads(json.dumps(field.manifest()))
         assert manifest["scheme"] == LOG_IMPLICIT
         assert "consistency_bound_u" in manifest
+
+    def test_field_is_frozen(self):
+        field = solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            field.metadata = {}
 
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
