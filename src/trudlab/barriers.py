@@ -235,8 +235,8 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     alpha = (2g + K - 1)/(2(g-1)) and theta^2 = K/(K+1); infinity takes
     alpha = 2 and theta^2 = 1/2.
     """
-    if R <= 0:
-        raise ConstraintError("R must be positive")
+    if not 0 < R < np.inf:
+        raise ConstraintError("R must be positive and finite")
     g, k, d = p.g, p.k, p.d(n)
     K = g + d - 2.0
     if p.is_finite:

@@ -2,6 +2,7 @@
 experiments.
 
 Exit codes: 0 success, 1 assertion/verdict failure, 2 usage or config error.
+Any other exception is an internal bug and propagates with its traceback.
 Output directory: --out flag, else the TRUDLAB_OUT environment variable, else
 the current directory.  JSON for configs/reports, CSV for fields and tables.
 """
@@ -22,7 +23,7 @@ from .barriers import ConstraintError, Verdict, verify_sign
 from .eigensolver import ShootingError, first_eigenvalue, scaling_check
 from .exponent import Exponent
 from .experiments import decay_experiment, flatten_experiment, phragmen_lindelof_study
-from .pde import SolverConfig, SolverError, solve_trudinger_radial
+from .pde import ConfigError, SolverConfig, SolverError, solve_trudinger_radial
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,6 +32,22 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     pass
+
+
+def _exponent(text) -> Exponent:
+    """Exponent.parse, with a bad spelling or p < 2 reported as a usage error."""
+    try:
+        return Exponent.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"bad exponent {text!r}: {exc}") from None
+
+
+def _convert(kind, key: str, val):
+    """kind(val) for a config or flag value, a failure reported as a usage error."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be {kind.__name__}, got {val!r}") from None
 
 
 def _out_dir(args) -> str:
@@ -69,13 +86,13 @@ VERIFY_KEYS = set(VERIFY_FLAGS) | {"safety"}
 
 def _build_barrier(cfg: dict):
     """The family spec of a verify config; unset parameters take the makers' defaults."""
-    return barriers.make_family(cfg["family"], Exponent.parse(cfg.get("p", 2)),
-                                int(cfg.get("n", 2)), cfg)
+    return barriers.make_family(cfg["family"], _exponent(cfg.get("p", 2)),
+                                _convert(int, "n", cfg.get("n", 2)), cfg)
 
 
 def _run_verify_one(cfg: dict, out_dir: str) -> int:
     spec = _build_barrier(cfg)
-    knobs = {k: VERIFY_FLAGS[k](cfg[k]) for k in ("samples", "tolerance", "seed")
+    knobs = {k: _convert(VERIFY_FLAGS[k], k, cfg[k]) for k in ("samples", "tolerance", "seed")
              if cfg.get(k) is not None}
     report = verify_sign(spec, **knobs)
     base, fh = create_artifacts(
@@ -114,12 +131,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    p = Exponent.parse(args.p)
+    p = _exponent(args.p)
     if p.is_infinity:
         raise UsageError("p=inf eigenvalue out of scope (finite 2 <= p only)")
     out_dir = _out_dir(args)
     if args.scaling:
-        radii = [float(x) for x in args.scaling.split(",")]
+        radii = [_convert(float, "--scaling radius", x) for x in args.scaling.split(",")]
         spread = scaling_check(p, args.n, radii)
         print(f"scaling spread of lambda_R * R^p over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
@@ -156,19 +173,23 @@ INITIAL_PRESETS = {
 def _initial_from_config(spec, R):
     if isinstance(spec, (int, float)):
         return INITIAL_PRESETS["constant"]({"value": float(spec)}, R)
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in INITIAL_PRESETS:
         raise UsageError(f"unknown initial preset {kind!r}; "
                          f"choose from {sorted(INITIAL_PRESETS)}")
-    return INITIAL_PRESETS[kind](spec, R)
+    params = {k: _convert(float, f"initial {k}", spec[k])
+              for k in ("value", "floor", "amplitude") if k in spec}
+    return INITIAL_PRESETS[kind](params, R)
 
 
 def _boundary_from_config(spec):
     if isinstance(spec, (int, float)):
-        return lambda t: float(spec)
-    if spec.get("kind") == "constant":
-        return lambda t: float(spec.get("value", 1.0))
-    raise UsageError("boundary config supports constants only")
+        value = float(spec)
+    elif isinstance(spec, dict) and spec.get("kind") == "constant":
+        value = _convert(float, "boundary value", spec.get("value", 1.0))
+    else:
+        raise UsageError("boundary config supports constants only")
+    return lambda t: value
 
 
 def _finite_or_null(obj):
@@ -189,14 +210,17 @@ def cmd_solve(args) -> int:
     for key in ("p", "scheme", "t_end"):
         if key not in cfg:
             raise UsageError(f"missing required key {key!r}")
-    R = float(cfg.get("R", 1.0))
+    R = _convert(float, "R", cfg.get("R", 1.0))
     initial = _initial_from_config(cfg.get("initial", 1.0), R)
     boundary = _boundary_from_config(cfg.get("boundary", 1.0))
+    dt = cfg.get("dt")
     sc = SolverConfig(
-        p=Exponent.parse(cfg["p"]), n=int(cfg.get("n", 2)), R=R,
-        nodes=int(cfg.get("nodes", 101)), t_end=float(cfg["t_end"]),
+        p=_exponent(cfg["p"]), n=_convert(int, "n", cfg.get("n", 2)), R=R,
+        nodes=_convert(int, "nodes", cfg.get("nodes", 101)),
+        t_end=_convert(float, "t_end", cfg["t_end"]),
         scheme=cfg["scheme"], boundary=boundary, initial=initial,
-        dt=cfg.get("dt"), tolerance=float(cfg.get("tolerance", 1e-9)))
+        dt=None if dt is None else _convert(float, "dt", dt),
+        tolerance=_convert(float, "tolerance", cfg.get("tolerance", 1e-9)))
     field = solve_trudinger_radial(sc)
     manifest = {**field.manifest(), "config_echo": {k: cfg.get(k) for k in sorted(cfg)}}
     base, fh = create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
@@ -216,10 +240,12 @@ def cmd_solve(args) -> int:
 
 def cmd_experiment(args) -> int:
     out_dir = _out_dir(args)
-    p = Exponent.parse(args.p)
+    p = _exponent(args.p)
     n = args.n
     nodes = {} if args.nodes is None else {"nodes": args.nodes}
     if args.kind == "decay":
+        if p.is_infinity:
+            raise UsageError("the decay experiment needs the first eigenvalue: finite p only")
         report = decay_experiment(p, n, args.R, **nodes)
     elif args.kind == "flatten":
         report = flatten_experiment(p, n, args.R, m=args.m, M=args.M, alpha=args.alpha, **nodes)
@@ -299,7 +325,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ConstraintError, ValueError) as exc:
+    except (UsageError, ConstraintError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, ShootingError) as exc:

@@ -9,18 +9,19 @@ keeps the right-hand side regular through the degenerate axis:
 
 Near r = 0 the solution is the series psi0 - C r^{p/(p-1)}, written once in
 `_series`: the start value at the handover h0 = 1e-6 R, the solution below h0
-and the eigenfunction's `PowerOrigin` coefficient.  Above h0 an adaptive
-integrator takes over; one integration is one frozen `Shot` holding the dense
-solution sol(r) -> (psi, w) on [0, r_end].  No parameter is searched for: the
-equation is invariant under r -> s r, lam -> lam s^p (the lam_R R^p law,
-`Shot.stretched`) and (p-1)-homogeneous in psi, so a single shot yields the
-eigenvalue (from where its first zero falls) or the center value (from its
-boundary trace).
+and the eigenfunction's `PowerOrigin` coefficient.  Above h0 the 8th-order
+Dormand-Prince pair DOP853 takes over; one integration is one frozen `Shot`
+holding its 7th-order dense solution sol(r) -> (psi, w) on [0, r_end].  No
+parameter is searched for: the equation is invariant under r -> s r,
+lam -> lam s^p (the lam_R R^p law, `Shot.stretched`) and (p-1)-homogeneous in
+psi, so a single shot yields the eigenvalue (from where its first zero falls)
+or the center value (from its boundary trace).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,12 +93,11 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
         raise ValueError("psi0 must be positive")
     pf = p.p
     h0 = 1e-6 * R
+    e, q, c = 1.0 / (pf - 1.0), pf - 2.0, n - 1.0
 
-    def rhs(r, y):
-        psi, w = y
-        dpsi = _dpsi_from_flux(w, pf)
-        dw = -lam * np.abs(psi) ** (pf - 2.0) * psi - (n - 1.0) * w / r
-        return (dpsi, dw)
+    def rhs(r, y):  # plain floats: the arithmetic of _dpsi_from_flux, no numpy scalars
+        psi, w = y.tolist()
+        return (math.copysign(abs(w) ** e, w), -lam * abs(psi) ** q * psi - c * w / r)
 
     def crossing(r, y):
         return y[0]
@@ -105,7 +105,7 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     crossing.terminal = True
     crossing.direction = -1
 
-    out = solve_ivp(rhs, (h0, R), _series(pf, n, lam, psi0, h0)[:2], method="RK45",
+    out = solve_ivp(rhs, (h0, R), _series(pf, n, lam, psi0, h0)[:2], method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True, events=crossing)
     if not out.success and out.status != 1:
         raise ShootingError(

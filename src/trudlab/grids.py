@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,17 +36,22 @@ class SpaceTimeField:
     """Solution samples u(r_i, t_j): values[j, i] on grid x times.
 
     metadata carries the run manifest (exponent label, dimension, scheme,
-    measured consistency bounds, ...).
+    measured consistency bounds, ...).  The field is frozen throughout:
+    values and times are read-only views (the caller's arrays stay writeable,
+    nothing is copied) and metadata is a read-only mapping over a copy.
     """
 
     values: np.ndarray
     grid: RadialGrid
     times: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        for name in ("values", "times"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         if self.values.shape != (self.times.size, self.grid.count):
             raise ValueError(
                 f"field shape {self.values.shape} does not match "
@@ -68,16 +75,19 @@ class SpaceTimeField:
         return self.values[1:, :-1]
 
     def to_csv(self, path) -> None:
-        """t,r,u rows as csv.writer writes them (%.17g, CRLF), one level per write."""
-        block = np.empty((self.grid.count, 3))
-        block[:, 1] = self.grid.r
-        row = "%.17g,%.17g,%.17g\r\n" * self.grid.count
+        """t,r,u rows as csv.writer writes them (%.17g, CRLF), one level per write.
+
+        r is formatted once into a row template; each level fills in t and u.
+        """
+        count = self.grid.count
+        template = "".join("%%s,%.17g,%%.17g\r\n" % r for r in self.grid.r.tolist())
+        args = [None] * (2 * count)
         with open(path, "w", newline="") as fh:
             fh.write("t,r,u\r\n")
-            for t, level in zip(self.times, self.values):
-                block[:, 0] = t
-                block[:, 2] = level
-                fh.write(row % tuple(block.ravel().tolist()))
+            for t, level in zip(self.times.tolist(), self.values):
+                args[0::2] = ["%.17g" % t] * count
+                args[1::2] = level.tolist()
+                fh.write(template % tuple(args))
 
     def manifest(self) -> dict:
         return {

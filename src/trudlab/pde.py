@@ -67,10 +67,14 @@ class SolverConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.n < 2:
             raise ConfigError("dimension n must be >= 2")
+        if not 0 < self.R < math.inf:
+            raise ConfigError("radius R must be positive and finite")
         if self.nodes < 4:
             raise ConfigError("need at least 4 radial nodes")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError("t_end must be positive and finite")
+        if self.dt is not None and not 0 <= self.dt < math.inf:
+            raise ConfigError("dt must be nonnegative and finite (0 means t_end/200)")
 
     def validate(self) -> None:
         grid = self.grid

@@ -227,6 +227,36 @@ class TestExitContract:
     def test_missing_subcommand_is_usage(self):
         assert main([]) == EXIT_USAGE
 
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        # a ValueError from inside the numerics is a bug, not a usage error
+        def broken(config):
+            raise ValueError("planted internal failure")
+
+        monkeypatch.setattr(cli, "solve_trudinger_radial", broken)
+        with pytest.raises(ValueError, match="planted"):
+            run(["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "0.1",
+                 "--nodes", "21"], tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--p", "1.5", "--n", "2"],
+        ["eigen", "--p", "3", "--R", "nan"],
+        ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "0.1", "--R", "-1"],
+        ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "nan"],
+        ["experiment", "decay", "--p", "inf"],
+    ])
+    def test_bad_input_is_usage(self, tmp_path, capsys, argv):
+        assert run(argv, tmp_path) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("entry", [{"n": "two"}, {"dt": "x"}, {"tolerance": None},
+                                       {"initial": {"kind": "bump", "floor": "x"}},
+                                       {"boundary": {"kind": "constant", "value": "x"}}])
+    def test_bad_config_value_is_usage(self, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "3", "scheme": "log-implicit", "t_end": 0.1, **entry}))
+        assert run(["solve", "--config", str(cfg)], tmp_path / "out") == EXIT_USAGE
+
     def test_codes_are_stable(self):
         assert EXIT_OK == 0 and EXIT_FAIL == 1 and EXIT_USAGE == 2
 

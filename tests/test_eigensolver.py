@@ -91,6 +91,20 @@ class TestFirstEigenvalue:
         res = eigen_cache(2.0, 2, 1.0)
         assert res.lam == pytest.approx(J01 ** 2, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
+    def test_linear_closed_forms(self, n, R):
+        # p = 2: lam = j01^2/R^2 with psi = J0(j01 r/R) (n = 2), lam = pi^2/R^2
+        # with psi = sin(pi r/R)/(pi r/R) (n = 3)
+        res = first_eigenvalue(Exponent.finite(2), n, R)
+        r = res.grid.r
+        if n == 2:
+            lam, psi = (J01 / R) ** 2, bessel_j0(J01 * r / R)
+        else:
+            lam, psi = PI2 / R ** 2, np.sinc(r / R)
+        assert abs(res.lam - lam) <= 1e-10 * lam
+        assert np.abs(res.psi - psi).max() <= 1e-9
+
     def test_domain_monotonicity(self, eigen_cache):
         for pv in (2.0, 3.0):
             lam1 = eigen_cache(pv, 2, 1.0).lam

@@ -74,6 +74,14 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.nodes = 11
 
+    @pytest.mark.parametrize("change", [{"R": -1.0}, {"R": 0.0}, {"R": float("nan")},
+                                        {"R": float("inf")}, {"t_end": float("nan")},
+                                        {"dt": -1e-3}])
+    def test_bad_geometry_or_time_rejected(self, change):
+        # rejected when the config is built, before any grid or step exists
+        with pytest.raises(ConfigError):
+            dataclasses.replace(heat_config(), **change)
+
 
 class TestExactCases:
     @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
@@ -243,6 +251,24 @@ class TestFieldProperties:
         with pytest.raises(dataclasses.FrozenInstanceError):
             field.metadata = {}
 
+    def test_field_contents_are_frozen(self):
+        field = solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3))
+        with pytest.raises(ValueError):
+            field.values[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            field.times[-1] = 1.0
+        with pytest.raises(TypeError):
+            field.metadata["scheme"] = "other"
+        # a replaced field extends the manifest without touching the original
+        extended = dataclasses.replace(field, metadata={**field.metadata, "x": 1})
+        assert extended.manifest()["x"] == 1 and "x" not in field.metadata
+
+    def test_field_freeze_leaves_caller_arrays(self):
+        values, times = np.ones((2, 3)), np.array([0.0, 1.0])
+        field = SpaceTimeField(values, RadialGrid(1.0, 3), times)
+        assert values.flags.writeable and times.flags.writeable
+        assert np.shares_memory(field.values, values) and np.shares_memory(field.times, times)
+
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
         values = np.array([[-0.0, 1e-300, 1.0 / 3.0],
@@ -258,6 +284,21 @@ class TestFieldProperties:
         got = (tmp_path / "field.csv").read_bytes()
         assert got == (tmp_path / "reference.csv").read_bytes()
         assert got.count(b"\r\n") == 7 and b",-0\r\n" in got
+
+    def test_solver_field_csv_bytes_match_csv_writer(self, tmp_path):
+        # the row template is built per grid, so check a real field of many rows
+        field = solve_trudinger_radial(heat_config(nodes=21, t_end=0.01, dt=1e-3))
+        assert field.values.shape == (11, 21)
+        field.to_csv(tmp_path / "field.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "r", "u"])
+            for t, level in zip(field.times, field.values):
+                for r, u in zip(field.grid.r, level):
+                    writer.writerow([f"{t:.17g}", f"{r:.17g}", f"{u:.17g}"])
+        got = (tmp_path / "field.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 11 * 21
 
 
 class TestNewtonStep:
