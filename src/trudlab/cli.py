@@ -50,6 +50,14 @@ def _convert(kind, key: str, val):
         raise UsageError(f"{key} must be {kind.__name__}, got {val!r}") from None
 
 
+def _dimension(val) -> int:
+    """The dimension n of a flag or config value: n >= 2 in every command, as in SolverConfig."""
+    n = _convert(int, "n", val)
+    if n < 2:
+        raise UsageError(f"dimension n must be >= 2, got {n}")
+    return n
+
+
 def _out_dir(args) -> str:
     out = getattr(args, "out", None) or os.environ.get("TRUDLAB_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -87,7 +95,7 @@ VERIFY_KEYS = set(VERIFY_FLAGS) | {"safety"}
 def _build_barrier(cfg: dict):
     """The family spec of a verify config; unset parameters take the makers' defaults."""
     return barriers.make_family(cfg["family"], _exponent(cfg.get("p", 2)),
-                                _convert(int, "n", cfg.get("n", 2)), cfg)
+                                _dimension(cfg.get("n", 2)), cfg)
 
 
 def _run_verify_one(cfg: dict, out_dir: str) -> int:
@@ -134,15 +142,16 @@ def cmd_eigen(args) -> int:
     p = _exponent(args.p)
     if p.is_infinity:
         raise UsageError("p=inf eigenvalue out of scope (finite 2 <= p only)")
+    n = _dimension(args.n)
     out_dir = _out_dir(args)
     if args.scaling:
         radii = [_convert(float, "--scaling radius", x) for x in args.scaling.split(",")]
-        spread = scaling_check(p, args.n, radii)
+        spread = scaling_check(p, n, radii)
         print(f"scaling spread of lambda_R * R^p over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
-    res = first_eigenvalue(p, args.n, args.R)
-    base, fh = create_artifacts(out_dir, f"eigen-{p.label}-{args.n}",
-                                 {"p": p.label, "n": args.n, "R": args.R}, (".json", ".csv"))
+    res = first_eigenvalue(p, n, args.R)
+    base, fh = create_artifacts(out_dir, f"eigen-{p.label}-{n}",
+                                 {"p": p.label, "n": n, "R": args.R}, (".json", ".csv"))
     with fh:
         fh.write(res.to_json(indent=2))
     res.to_csv(base + ".csv")
@@ -215,7 +224,7 @@ def cmd_solve(args) -> int:
     boundary = _boundary_from_config(cfg.get("boundary", 1.0))
     dt = cfg.get("dt")
     sc = SolverConfig(
-        p=_exponent(cfg["p"]), n=_convert(int, "n", cfg.get("n", 2)), R=R,
+        p=_exponent(cfg["p"]), n=_dimension(cfg.get("n", 2)), R=R,
         nodes=_convert(int, "nodes", cfg.get("nodes", 101)),
         t_end=_convert(float, "t_end", cfg["t_end"]),
         scheme=cfg["scheme"], boundary=boundary, initial=initial,
@@ -241,7 +250,7 @@ def cmd_solve(args) -> int:
 def cmd_experiment(args) -> int:
     out_dir = _out_dir(args)
     p = _exponent(args.p)
-    n = args.n
+    n = _dimension(args.n)
     nodes = {} if args.nodes is None else {"nodes": args.nodes}
     if args.kind == "decay":
         if p.is_infinity:

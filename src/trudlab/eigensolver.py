@@ -10,7 +10,8 @@ keeps the right-hand side regular through the degenerate axis:
 Near r = 0 the solution is the series psi0 - C r^{p/(p-1)}, written once in
 `_series`: the start value at the handover h0 = 1e-6 R, the solution below h0
 and the eigenfunction's `PowerOrigin` coefficient.  Above h0 the 8th-order
-Dormand-Prince pair DOP853 takes over; one integration is one frozen `Shot`
+Dormand-Prince pair DOP853 takes over, on plain floats with scipy's tables and
+step control (`_dop853`); one integration is one frozen `Shot`
 holding its 7th-order dense solution sol(r) -> (psi, w) on [0, r_end].  No
 parameter is searched for: the equation is invariant under r -> s r,
 lam -> lam s^p (the lam_R R^p law, `Shot.stretched`) and (p-1)-homogeneous in
@@ -23,10 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
@@ -38,6 +41,105 @@ GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
 
 class ShootingError(RuntimeError):
     """Integration failure, or a shot that contradicts a certified bound."""
+
+
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) as scipy ships it, as
+# plain floats: (c_s, a_s) for the stages 1..11 of a step and for the three
+# extra dense-output stages 13..15, then the weights.
+_STAGES = [(c, a[:s]) for s, (c, a) in enumerate(zip(DOP853.C.tolist(), DOP853.A.tolist())) if s]
+_EXTRA = [(c, a[:s]) for s, (c, a) in enumerate(
+    zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA.tolist()), start=DOP853.n_stages + 1)]
+_B, _E3, _E5 = DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist()
+_EPS4 = 4.0 * np.finfo(float).eps
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _interp(F, x):
+    """DOP853's 7th-order dense polynomial in x = (r - r_old)/h, without y_old."""
+    y = 0.0
+    for i, f in enumerate(reversed(F)):
+        y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+    return y
+
+
+def _dop853(rhs, r, y, r_bound, rtol, atol):
+    """DOP853 on plain floats for y = (psi, w), from r to r_bound or to the first
+    downward zero of psi, whichever comes first.
+
+    rhs(r, psi, w) -> (psi', w').  Step control is scipy's: its initial-step
+    rule, the E5/E3 error norm, safety 0.9, step factors in [0.2, 10] with
+    exponent -1/8 and no growth right after a rejection; the zero is brentq's
+    (xtol = rtol = 4 eps) on the step's dense polynomial.  Returns (ts, sol,
+    first_zero): the breakpoints, ending at the stop, and sol(r) -> (psi, w).
+    """
+    psi, w = y
+    f = rhs(r, psi, w)
+    sp, sw = atol + abs(psi) * rtol, atol + abs(w) * rtol
+    d0, d1 = _rms(psi / sp, w / sw), _rms(f[0] / sp, f[1] / sw)
+    h_abs = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_bound - r)
+    f1 = rhs(r + h_abs, psi + h_abs * f[0], w + h_abs * f[1])
+    d2 = _rms((f1[0] - f[0]) / sp, (f1[1] - f[1]) / sw) / h_abs
+    h1 = (max(1e-6, h_abs * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.125)
+    h_abs = min(100.0 * h_abs, h1, r_bound - r)
+
+    steps, crossed, first_zero = [], False, None
+    while r < r_bound and not crossed:
+        min_step = 10.0 * math.ulp(r)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # also stops a NaN step
+                raise ShootingError(f"integration failed at r={r:.6g}: step size too small")
+            r_new = min(r + h_abs, r_bound)
+            h = r_new - r
+            kp, kw = [f[0]], [f[1]]
+            for c, a in _STAGES:
+                k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
+                kp.append(k[0])
+                kw.append(k[1])
+            psi_new, w_new = psi + h * sum(map(mul, _B, kp)), w + h * sum(map(mul, _B, kw))
+            f_new = rhs(r + h, psi_new, w_new)
+            kp.append(f_new[0])
+            kw.append(f_new[1])
+            sp = atol + max(abs(psi), abs(psi_new)) * rtol
+            sw = atol + max(abs(w), abs(w_new)) * rtol
+            e5 = (sum(map(mul, _E5, kp)) / sp) ** 2 + (sum(map(mul, _E5, kw)) / sw) ** 2
+            e3 = (sum(map(mul, _E3, kp)) / sp) ** 2 + (sum(map(mul, _E3, kw)) / sw) ** 2
+            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        for c, a in _EXTRA:
+            k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
+            kp.append(k[0])
+            kw.append(k[1])
+        steps.append((r, h, psi, w, psi_new, w_new, kp, kw))
+        crossed = psi >= 0.0 and psi_new <= 0.0  # solve_ivp's direction = -1 event
+        r, psi, w, f = r_new, psi_new, w_new, f_new
+
+    # the dense coefficients of all steps at once, F[j, step, component]
+    r_old, hs, psi_old, w_old, psi_new, w_new, kp, kw = map(np.array, zip(*steps))
+    y_old, K = np.stack([psi_old, w_old], -1), np.stack([kp, kw], -1)
+    dy, h = np.stack([psi_new, w_new], -1) - y_old, hs[:, None]
+    F = np.concatenate([[dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 12] + K[:, 0])],
+                        h * np.einsum("jk,mkc->jmc", DOP853.D, K)])
+    if crossed:  # the zero of the last step's polynomial
+        Fp, (r0, h, psi0) = F[:, -1, 0].tolist(), steps[-1][:3]
+        r = first_zero = brentq(lambda t: _interp(Fp, (t - r0) / h) + psi0, r0, r,
+                                xtol=_EPS4, rtol=_EPS4)
+
+    def sol(t):
+        seg = np.searchsorted(r_old[1:], t)  # a breakpoint takes the step that ends there
+        x = ((t - r_old[seg]) / hs[seg])[..., None]
+        return np.moveaxis(_interp(F[:, seg], x) + y_old[seg], -1, 0)
+
+    return np.append(r_old, r), sol, first_zero
 
 
 def _dpsi_from_flux(w, p: float):
@@ -87,40 +189,30 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     """
     if p.is_infinity:
         raise ValueError("shooting treats finite p only")
+    if n < 2:
+        raise ValueError("dimension n must be >= 2")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if psi0 <= 0:
         raise ValueError("psi0 must be positive")
-    pf = p.p
+    pf, lam, psi0, R = p.p, float(lam), float(psi0), float(R)  # no numpy scalars in the loop
     h0 = 1e-6 * R
     e, q, c = 1.0 / (pf - 1.0), pf - 2.0, n - 1.0
 
-    def rhs(r, y):  # plain floats: the arithmetic of _dpsi_from_flux, no numpy scalars
-        psi, w = y.tolist()
-        return (math.copysign(abs(w) ** e, w), -lam * abs(psi) ** q * psi - c * w / r)
+    def rhs(r, psi, w):  # plain floats: the arithmetic of _dpsi_from_flux
+        return math.copysign(abs(w) ** e, w), -lam * abs(psi) ** q * psi - c * w / r
 
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-
-    out = solve_ivp(rhs, (h0, R), _series(pf, n, lam, psi0, h0)[:2], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=crossing)
-    if not out.success and out.status != 1:
-        raise ShootingError(
-            f"integration failed at r={out.t[-1]:.6g}: {out.message}")
-    r_end = out.t[-1]
+    ts, dense, first_zero = _dop853(rhs, h0, _series(pf, n, lam, psi0, h0)[:2], R, rtol, atol)
+    r_end = float(ts[-1])
 
     def sol(r):
         r = np.asarray(r, dtype=float)
-        vals = out.sol(np.clip(r, h0, r_end))
+        vals = dense(np.clip(r, h0, r_end))
         small = r < h0  # below the handover the series is the solution
         if np.any(small):
             vals[:, small] = _series(pf, n, lam, psi0, r[small])[:2]
         return vals
 
-    first_zero = float(out.t_events[0][0]) if out.t_events[0].size else None
     return Shot(pf, n, lam, psi0, r_end, first_zero, sol)
 
 

@@ -249,6 +249,34 @@ class TestExitContract:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--p", "3"],
+        ["eigen", "--p", "3", "--scaling", "0.5,1"],
+        ["verify", "--family", "eigen", "--p", "3"],
+        ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "0.1", "--nodes", "21"],
+        ["experiment", "decay", "--p", "3"],
+        ["experiment", "flatten", "--p", "3"],
+        ["experiment", "pl", "--p", "3"],
+    ])
+    def test_dimension_below_two_is_usage(self, tmp_path, capsys, argv, n):
+        # one rule for n in every command: SolverConfig's n >= 2
+        assert run(argv + ["--n", n], tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dimension n must be >= 2" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--config"], {"family": "eigen", "p": "3", "n": 1}),
+        (["verify", "--sweep"], [{"family": "eigen", "p": "3", "n": 0}]),
+        (["solve", "--config"], {"p": "3", "scheme": "log-implicit", "t_end": 0.1, "n": 1}),
+    ])
+    def test_config_dimension_below_two_is_usage(self, tmp_path, capsys, argv, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(argv + [str(cfg)], tmp_path / "out") == EXIT_USAGE
+        assert "dimension n must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", [{"n": "two"}, {"dt": "x"}, {"tolerance": None},
                                        {"initial": {"kind": "bump", "floor": "x"}},
                                        {"boundary": {"kind": "constant", "value": "x"}}])

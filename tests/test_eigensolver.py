@@ -2,7 +2,9 @@
 
 Oracles: the linear case p = 2 has closed forms (sin(pi r)/(pi r) in three
 dimensions; the first Bessel J0 zero in two), built here independently of the
-solver before asserting against it.
+solver before asserting against it.  For every p the shot is also checked
+against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
+own right-hand side, and the stepper against cos r.
 """
 
 import csv
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from trudlab import eigensolver
 from trudlab.eigensolver import (
@@ -80,6 +83,132 @@ class TestShootRadial:
     def test_infinity_rejected(self):
         with pytest.raises(ValueError):
             shoot_radial(INFINITY, 2, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_dimension_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension"):
+            shoot_radial(Exponent.finite(3), n, 1.0, 1.0)
+
+
+RTOL, ATOL = 1e-11, 1e-13  # shoot_radial's tolerances
+
+
+def reference_ivp(pv, n, R, lam, events=None):
+    """solve_ivp's DOP853 from the axis series at h0 = 1e-6 R, numpy right-hand side."""
+    h0 = 1e-6 * R
+    C = (lam / n) ** (1.0 / (pv - 1.0)) * (pv - 1.0) / pv
+    y0 = [1.0 - C * h0 ** (pv / (pv - 1.0)), -lam * h0 / n]
+
+    def rhs(r, y):
+        psi, w = y
+        return [np.sign(w) * np.abs(w) ** (1.0 / (pv - 1.0)),
+                -lam * np.abs(psi) ** (pv - 2.0) * psi - (n - 1.0) * w / r]
+
+    return solve_ivp(rhs, (h0, R), y0, method="DOP853", rtol=RTOL, atol=ATOL,
+                     dense_output=True, events=events)
+
+
+def downward_zero(r, y):
+    return y[0]
+
+
+downward_zero.terminal = True
+downward_zero.direction = -1
+
+
+class TestAgainstSolveIvp:
+    """The plain-float stepper against solve_ivp at the same tolerances."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
+    def test_first_zero_at_barrier_rate(self, pv, n):
+        R = 1.0
+        rate = eigensolver.bracket_rate(Exponent.finite(pv), n, R)
+        ref = reference_ivp(pv, n, R, rate, events=downward_zero)
+        shot = shoot_radial(Exponent.finite(pv), n, R, rate)
+        assert ref.t_events[0].size == 1
+        assert shot.first_zero == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0)
+        assert shot.r_end == shot.first_zero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
+    def test_trace_and_dense_solution_below_eigenvalue(self, eigen_cache, pv, n):
+        R = 1.0
+        lam = 0.7 * eigen_cache(pv, n, R).lam
+        ref = reference_ivp(pv, n, R, lam)
+        shot = shoot_radial(Exponent.finite(pv), n, R, lam)
+        assert shot.first_zero is None and shot.r_end == R
+        assert float(shot.sol(R)[0]) == pytest.approx(ref.y[0, -1], rel=1e-10, abs=0)
+        r = np.linspace(1e-6 * R, R, 513)
+        got, want = shot.sol(r), ref.sol(r)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
+    def test_same_accepted_steps(self, eigen_cache, monkeypatch, pv, n):
+        # the step control is solve_ivp's: the same accepted steps, up to one,
+        # for the eigenvalue shot (stopped at its zero) and a delta-BVP shot
+        R = 1.0
+        steps = []
+        real = eigensolver._dop853
+
+        def counting(*args):
+            out = real(*args)
+            steps.append(len(out[0]) - 1)
+            return out
+
+        monkeypatch.setattr(eigensolver, "_dop853", counting)
+        rate = eigensolver.bracket_rate(Exponent.finite(pv), n, R)
+        lam = 0.7 * eigen_cache(pv, n, R).lam
+        for rate_, events in ((rate, downward_zero), (lam, None)):
+            shoot_radial(Exponent.finite(pv), n, R, rate_)
+            assert abs(steps[-1] - (len(reference_ivp(pv, n, R, rate_, events).t) - 1)) <= 1
+
+
+class TestStepper:
+    """The DOP853 stepper on its own."""
+
+    def test_cosine_first_zero(self):
+        # psi'' = -psi as (psi, w) = (psi, psi'): psi = cos r, first zero pi/2
+        ts, sol, zero = eigensolver._dop853(lambda r, psi, w: (w, -psi), 0.0, (1.0, 0.0),
+                                            3.0, RTOL, ATOL)
+        assert zero == pytest.approx(math.pi / 2, rel=1e-12, abs=0)
+        assert ts[0] == 0.0 and ts[-1] == zero and np.all(np.diff(ts) > 0)
+        r = np.linspace(0.0, zero, 257)
+        assert np.abs(sol(r) - [np.cos(r), -np.sin(r)]).max() < 1e-10
+        assert np.allclose(sol(0.3), [math.cos(0.3), -math.sin(0.3)], rtol=0, atol=1e-10)
+
+    def test_no_zero_runs_to_the_end(self):
+        ts, sol, zero = eigensolver._dop853(lambda r, psi, w: (w, -psi), 0.0, (1.0, 0.0),
+                                            1.5, RTOL, ATOL)
+        assert zero is None and ts[-1] == 1.5
+        assert float(sol(1.5)[0]) == pytest.approx(math.cos(1.5), rel=1e-10)
+
+    @pytest.mark.parametrize("k", [30.0, 3000.0])
+    def test_calls_match_solve_ivp(self, k):
+        # psi'' = -(1 + k r^2) psi rejects steps; the right-hand-side calls
+        # (initial-step rule, rejected tries, dense-output stages) match nfev
+        calls = []
+
+        def rhs(r, psi, w):
+            calls.append(r)
+            return w, -(1.0 + k * r * r) * psi
+
+        ts, _, zero = eigensolver._dop853(rhs, 0.0, (1.0, 0.0), 3.0, RTOL, ATOL)
+        ref = solve_ivp(lambda r, y: [y[1], -(1.0 + k * r * r) * y[0]], (0.0, 3.0),
+                        [1.0, 0.0], method="DOP853", rtol=RTOL, atol=ATOL,
+                        dense_output=True, events=downward_zero)
+        assert len(calls) > 2 + 15 * (len(ts) - 1)  # some steps were rejected
+        assert abs(len(ts) - len(ref.t)) <= 1 and abs(len(calls) - ref.nfev) <= 27
+        assert zero == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad_from", [0.0, 0.5])
+    def test_nan_right_hand_side_raises(self, bad_from):
+        def rhs(r, psi, w):
+            return (math.nan, math.nan) if r >= bad_from else (w, -psi)
+
+        with pytest.raises(ShootingError, match="step size too small"):
+            eigensolver._dop853(rhs, 0.0, (1.0, 0.0), 3.0, RTOL, ATOL)
 
 
 class TestFirstEigenvalue:
