@@ -240,14 +240,10 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     g, k, d = p.g, p.k, p.d(n)
     K = g + d - 2.0
     if p.is_finite:
-        alpha = (2.0 * g + K - 1.0) / (2.0 * (g - 1.0))
-        theta2 = K / (K + 1.0)
-        derived = {"k": K, "alpha": alpha, "theta2": theta2}
+        alpha, theta2 = (2.0 * g + K - 1.0) / (2.0 * (g - 1.0)), K / (K + 1.0)
     else:
         alpha, theta2 = 2.0, 0.5
-        derived = {"theta": 1.0 / np.sqrt(2.0), "alpha": alpha, "k": float("nan")}
     lam = (K * theta2 ** ((g - 2.0) / 2.0) / (k * R ** g)) * (2.0 * alpha / (1.0 - theta2)) ** (g - 1.0)
-    derived["rate"] = lam
     c1 = 2.0 * alpha / R ** 2
     h_exp = (alpha - 1.0) * (g - 1.0) - 1.0
 
@@ -272,7 +268,8 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     decay = lambda t: np.exp(-lam * np.asarray(t, float) / (g - 1.0))
     phi = separable_function(eta, decay, lambda t: -lam / (g - 1.0) * decay(t))
     return BarrierSpec(
-        family=Family.EIGEN_SEPARABLE, p=p, n=n, params={"R": float(R)}, derived=derived,
+        family=Family.EIGEN_SEPARABLE, p=p, n=n, params={"R": float(R)},
+        derived={"k": K, "alpha": alpha, "theta2": theta2, "rate": lam},
         phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUBSOLUTION, r_range=(0.0, R), t_start=0.0,
     )
@@ -776,8 +773,7 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
     return ResidualReport(
         family=spec.family.value,
         params={**spec.params, "p": spec.p.label, "n": spec.n},
-        derived={k_: (None if isinstance(v, float) and not np.isfinite(v) else v)
-                 for k_, v in spec.derived.items()},
+        derived=dict(spec.derived),
         min_residual=float(res[i_min]),
         max_residual=float(res[i_max]),
         argmin=SpaceTimePoint(float(r_all[i_min]), float(t_all[i_min])),
@@ -811,12 +807,17 @@ CATALOG_FAMILIES = {
 
 def make_family(family: str, p: Exponent, n: int, given: dict) -> BarrierSpec:
     """Build a catalog family by name from the values `given` sets; every
-    parameter left out or None takes its maker's default."""
+    parameter left out or None takes its maker's default; a non-finite one
+    is a ConstraintError."""
     if family not in CATALOG_FAMILIES:
         raise ConstraintError(
             f"unknown family {family!r}; choose from {', '.join(CATALOG_FAMILIES)}")
     maker, names = CATALOG_FAMILIES[family]
-    return maker(p, n, **{k: float(given[k]) for k in names if given.get(k) is not None})
+    values = {k: float(given[k]) for k in names if given.get(k) is not None}
+    bad = {k: v for k, v in values.items() if not np.isfinite(v)}
+    if bad:
+        raise ConstraintError(f"parameters must be finite, got {bad}")
+    return maker(p, n, **values)
 
 
 def default_catalog(p: Exponent, n: int, R: float = 1.0) -> list:

@@ -43,8 +43,10 @@ def _exponent(text) -> Exponent:
 
 
 def _convert(kind, key: str, val):
-    """kind(val) for a config or flag value, a failure reported as a usage error."""
+    """kind(val) for a config or flag value, a failure or a fractional int a usage error."""
     try:
+        if kind is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError
         return kind(val)
     except (TypeError, ValueError):
         raise UsageError(f"{key} must be {kind.__name__}, got {val!r}") from None
@@ -64,21 +66,26 @@ def _out_dir(args) -> str:
     return out
 
 
+def _check_config(cfg, allowed: set) -> dict:
+    """cfg, if it is a JSON object of allowed keys that sets "family" where that is allowed."""
+    if not isinstance(cfg, dict):
+        raise UsageError(f"a config must be a JSON object, got {cfg!r}")
+    unknown = set(cfg) - allowed
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    if "family" in allowed and "family" not in cfg:
+        raise UsageError("missing required keys: ['family']")
+    return cfg
+
+
 def _load_config(path: str | None, allowed: set, overrides: dict) -> dict:
     cfg = {}
     if path:
         with open(path) as fh:
             cfg = json.load(fh)
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    missing = [k for k in ("family",) if k in allowed and k not in cfg]
-    if missing:
-        raise UsageError(f"missing required keys: {missing}")
-    return cfg
+    if isinstance(cfg, dict):
+        cfg |= {key: val for key, val in overrides.items() if val is not None}
+    return _check_config(cfg, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +115,7 @@ def _run_verify_one(cfg: dict, out_dir: str) -> int:
     path = base + ".json"
     payload = {"config": cfg, "report": report.to_dict()}
     with fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, default=float)
     expected = spec.expected.value if spec.expected else None
     ok = (report.verdict == spec.expected
           or (report.verdict == Verdict.SOLUTION
@@ -125,10 +132,7 @@ def cmd_verify(args) -> int:
             entries = json.load(fh)
         if not isinstance(entries, list):
             raise UsageError("sweep file must hold a list of verify configs")
-        for entry in entries:
-            unknown = set(entry) - VERIFY_KEYS
-            if unknown:
-                raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        entries = [_check_config(e, VERIFY_KEYS) for e in entries]  # all before any runs
         return max([_run_verify_one(e, out_dir) for e in entries], default=EXIT_OK)
     cfg = _load_config(args.config, VERIFY_KEYS, {k: getattr(args, k) for k in VERIFY_FLAGS})
     return _run_verify_one(cfg, out_dir)
@@ -140,14 +144,12 @@ def cmd_verify(args) -> int:
 
 def cmd_eigen(args) -> int:
     p = _exponent(args.p)
-    if p.is_infinity:
-        raise UsageError("p=inf eigenvalue out of scope (finite 2 <= p only)")
     n = _dimension(args.n)
     out_dir = _out_dir(args)
     if args.scaling:
         radii = [_convert(float, "--scaling radius", x) for x in args.scaling.split(",")]
         spread = scaling_check(p, n, radii)
-        print(f"scaling spread of lambda_R * R^p over radii {radii}: {spread:.3e}")
+        print(f"scaling spread of lambda_R * R^g over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
     res = first_eigenvalue(p, n, args.R)
     base, fh = create_artifacts(out_dir, f"eigen-{p.label}-{n}",
@@ -253,8 +255,6 @@ def cmd_experiment(args) -> int:
     n = _dimension(args.n)
     nodes = {} if args.nodes is None else {"nodes": args.nodes}
     if args.kind == "decay":
-        if p.is_infinity:
-            raise UsageError("the decay experiment needs the first eigenvalue: finite p only")
         report = decay_experiment(p, n, args.R, **nodes)
     elif args.kind == "flatten":
         report = flatten_experiment(p, n, args.R, m=args.m, M=args.M, alpha=args.alpha, **nodes)

@@ -1,22 +1,24 @@
-"""First eigenvalue of the p-Laplacian on balls by shooting, and the
-delta-boundary problem.
+"""First Dirichlet eigenvalue on balls by shooting, and the delta-boundary
+problem, in the exponent law (g, k, d) of `exponent.Exponent`.
 
-The radial equation Delta_p psi + lam psi^{p-1} = 0 is integrated as a first
-order system in (psi, w) with the flux variable w = |psi'|^{p-2} psi', which
-keeps the right-hand side regular through the degenerate axis:
+The radial equation L psi + lam |psi|^{g-2} psi = 0, L the law's operator
+(Delta_p, or Delta_inf = (psi')^2 psi'' at (4, 3, 1), where it is the 1-D
+p = 4 problem (psi'^3)' + 3 lam psi^3 = 0), is integrated as a first order
+system in (psi, W) with the flux variable W = |psi'|^{g-2} psi', which keeps
+the right-hand side regular through the degenerate axis:
 
-    psi' = sign(w) |w|^{1/(p-1)},     w' = -lam |psi|^{p-2} psi - (n-1) w / r.
+    psi' = sign(W) |W|^{1/(g-1)},     W' = -k lam |psi|^{g-2} psi - (d-1) W / r.
 
-Near r = 0 the solution is the series psi0 - C r^{p/(p-1)}, written once in
-`_series`: the start value at the handover h0 = 1e-6 R, the solution below h0
-and the eigenfunction's `PowerOrigin` coefficient.  Above h0 the 8th-order
-Dormand-Prince pair DOP853 takes over, on plain floats with scipy's tables and
-step control (`_dop853`); one integration is one frozen `Shot`
-holding its 7th-order dense solution sol(r) -> (psi, w) on [0, r_end].  No
-parameter is searched for: the equation is invariant under r -> s r,
-lam -> lam s^p (the lam_R R^p law, `Shot.stretched`) and (p-1)-homogeneous in
-psi, so a single shot yields the eigenvalue (from where its first zero falls)
-or the center value (from its boundary trace).
+Near r = 0 the solution is the series psi0 - C r^{g/(g-1)}, written once in
+`_series`: the start value at the handover h0 = 1e-6 R, the solution below
+h0 and the eigenfunction's `PowerOrigin` coefficient.  Above h0 the 8th-order
+Dormand-Prince pair DOP853 takes over, on plain floats with scipy's tables
+and step control (`_dop853`); one integration is one frozen `Shot` holding
+its 7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter
+is searched for: the equation is invariant under r -> s r, lam -> lam s^g
+(the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a
+single shot yields the eigenvalue (from where its first zero falls) or the
+center value (from its boundary trace).
 """
 
 from __future__ import annotations
@@ -142,41 +144,42 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     return np.append(r_old, r), sol, first_zero
 
 
-def _dpsi_from_flux(w, p: float):
-    return np.sign(w) * np.abs(w) ** (1.0 / (p - 1.0))
+def _dpsi_from_flux(w, g: float):
+    return np.sign(w) * np.abs(w) ** (1.0 / (g - 1.0))
 
 
-def _series(p: float, n: int, lam: float, psi0: float, r):
-    """Axis series (psi, w) = (psi0 - C r^{p/(p-1)}, -lam psi0^{p-1} r / n) and its C."""
-    C = (lam * psi0 ** (p - 1.0) / n) ** (1.0 / (p - 1.0)) * (p - 1.0) / p
-    return psi0 - C * r ** (p / (p - 1.0)), -lam * psi0 ** (p - 1.0) * r / n, C
+def _series(g: float, d: float, klam: float, psi0: float, r):
+    """Axis series (psi, W) = (psi0 - C r^{g/(g-1)}, -k lam psi0^{g-1} r / d) and
+    its C, for klam = k lam."""
+    C = (klam * psi0 ** (g - 1.0) / d) ** (1.0 / (g - 1.0)) * (g - 1.0) / g
+    return psi0 - C * r ** (g / (g - 1.0)), -klam * psi0 ** (g - 1.0) * r / d, C
 
 
 @dataclass(frozen=True)
 class Shot:
-    """One integration of the radial problem from the axis (p is the finite exponent)."""
+    """One integration of the radial problem from the axis at rate lam."""
 
-    p: float
+    p: Exponent
     n: int
     lam: float
     psi0: float
     r_end: float
     first_zero: float | None
-    sol: Callable  # r -> (psi, w) on [0, r_end]
+    sol: Callable  # r -> (psi, W) on [0, r_end]
 
     def profile_on(self, grid: RadialGrid) -> tuple:
         """(psi, psi') resampled on a grid (clipped at r_end)."""
         psi, w = self.sol(np.clip(grid.r, 0.0, self.r_end))
-        return psi, _dpsi_from_flux(w, self.p)
+        return psi, _dpsi_from_flux(w, self.p.g)
 
     def stretched(self, s: float, R: float) -> Shot:
-        """r -> psi(s r) on [0, R]: the shot at rate lam s^p, with w scaled by s^{p-1}."""
+        """r -> psi(s r) on [0, R]: the shot at rate lam s^g, with W scaled by s^{g-1}."""
 
         def sol(r):
             psi, w = self.sol(s * np.asarray(r, float))
-            return np.vstack([psi, s ** (self.p - 1.0) * w])
+            return np.vstack([psi, s ** (self.p.g - 1.0) * w])
 
-        return Shot(self.p, self.n, self.lam * s ** self.p, self.psi0, R, R, sol)
+        return Shot(self.p, self.n, self.lam * s ** self.p.g, self.psi0, R, R, sol)
 
 
 def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
@@ -187,22 +190,21 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     first_zero).  At lam = 0 the series and the right-hand side vanish, so
     the shot is the constant profile psi0.
     """
-    if p.is_infinity:
-        raise ValueError("shooting treats finite p only")
     if n < 2:
         raise ValueError("dimension n must be >= 2")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if psi0 <= 0:
         raise ValueError("psi0 must be positive")
-    pf, lam, psi0, R = p.p, float(lam), float(psi0), float(R)  # no numpy scalars in the loop
+    g, d = p.g, p.d(n)
+    klam, psi0, R = p.k * float(lam), float(psi0), float(R)  # no numpy scalars in the loop
     h0 = 1e-6 * R
-    e, q, c = 1.0 / (pf - 1.0), pf - 2.0, n - 1.0
+    e, q, c = 1.0 / (g - 1.0), g - 2.0, d - 1.0
 
     def rhs(r, psi, w):  # plain floats: the arithmetic of _dpsi_from_flux
-        return math.copysign(abs(w) ** e, w), -lam * abs(psi) ** q * psi - c * w / r
+        return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
 
-    ts, dense, first_zero = _dop853(rhs, h0, _series(pf, n, lam, psi0, h0)[:2], R, rtol, atol)
+    ts, dense, first_zero = _dop853(rhs, h0, _series(g, d, klam, psi0, h0)[:2], R, rtol, atol)
     r_end = float(ts[-1])
 
     def sol(r):
@@ -210,10 +212,10 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
         vals = dense(np.clip(r, h0, r_end))
         small = r < h0  # below the handover the series is the solution
         if np.any(small):
-            vals[:, small] = _series(pf, n, lam, psi0, r[small])[:2]
+            vals[:, small] = _series(g, d, klam, psi0, r[small])[:2]
         return vals
 
-    return Shot(pf, n, lam, psi0, r_end, first_zero, sol)
+    return Shot(p, n, float(lam), psi0, r_end, first_zero, sol)
 
 
 class _ProfileWriter:
@@ -255,10 +257,10 @@ class EigenResult(_ProfileWriter):
         derivative (independent of the equation, so residual checks are not
         circular).
         """
-        shot, R = self.shot, self.grid.R
+        shot, R, g = self.shot, self.grid.R, self.p.g
 
         def d1(r):
-            return _dpsi_from_flux(shot.sol(r)[1], shot.p)
+            return _dpsi_from_flux(shot.sol(r)[1], g)
 
         def d2(r, eps=1e-6 * R):
             r = np.asarray(r, float)
@@ -266,10 +268,10 @@ class EigenResult(_ProfileWriter):
             hi = np.minimum(r + eps, shot.r_end)
             return (d1(hi) - d1(lo)) / (hi - lo)
 
-        C = _series(shot.p, shot.n, shot.lam, shot.psi0, 0.0)[2]
+        C = _series(g, self.p.d(self.n), self.p.k * shot.lam, shot.psi0, 0.0)[2]
         return RadialProfile(value=lambda r: shot.sol(r)[0], d1=d1, d2=d2,
                              R=min(R, shot.r_end),
-                             origin=PowerOrigin(shot.p / (shot.p - 1.0), -C))
+                             origin=PowerOrigin(self.p.power_exponent, -C))
 
 
 def bracket_rate(p: Exponent, n: int, R: float) -> float:
@@ -282,14 +284,11 @@ def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
 
     The eigen barrier certifies lam_R <= rate, so the profile shot at
     lam = rate vanishes first at some r_z <= R.  The equation is invariant
-    under r -> s r, lam -> lam s^p, hence lam_R = rate (r_z / R)^p and the
+    under r -> s r, lam -> lam s^g, hence lam_R = rate (r_z / R)^g and the
     eigenfunction is that shot stretched by R / r_z.  A shot that stays
     positive on [0, R] breaks the certificate and raises ShootingError.  The
     profile is audited by an independent finite-difference residual.
     """
-    if p.is_infinity:
-        raise ValueError("first_eigenvalue treats 2 <= p < infinity only; "
-                         "the infinity eigenvalue is out of scope")
     rate = bracket_rate(p, n, R)
     shot = shoot_radial(p, n, R, rate)
     if shot.first_zero is None:
@@ -308,18 +307,17 @@ def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
 
 def elliptic_residual_grid(psi: np.ndarray, grid: RadialGrid, p: Exponent,
                            n: int, lam: float) -> np.ndarray:
-    """FD audit of Delta_p psi + lam psi^{p-1} at nodes 1..count-2."""
+    """FD audit of L psi + lam |psi|^{g-2} psi at nodes 1..count-2."""
     spatial = fd_laplacian_grid(psi[None, :], grid, p, n)[0]
-    return spatial[1:] + lam * np.abs(psi[1:-1]) ** (p.p - 2.0) * psi[1:-1]
+    return spatial[1:] + lam * np.abs(psi[1:-1]) ** (p.g - 2.0) * psi[1:-1]
 
 
 def scaling_check(p: Exponent, n: int, radii) -> float:
-    """Max relative spread of lam_R * R^p across radii (0 for a single radius)."""
+    """Max relative spread of lam_R * R^g across radii (0 for a single radius)."""
     radii = list(radii)
     if not radii:
         raise ValueError("need at least one radius")
-    vals = np.array([first_eigenvalue(p, n, R).lam * R ** p.p
-                     for R in radii])
+    vals = np.array([first_eigenvalue(p, n, R).lam * R ** p.g for R in radii])
     med = float(np.median(vals))
     return float(np.max(np.abs(vals - med)) / med)
 
@@ -345,12 +343,11 @@ class BvpResult(_ProfileWriter):
 def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> BvpResult:
     """Positive radial solution of the delta-boundary problem on B_R from one shot.
 
-    The equation is (p-1)-homogeneous in u, so with psi_1 the profile shot
+    The equation is (g-1)-homogeneous in u, so with psi_1 the profile shot
     from psi_1(0) = 1, the solution is u = M psi_1 with center value
     M_lambda = delta / psi_1(R).  Requires 0 < lam < lam_R, certified by
     psi_1 staying positive on [0, R]; at or above the eigenvalue the center
-    value blows up and no bounded positive solution exists.  Finite p only
-    (the shot raises ValueError at infinity).
+    value blows up and no bounded positive solution exists.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -372,23 +369,23 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> 
                      M_lambda=M, p=p, n=n)
 
 
-def epsilon_gain(bvp: BvpResult, t: float, slack: float = 1e-8) -> float:
+def epsilon_gain(result: BvpResult, t: float, slack: float = 1e-8) -> float:
     """Largest zero-order gain for the shifted profile u - t*delta.
 
-    eps = lam [ (1/(1 - t m/M))^{p-1} - 1 ] with m the boundary value and M
+    eps = lam [ (1/(1 - t m/M))^{g-1} - 1 ] with m the boundary value and M
     the center value; verifies on the grid that the shifted profile satisfies
-    Delta_p(u - t m) + (lam + eps)(u - t m)^{p-1} <= 0.
+    L(u - t m) + (lam + eps)(u - t m)^{g-1} <= 0.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
-    pf = bvp.p.p
-    m, M = bvp.delta, bvp.M_lambda
-    eps = bvp.lam * ((1.0 / (1.0 - t * m / M)) ** (pf - 1.0) - 1.0)
-    # along the profile Delta_p u = -lam u^{p-1} exactly, and shifting by a
-    # constant leaves Delta_p unchanged
-    res = -bvp.lam * bvp.u ** (pf - 1.0) + (bvp.lam + eps) * (bvp.u - t * m) ** (pf - 1.0)
+    lam, m, M, u = result.lam, result.delta, result.M_lambda, result.u
+    w = result.p.time_weight
+    eps = lam * ((1.0 / (1.0 - t * m / M)) ** w - 1.0)
+    # along the profile L u = -lam u^{g-1} exactly, and shifting by a
+    # constant leaves L unchanged
+    res = -lam * u ** w + (lam + eps) * (u - t * m) ** w
     worst = float(res.max())
-    scale = bvp.lam * M ** (pf - 1.0)
+    scale = lam * M ** w
     if worst > slack * scale:
         raise ShootingError(
             f"shifted-profile verification failed: worst residual {worst:.3e} "

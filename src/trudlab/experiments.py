@@ -4,7 +4,7 @@ Three scripted experiments combine the eigensolver, the barrier catalog and
 the radial solver:
 
 * decay_experiment: zero boundary data, direct-implicit scheme; the sup norm
-  of a nonnegative solution decays like exp(-lam_R t/(p-1)), exactly for
+  of a nonnegative solution decays like exp(-lam_R t/(g-1)), exactly for
   eigenfunction data and as an upper rate for generic data.
 * flatten_experiment: boundary data pinned at 1 with straddling initial data;
   the solution is squeezed to 1 inside the closed-form envelope pair.
@@ -102,15 +102,15 @@ def straddle_initial(m: float, M: float, R: float):
 def decay_experiment(p: Exponent, n: int, R: float, nodes: int = 401) -> ExperimentReport:
     """Measure sup-norm decay rates against the eigenvalue prediction.
 
-    Eigenfunction data attains the rate -lam_R/(p-1) (measured as equality
+    Eigenfunction data attains the rate -lam_R/(g-1) (measured as equality
     within RATE_TOLERANCE); generic nonnegative data satisfies it as an
     inequality.  Both runs keep the boundary at zero with the direct-implicit
-    scheme (BDF2 in b(u) = u^{p-1}, 200 steps to t_end = 5 (p-1)/lam_R).
+    scheme (BDF2 in b(u) = u^{g-1}, 200 steps to t_end = 5 (g-1)/lam_R).
     """
     t0 = time.time()
-    eig = first_eigenvalue(p, n, R)  # finite p only: raises ValueError at infinity
+    eig = first_eigenvalue(p, n, R)
     lam = eig.lam
-    w = p.p - 1.0
+    w = p.time_weight
     target_rate = -lam / w
     t_end = 5.0 * w / lam
     window = (0.5 * t_end, t_end)

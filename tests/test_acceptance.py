@@ -33,7 +33,7 @@ from trudlab.pde import (
 )
 
 from test_barriers import verdict_matches
-from test_eigensolver import bessel_j0_first_zero
+from test_eigensolver import bessel_j0_first_zero, infinity_eigenvalue
 
 P_SWEEP = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
            Exponent.finite(4), INFINITY]
@@ -109,18 +109,23 @@ class TestAcceptance:
         lam_2d = eigen_cache(2.0, 2, 1.0).lam
         t_2d = time.perf_counter() - t0
         j01 = bessel_j0_first_zero()
+        # infinity: the 1-D p = 4 eigenvalue pi^4/(64 R^4), pinned relative tolerance
+        inf_err = max(abs(eigen_cache("inf", 2, R).lam / infinity_eigenvalue(R) - 1.0)
+                      for R in (0.5, 1.0, 1.7))
         ok = (abs(lam_3d - PI2) < 1e-4 and abs(lam_2d - j01 ** 2) < 1e-3
-              and t_3d < 5.0 and t_2d < 5.0)
+              and inf_err < 1e-8 and t_3d < 5.0 and t_2d < 5.0)
         report("3 eigenvalue-oracles", ok,
                f"lam(2,3)={lam_3d:.8f} vs pi^2, lam(2,2)={lam_2d:.8f} vs "
-               f"{j01 ** 2:.8f}, {t_3d:.1f}s/{t_2d:.1f}s")
+               f"{j01 ** 2:.8f}, lam(inf) vs pi^4/(64R^4) rel {inf_err:.1e}, "
+               f"{t_3d:.1f}s/{t_2d:.1f}s")
 
     def test_04_scaling_law(self, eigen_cache):
-        """lam_R R^p constant over radii for each (p, n)."""
+        """lam_R R^g constant over radii for each (p, n)."""
         spreads = {}
-        for pv in (2.0, 3.0):
+        for pv in (2.0, 3.0, "inf"):
             for n in (2, 3):
-                vals = np.array([eigen_cache(pv, n, R).lam * R ** pv
+                g = Exponent.parse(pv).g
+                vals = np.array([eigen_cache(pv, n, R).lam * R ** g
                                  for R in (0.5, 1.0, 2.0)])
                 med = np.median(vals)
                 spreads[(pv, n)] = float(np.max(np.abs(vals - med)) / med)
@@ -147,16 +152,23 @@ class TestAcceptance:
         t0 = time.perf_counter()
         p3 = decay_experiment(Exponent.finite(3), 2, 1.0, nodes=401)
         t_p3 = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        inf = decay_experiment(INFINITY, 2, 1.0, nodes=401)
+        t_inf = time.perf_counter() - t0
         lam3 = p3.measured["lambda"]
+        inf_rate = -math.pi ** 4 / 192  # -lam/3 with the pi_p oracle's lam = pi^4/64
         heat_ok = abs(heat.measured["eigen_slope"] + PI2) <= 0.02 * PI2
         p3_ok = abs(p3.measured["eigen_slope"] + lam3 / 2) <= 0.02 * lam3 / 2
+        inf_ok = abs(inf.measured["eigen_slope"] - inf_rate) <= 0.02 * abs(inf_rate)
         gen_ok = (p3.measured["generic_slope"] <= -lam3 / 2 * 0.98
-                  and heat.measured["generic_slope"] <= -PI2 * 0.98)
-        time_ok = t_heat < 60.0 and t_p3 < 60.0
-        report("6 decay-rates", heat_ok and p3_ok and gen_ok and time_ok,
+                  and heat.measured["generic_slope"] <= -PI2 * 0.98
+                  and inf.measured["generic_slope"] <= inf_rate * 0.98)
+        time_ok = t_heat < 60.0 and t_p3 < 60.0 and t_inf < 60.0
+        report("6 decay-rates", heat_ok and p3_ok and inf_ok and gen_ok and time_ok,
                f"heat {heat.measured['eigen_slope']:.4f} vs {-PI2:.4f}, "
                f"p3 {p3.measured['eigen_slope']:.4f} vs {-lam3 / 2:.4f}, "
-               f"{t_heat:.0f}s/{t_p3:.0f}s")
+               f"inf {inf.measured['eigen_slope']:.4f} vs {inf_rate:.4f}, "
+               f"{t_heat:.0f}s/{t_p3:.0f}s/{t_inf:.0f}s")
 
     def test_07_flattening(self):
         """Solution pinned at boundary 1 stays in the envelope sandwich."""

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from trudlab.exponent import Exponent
 
 def run(args, out_dir):
     return main(args + ["--out", str(out_dir)])
+
+
+def strict_json(path):
+    """The file's JSON, refusing the NaN and Infinity that strict JSON has not."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestVerifyCommand:
@@ -95,6 +104,24 @@ class TestVerifyCommand:
                          for p in reports)
         assert configs == sorted(json.dumps(e, sort_keys=True) for e in entries)
 
+    @pytest.mark.parametrize("bad", [{"p": "2", "n": 2}, 5])
+    def test_sweep_bad_entry_is_usage(self, tmp_path, capsys, bad):
+        # every entry is checked before the first one runs
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps([{"family": "kernel", "p": "2", "samples": 400}, bad]))
+        assert run(["verify", "--sweep", str(sweep)], tmp_path / "out") == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_eigen_derived_strict_json(self, tmp_path):
+        # one derived dict in both branches: K = g + d - 2 = 3 at infinity
+        for p in ("3", "inf"):
+            assert run(["verify", "--family", "eigen", "--p", p, "--samples", "400"],
+                       tmp_path / p) == EXIT_OK
+            derived = strict_json(next((tmp_path / p).glob("verify-*.json")))["report"]["derived"]
+            assert set(derived) == {"k", "alpha", "theta2", "rate"}
+        assert (derived["k"], derived["alpha"], derived["theta2"]) == (3.0, 2.0, 0.5)
+
 
     @pytest.mark.parametrize("p", ["2", "2.5", "3", "4", "inf"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -125,10 +152,12 @@ class TestEigenCommand:
         assert code == EXIT_FAIL
         assert not list(tmp_path.glob("eigen-*"))
 
-    def test_infinity_out_of_scope(self, tmp_path, capsys):
-        code = run(["eigen", "--p", "inf"], tmp_path)
-        assert code == EXIT_USAGE
-        assert "out of scope" in capsys.readouterr().err
+    def test_infinity_branch(self, tmp_path):
+        # 1-D p = 4 eigenvalue (p-1)(pi_p/2)^p / k with pi_4 = pi/sqrt(2), k = 3
+        assert run(["eigen", "--p", "inf", "--n", "2"], tmp_path) == EXIT_OK
+        data = strict_json(next(tmp_path.glob("eigen-inf-2-*.json")))
+        assert data["lambda"] == pytest.approx(math.pi ** 4 / 64, rel=1e-8)
+        assert run(["eigen", "--p", "inf", "--scaling", "0.5,1,2"], tmp_path) == EXIT_OK
 
     def test_scaling_flag(self, tmp_path, capsys):
         code = run(["eigen", "--p", "2", "--n", "3", "--scaling", "0.5,1,2"],
@@ -201,6 +230,11 @@ class TestExperimentCommand:
                     "--nodes", "201"], tmp_path)
         assert code == EXIT_OK
 
+    def test_infinity_decay_passes(self, tmp_path):
+        code = run(["experiment", "decay", "--p", "inf", "--n", "2",
+                    "--nodes", "101"], tmp_path)
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("argv", [["flatten", "--p", "2", "--alpha", "0"],
                                       ["decay", "--p", "2", "--nodes", "0"]])
     def test_explicit_zero_is_not_the_default(self, tmp_path, argv):
@@ -242,7 +276,11 @@ class TestExitContract:
         ["eigen", "--p", "3", "--R", "nan"],
         ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "0.1", "--R", "-1"],
         ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "nan"],
-        ["experiment", "decay", "--p", "inf"],
+        # a non-finite catalog parameter: no overflow, no verdict, no Infinity in JSON
+        ["verify", "--family", "paraboloid", "--R", "nan"],
+        ["verify", "--family", "paraboloid", "--R", "inf"],
+        ["verify", "--family", "flatten-upper", "--R", "inf"],
+        ["verify", "--family", "flatten-lower", "--R", "inf"],
     ])
     def test_bad_input_is_usage(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == EXIT_USAGE
@@ -279,7 +317,9 @@ class TestExitContract:
 
     @pytest.mark.parametrize("entry", [{"n": "two"}, {"dt": "x"}, {"tolerance": None},
                                        {"initial": {"kind": "bump", "floor": "x"}},
-                                       {"boundary": {"kind": "constant", "value": "x"}}])
+                                       {"boundary": {"kind": "constant", "value": "x"}},
+                                       # int() would truncate these and run another problem
+                                       {"n": 2.5}, {"nodes": 21.5}])
     def test_bad_config_value_is_usage(self, tmp_path, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"p": "3", "scheme": "log-implicit", "t_end": 0.1, **entry}))
@@ -301,5 +341,5 @@ class TestExitContract:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli.build_parser.cache_clear()
         for _ in range(2):
-            assert main(["eigen", "--p", "inf"]) == EXIT_USAGE
+            assert main(["eigen", "--p", "1.5"]) == EXIT_USAGE
         assert progs.count("trudlab") == 1

@@ -1,8 +1,9 @@
 """Shooting eigensolver and the delta-boundary problem.
 
 Oracles: the linear case p = 2 has closed forms (sin(pi r)/(pi r) in three
-dimensions; the first Bessel J0 zero in two), built here independently of the
-solver before asserting against it.  For every p the shot is also checked
+dimensions; the first Bessel J0 zero in two), and the infinity branch, a 1-D
+p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p;
+all are built here independently of the solver before asserting against it.  For every p the shot is also checked
 against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
 own right-hand side, and the stepper against cos r.
 """
@@ -32,6 +33,7 @@ from trudlab.eigensolver import (
 )
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid
+from trudlab.operators import eval_radial_operator
 
 PI2 = math.pi ** 2
 
@@ -59,6 +61,20 @@ def bessel_j0_first_zero():
     return 0.5 * (lo + hi)
 
 
+def interval_eigenvalue(p, L):
+    """First Dirichlet eigenvalue of (|u'|^{p-2} u')' + mu |u|^{p-2} u = 0 on an
+    interval of length L: (p-1)(pi_p/L)^p with pi_p = 2 pi/(p sin(pi/p))
+    (Lindqvist, Ricerche Mat. 1995; Drabek-Manasevich, Diff. Int. Eq. 1999)."""
+    pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
+    return (p - 1.0) * (pi_p / L) ** p
+
+
+def infinity_eigenvalue(R):
+    """lam of (psi'^3)'/3 + lam psi^3 = 0 on B_R, psi'(0) = 0: the symmetric p = 4
+    eigenfunction on L = 2R, its eigenvalue divided by k = 3; pi^4/(64 R^4)."""
+    return interval_eigenvalue(4.0, 2.0 * R) / 3.0
+
+
 J01 = bessel_j0_first_zero()
 
 
@@ -80,9 +96,11 @@ class TestShootRadial:
         sh = shoot_radial(Exponent.finite(2), 2, 1.2, lam)
         assert sh.first_zero == pytest.approx(1.0, abs=1e-4)
 
-    def test_infinity_rejected(self):
-        with pytest.raises(ValueError):
-            shoot_radial(INFINITY, 2, 1.0, 1.0)
+    def test_infinity_zero_at_oracle_rate(self):
+        # d = 1 at infinity: the shot is the same in every dimension n
+        shots = [shoot_radial(INFINITY, n, 1.2, infinity_eigenvalue(1.0)) for n in (2, 3)]
+        assert shots[0].first_zero == pytest.approx(1.0, rel=1e-9)
+        assert shots[1].first_zero == shots[0].first_zero
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_dimension_below_two_rejected(self, n):
@@ -292,10 +310,6 @@ class TestFirstEigenvalue:
         assert 1.7 <= slope <= 2.3, (norms, slope)
         assert max(full) < 10.0 * res.lam
 
-    def test_infinity_out_of_scope(self):
-        with pytest.raises(ValueError):
-            first_eigenvalue(INFINITY, 2, 1.0)
-
     def test_result_frozen(self, eigen_cache):
         res = eigen_cache(2.0, 3, 1.0)
         with pytest.raises(FrozenInstanceError):
@@ -419,8 +433,6 @@ class TestDeltaBvp:
             solve_delta_bvp(Exponent.finite(2), 3, 1.0, 1.0, -1.0)
         with pytest.raises(ValueError):
             solve_delta_bvp(Exponent.finite(2), 3, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            solve_delta_bvp(INFINITY, 3, 1.0, 1.0, 1.0)
 
 
 class TestEpsilonGain:
@@ -486,3 +498,40 @@ class TestBvpSerialization:
         path = tmp_path / "bvp.csv"
         b.to_csv(path)
         assert path.read_text().splitlines()[0] == "r,u"
+
+
+class TestInfinity:
+    """The infinity branch (g, k, d) = (4, 3, 1) through the same shot."""
+
+    def test_oracle_is_the_closed_form(self):
+        assert interval_eigenvalue(2.0, 1.0) == pytest.approx(PI2, rel=1e-15)
+        for R in (0.5, 1.0, 1.7):
+            assert infinity_eigenvalue(R) == pytest.approx(math.pi ** 4 / (64 * R ** 4),
+                                                           rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
+    def test_eigenvalue_matches_oracle(self, eigen_cache, n, R):
+        res = eigen_cache("inf", n, R)
+        assert abs(res.lam - infinity_eigenvalue(R)) <= 1e-8 * infinity_eigenvalue(R)
+        assert res.lam <= res.rate_bound
+        assert res.psi[0] == 1.0 and abs(res.psi[-1]) < 1e-6
+
+    def test_profile_solves_the_law(self, eigen_cache):
+        # the axis value comes from the series coefficient, which must be
+        # taken at the shot's rate k lam: lam alone leaves 2 lam/3 there
+        res = eigen_cache("inf", 2, 1.0)
+        prof = res.profile()
+        r = np.array([0.0, 0.05, 0.2, 0.5, 0.8, 0.95])
+        resid = eval_radial_operator(prof, INFINITY, 2, r) + res.lam * prof.value(r) ** 3
+        assert np.abs(resid).max() < 1e-8 * res.lam
+
+    def test_delta_bvp_and_gain(self, eigen_cache):
+        lam_R = eigen_cache("inf", 2, 1.0).lam
+        base = solve_delta_bvp(INFINITY, 2, 1.0, 0.5 * lam_R, 1.0)
+        scaled = solve_delta_bvp(INFINITY, 2, 1.0, 0.5 * lam_R, 2.0)
+        assert base.u[-1] == pytest.approx(1.0, rel=1e-10)
+        assert scaled.M_lambda == pytest.approx(2.0 * base.M_lambda, rel=1e-9)
+        assert 0.0 < epsilon_gain(base, 0.5) < lam_R
+        with pytest.raises(ShootingError):
+            solve_delta_bvp(INFINITY, 2, 1.0, 1.01 * lam_R, 1.0)

@@ -74,9 +74,11 @@ class TestDecay:
         assert rep.measured["eigen_slope"] == pytest.approx(rate, rel=0.02)
         assert rep.all_pass, rep.passes
 
-    def test_infinity_rejected(self):
-        with pytest.raises(ValueError):
-            decay_experiment(INFINITY, 2, 1.0)
+    def test_infinity_rate_at_101_nodes(self):
+        # 3 u^2 u_t = Delta_inf u decays at -lam/(g-1) = -lam/3
+        rep = decay_experiment(INFINITY, 2, 1.0, nodes=101)
+        assert rep.targets["eigen_slope"]["value"] == -rep.measured["lambda"] / 3.0
+        assert rep.all_pass, rep.passes
 
 
 class TestFlatten:
