@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -91,9 +90,6 @@ class ResidualReport:
                 "argmin": self.argmin._asdict(), "argmax": self.argmax._asdict(),
                 "verdict": self.verdict.value}
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
-
 
 @dataclass(frozen=True)
 class BarrierSpec:
@@ -130,11 +126,12 @@ class BarrierSpec:
         res, _ = self.residual_fn(np.asarray(r, float), np.asarray(t, float))
         return res
 
-    def default_region(self, t_span: float = 2.0) -> tuple:
+    def default_region(self) -> tuple:
+        """The validity box, its radii cut at 3 and its times at t_start + 2."""
         r_lo, r_hi = self.r_range
         if not np.isfinite(r_hi):
             r_hi = 3.0
-        t_hi = min(self.t_start + t_span, self.t_end)
+        t_hi = min(self.t_start + 2.0, self.t_end)
         return (r_lo, r_hi, self.t_start, t_hi)
 
 
@@ -577,11 +574,6 @@ def _boundary_law(p: Exponent, n: int, case_params: dict) -> tuple:
     return e, r0, r1, K, lam_max
 
 
-def boundary_barrier_max_rate(p: Exponent, n: int, case_params: dict) -> float:
-    """Admissible zero-order rate bound for the elliptic boundary barriers."""
-    return _boundary_law(p, n, case_params)[-1]
-
-
 def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | None = None,
                           R: float = 1.0, theta: float = 0.5, alpha: float | None = None,
                           rho: float = 0.5, safety: float = 1.05) -> BarrierSpec:
@@ -807,13 +799,17 @@ CATALOG_FAMILIES = {
 
 def make_family(family: str, p: Exponent, n: int, given: dict) -> BarrierSpec:
     """Build a catalog family by name from the values `given` sets; every
-    parameter left out or None takes its maker's default; a non-finite one
-    is a ConstraintError."""
+    parameter left out or None takes its maker's default; a non-numeric or
+    non-finite one is a ConstraintError."""
     if family not in CATALOG_FAMILIES:
         raise ConstraintError(
             f"unknown family {family!r}; choose from {', '.join(CATALOG_FAMILIES)}")
     maker, names = CATALOG_FAMILIES[family]
-    values = {k: float(given[k]) for k in names if given.get(k) is not None}
+    given = {k: given[k] for k in names if given.get(k) is not None}
+    try:
+        values = {k: float(v) for k, v in given.items()}
+    except (TypeError, ValueError):
+        raise ConstraintError(f"parameters must be numbers, got {given}") from None
     bad = {k: v for k, v in values.items() if not np.isfinite(v)}
     if bad:
         raise ConstraintError(f"parameters must be finite, got {bad}")

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import barriers
-from .artifacts import create_artifacts
+from .artifacts import write_artifacts
 from .barriers import ConstraintError, Verdict, verify_sign
 from .eigensolver import ShootingError, first_eigenvalue, scaling_check
 from .exponent import Exponent
@@ -99,23 +99,15 @@ VERIFY_FLAGS = {"family": str, "p": str, "n": int, "R": float, "T": float, "alph
 VERIFY_KEYS = set(VERIFY_FLAGS) | {"safety"}
 
 
-def _build_barrier(cfg: dict):
-    """The family spec of a verify config; unset parameters take the makers' defaults."""
-    return barriers.make_family(cfg["family"], _exponent(cfg.get("p", 2)),
-                                _dimension(cfg.get("n", 2)), cfg)
-
-
 def _run_verify_one(cfg: dict, out_dir: str) -> int:
-    spec = _build_barrier(cfg)
+    # unset family parameters take the makers' defaults
+    spec = barriers.make_family(cfg["family"], _exponent(cfg.get("p", 2)),
+                                _dimension(cfg.get("n", 2)), cfg)
     knobs = {k: _convert(VERIFY_FLAGS[k], k, cfg[k]) for k in ("samples", "tolerance", "seed")
              if cfg.get(k) is not None}
     report = verify_sign(spec, **knobs)
-    base, fh = create_artifacts(
-        out_dir, f"verify-{spec.family.value}-{spec.p.label}-{spec.n}", cfg, (".json",))
-    path = base + ".json"
-    payload = {"config": cfg, "report": report.to_dict()}
-    with fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, default=float)
+    [path] = write_artifacts(out_dir, f"verify-{spec.family.value}-{spec.p.label}-{spec.n}",
+                             cfg, {"config": cfg, "report": report.to_dict()})
     expected = spec.expected.value if spec.expected else None
     ok = (report.verdict == spec.expected
           or (report.verdict == Verdict.SOLUTION
@@ -152,14 +144,11 @@ def cmd_eigen(args) -> int:
         print(f"scaling spread of lambda_R * R^g over radii {radii}: {spread:.3e}")
         return EXIT_OK if spread < 1e-4 else EXIT_FAIL
     res = first_eigenvalue(p, n, args.R)
-    base, fh = create_artifacts(out_dir, f"eigen-{p.label}-{n}",
-                                 {"p": p.label, "n": n, "R": args.R}, (".json", ".csv"))
-    with fh:
-        fh.write(res.to_json(indent=2))
-    res.to_csv(base + ".csv")
+    paths = write_artifacts(out_dir, f"eigen-{p.label}-{n}", {"p": p.label, "n": n, "R": args.R},
+                            res.to_dict(), {".csv": res.to_csv})
     print(f"lambda = {res.lam:.10g}  (certified bound {res.rate_bound:.6g}, "
           f"residual audit {res.residual_norm:.3e})")
-    print(f"wrote {base}.json, {base}.csv")
+    print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 
 
@@ -203,15 +192,6 @@ def _boundary_from_config(spec):
     return lambda t: value
 
 
-def _finite_or_null(obj):
-    """obj with every non-finite float written as None: strict JSON has no NaN."""
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
-
-
 def cmd_solve(args) -> int:
     out_dir = _out_dir(args)
     cfg = _load_config(args.config, SOLVE_KEYS, {
@@ -234,13 +214,11 @@ def cmd_solve(args) -> int:
         tolerance=_convert(float, "tolerance", cfg.get("tolerance", 1e-9)))
     field = solve_trudinger_radial(sc)
     manifest = {**field.manifest(), "config_echo": {k: cfg.get(k) for k in sorted(cfg)}}
-    base, fh = create_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, (".json", ".csv"))
-    with fh:
-        field.to_csv(base + ".csv")
-        json.dump(_finite_or_null(manifest), fh, indent=2, sort_keys=True)
+    json_path, csv_path = write_artifacts(out_dir, f"solve-{sc.p.label}-{sc.n}", cfg, manifest,
+                                          {".csv": field.to_csv})
     audit, bound = field.metadata["audit_max"], field.metadata["consistency_bound_residual"]
     print(f"levels {len(field.times)}, audit residual {audit:.3e}, bound {bound:.3e}")
-    print(f"wrote {base}.csv, {base}.json")
+    print(f"wrote {csv_path}, {json_path}")
     # the bound is the audit plus a nonnegative term: only a non-finite audit fails
     return EXIT_OK if np.isfinite([audit, bound]).all() else EXIT_FAIL
 

@@ -23,7 +23,6 @@ center value (from its boundary trace).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -39,6 +38,7 @@ from .grids import RadialGrid
 from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
 
 GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
+RTOL, ATOL = 1e-11, 1e-13  # the shot's DOP853 tolerances
 
 
 class ShootingError(RuntimeError):
@@ -182,8 +182,7 @@ class Shot:
         return Shot(self.p, self.n, self.lam * s ** self.p.g, self.psi0, R, R, sol)
 
 
-def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
-                 rtol: float = 1e-11, atol: float = 1e-13) -> Shot:
+def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0) -> Shot:
     """Integrate the radial eigen-equation from the axis out to r = R.
 
     Stops at R or at the first sign change of psi (location recorded in
@@ -204,7 +203,7 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
     def rhs(r, psi, w):  # plain floats: the arithmetic of _dpsi_from_flux
         return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
 
-    ts, dense, first_zero = _dop853(rhs, h0, _series(g, d, klam, psi0, h0)[:2], R, rtol, atol)
+    ts, dense, first_zero = _dop853(rhs, h0, _series(g, d, klam, psi0, h0)[:2], R, RTOL, ATOL)
     r_end = float(ts[-1])
 
     def sol(r):
@@ -219,10 +218,7 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0,
 
 
 class _ProfileWriter:
-    """JSON and CSV writers of the two result types; the CSV holds (r, `column`)."""
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
+    """CSV writer of the two result types: the rows (r, `column`)."""
 
     def to_csv(self, path) -> None:
         """r,<column> rows as csv.writer writes them (%.17g, CRLF), one write."""

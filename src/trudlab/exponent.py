@@ -17,20 +17,21 @@ finite exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Exponent:
-    """Either Finite(p) with p >= 2 or the infinity label (stored as None)."""
+    """Either Finite(p) with real p >= 2 (never inf) or the infinity label (stored as None)."""
 
     value: float | None
 
     def __post_init__(self):
         if self.value is not None:
             p = float(self.value)
-            if not p >= 2.0:
-                raise ValueError(f"finite exponent must satisfy p >= 2, got {p}")
+            if not 2.0 <= p < math.inf:  # infinity is the label, never a finite value
+                raise ValueError(f"finite exponent must satisfy 2 <= p < inf, got {p}")
             object.__setattr__(self, "value", p)
 
     @classmethod

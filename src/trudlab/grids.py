@@ -66,14 +66,6 @@ class SpaceTimeField:
     def inf_per_level(self) -> np.ndarray:
         return self.values.min(axis=1)
 
-    def parabolic_boundary_values(self) -> np.ndarray:
-        """Data on the parabolic boundary: initial level plus the r=R column."""
-        return np.concatenate([self.values[0, :], self.values[1:, -1]])
-
-    def interior_values(self) -> np.ndarray:
-        """All nodes strictly inside the space-time cylinder (the axis r=0 is interior)."""
-        return self.values[1:, :-1]
-
     def to_csv(self, path) -> None:
         """t,r,u rows as csv.writer writes them (%.17g, CRLF), one level per write.
 

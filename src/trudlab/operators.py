@@ -2,21 +2,23 @@
 
 Every evaluator is written once in the exponent law (g, k, d) of
 `exponent.Exponent`: (p, 1, n) for finite p and (4, 3, 1) for infinity.
-Two parabolic operators are implemented in their radial forms:
+Two parabolic residuals are evaluated over broadcast (r, t) arrays in their
+radial forms:
 
-    trudinger_residual:  L u - (g-1) u^{g-2} u_t
-    log_form_residual:   L v + ((g-1)/k)|Dv|^g - (g-1) v_t
+    trudinger_residual_grid:  L u - (g-1) u^{g-2} u_t
+    log_form_residual_grid:   L v + ((g-1)/k)|Dv|^g - (g-1) v_t
 
 with the radial operator L u = |u'|^{g-2}((g-1)u'' + (d-1)u'/r)/k, that is
 Delta_p u for finite p and Delta_inf u = (u')^2 u'' for infinity.  If
 u = exp(v) > 0, the first residual equals u^{g-1} times the second evaluated
 at v; `log_transform_consistency` measures that identity.
 
-Profiles supply exact derivative callbacks; grid fields are audited with
-finite differences (`fd_residual_on_field`).  The audit is written out per
-branch on purpose, without the law: it is the independent oracle the solver
-and the closed forms are checked against.  All evaluators broadcast over
-numpy arrays.
+Both return (residual, term-magnitude scale); at one point (r, t) the
+residual is the [0][0] entry of that pair.  Profiles supply exact derivative
+callbacks; grid fields are audited with finite differences
+(`fd_residual_on_field`).  The audit is written out per branch on purpose,
+without the law: it is the independent oracle the solver and the closed
+forms are checked against.
 """
 
 from __future__ import annotations
@@ -213,22 +215,6 @@ def trudinger_residual_grid(u: SpaceTimeFunction, p: Exponent, n: int, r, t):
     return spatial - time_term, np.abs(spatial) + np.abs(time_term)
 
 
-def _at_point(residual_grid, u: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
-    pt = SpaceTimePoint(*pt)
-    try:
-        res, _ = residual_grid(u, p, n, pt.r, pt.t)
-    except (DomainError, EvaluationError):
-        raise
-    except Exception as exc:  # derivative callbacks are caller-supplied
-        raise EvaluationError(f"derivative callbacks failed at {pt}: {exc}") from exc
-    return float(np.asarray(res).flat[0])
-
-
-def trudinger_residual(u: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
-    """Delta_p u - (p-1) u^{p-2} u_t at one point (Delta_inf u - 3 u^2 u_t)."""
-    return _at_point(trudinger_residual_grid, u, p, n, pt)
-
-
 def log_form_residual_grid(v: SpaceTimeFunction, p: Exponent, n: int, r, t):
     """Vectorized log-form residual; returns (residual, term-magnitude scale)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -238,11 +224,6 @@ def log_form_residual_grid(v: SpaceTimeFunction, p: Exponent, n: int, r, t):
     time_term = p.time_weight * np.asarray(v.dt(r_b, t_b), dtype=float)
     res = spatial + grad_term - time_term
     return res, np.abs(spatial) + grad_term + np.abs(time_term)
-
-
-def log_form_residual(v: SpaceTimeFunction, p: Exponent, n: int, pt) -> float:
-    """Delta_p v + (p-1)|Dv|^p - (p-1) v_t (Delta_inf v + |Dv|^4 - 3 v_t)."""
-    return _at_point(log_form_residual_grid, v, p, n, pt)
 
 
 def log_transform_consistency(u: SpaceTimeFunction, p: Exponent, n: int,

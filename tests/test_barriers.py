@@ -4,7 +4,6 @@ Frozen constants were computed by hand from the closed forms (and double
 checked with an independent arithmetic script where noted in comments).
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from trudlab.barriers import (
     ConstraintError,
     Family,
     Verdict,
-    boundary_barrier_max_rate,
     default_catalog,
     growth_barrier_max_b,
     make_boundary_barrier,
@@ -36,7 +34,6 @@ from trudlab.operators import (
     fd_residual_on_field,
     log_form_residual_grid,
     log_transform_consistency,
-    trudinger_residual,
     trudinger_residual_grid,
 )
 
@@ -301,7 +298,7 @@ class TestTimeFactor:
         rng = np.random.default_rng(3)
         rs = rng.uniform(0.05, 0.9, 200)
         ts = rng.uniform(S, T, 200)
-        direct = np.array([trudinger_residual(u, Exponent.finite(2), 3, (r, t))
+        direct = np.array([trudinger_residual_grid(u, Exponent.finite(2), 3, r, t)[0][0]
                            for r, t in zip(rs, ts)])
         closed = (-lam * psi(rs) * tf.F(ts) ** 0 / 2.0
                   * (beta_S - 2.0) / (beta_S - 1.0))
@@ -330,7 +327,7 @@ class TestTimeFactor:
         rng = np.random.default_rng(5)
         rs = rng.uniform(0.1, 0.9, 100)
         ts = rng.uniform(0.0, T, 100)
-        direct = np.array([trudinger_residual(u, Exponent.finite(3), 2, (r, t))
+        direct = np.array([trudinger_residual_grid(u, Exponent.finite(3), 2, r, t)[0][0]
                            for r, t in zip(rs, ts)])
         psi_vals = prof.value(rs)
         closed = (-lam * psi_vals ** 2 * tf.F(ts) / 2.0
@@ -342,8 +339,8 @@ class TestTimeFactor:
 class TestBoundaryBarriers:
     def test_cone_constants(self):
         # p=4, n=2, theta=1/2, R=1: alpha = 1/3, admissible rate < 1/27
-        assert boundary_barrier_max_rate(
-            Exponent.finite(4), 2, {"theta": 0.5, "R": 1.0}) == pytest.approx(1.0 / 27.0)
+        assert make_boundary_barrier(Exponent.finite(4), 2, theta=0.5, R=1.0).derived[
+            "lam_max"] == pytest.approx(1.0 / 27.0)
         s = make_boundary_barrier(Exponent.finite(4), 2, delta=1.0, lam=1.0 / 54.0,
                                   R=1.0, theta=0.5)
         assert s.derived["alpha"] == pytest.approx(1.0 / 3.0)
@@ -364,7 +361,7 @@ class TestBoundaryBarriers:
 
     def test_outer_ball_residual_sampled(self):
         p = Exponent.finite(2)
-        lam = 0.5 * boundary_barrier_max_rate(p, 3, {"alpha": 1.5, "rho": 0.5, "R": 1.0})
+        lam = 0.5 * make_boundary_barrier(p, 3, alpha=1.5, rho=0.5, R=1.0).derived["lam_max"]
         s = make_boundary_barrier(p, 3, delta=1.0, lam=lam, R=1.0, alpha=1.5, rho=0.5)
         r = np.linspace(0.5, 1.5, 1000)
         res = s.residual(r, 0.0 * r)
@@ -437,7 +434,7 @@ class TestVerifySign:
     def test_report_fields_and_json(self):
         spec = make_paraboloid(Exponent.finite(3), 2, 1.0)
         rep = verify_sign(spec)
-        data = json.loads(rep.to_json())
+        data = rep.to_dict()
         assert data["verdict"] == "Supersolution"
         assert data["family"] == "paraboloid"
         assert set(data) >= {"params", "derived", "min_residual", "max_residual",
@@ -447,7 +444,7 @@ class TestVerifySign:
     def test_determinism(self):
         a = verify_sign(make_eigen_barrier(Exponent.finite(2.5), 2, 1.0))
         b = verify_sign(make_eigen_barrier(Exponent.finite(2.5), 2, 1.0))
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_region_validation(self):
         spec = make_flattening_upper(Exponent.finite(3), 2, 1.0, M=2.0, alpha=1.0)
@@ -468,8 +465,8 @@ class TestVerifySign:
             M = float(rng.uniform(1.5, 4.0))
             m = float(rng.uniform(0.2, 0.8))
             theta = float(rng.uniform(0.2, 0.8))
-            lam = float(rng.uniform(0.2, 0.8)) * boundary_barrier_max_rate(
-                p, n, {"theta": theta, "R": R})
+            lam = float(rng.uniform(0.2, 0.8)) * make_boundary_barrier(
+                p, n, theta=theta, R=R).derived["lam_max"]
             decay = float(rng.uniform(0.2, 2.0))
             specs = [
                 make_eigen_barrier(p, n, R),
@@ -653,5 +650,5 @@ class TestCatalogDefaults:
             case = {"theta": 0.5, "R": 1.0}
         else:
             case = {"alpha": 1.0 + max(0.0, (n - p.p) / (p.p - 1.0)), "rho": 0.5, "R": 1.0}
-        lam = 0.5 * boundary_barrier_max_rate(p, n, case)
+        lam = 0.5 * make_boundary_barrier(p, n, **case).derived["lam_max"]
         assert built["boundary"] == {"delta": 1.0, "lam": lam, **case, "safety": 1.05}

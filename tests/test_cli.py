@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from trudlab import cli, eigensolver, pde
-from trudlab.barriers import CATALOG_FAMILIES, default_catalog
-from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, _build_barrier, main
+from trudlab.barriers import CATALOG_FAMILIES, default_catalog, make_family
+from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from trudlab.exponent import Exponent
 
 
@@ -130,7 +130,7 @@ class TestVerifyCommand:
         catalog = default_catalog(Exponent.parse(p), n)
         assert len(catalog) == (8 if p != "inf" else 7)
         for name, spec in zip(CATALOG_FAMILIES, catalog):
-            built = _build_barrier({"family": name, "p": p, "n": n})
+            built = make_family(name, Exponent.parse(p), n, {"family": name, "p": p, "n": n})
             assert built.family == spec.family
             assert built.params == spec.params
 
@@ -250,6 +250,14 @@ class TestExperimentCommand:
         assert len(files) == 9
         assert sum(f.endswith(".json") for f in files) == 3
 
+    @pytest.mark.parametrize("argv", [["flatten", "--p", "3", "--nodes", "41"],
+                                      ["pl", "--p", "3"], ["pl", "--p", "inf"]])
+    def test_pass_flags_are_json_booleans(self, tmp_path, argv):
+        run(["experiment", *argv], tmp_path)
+        [report] = tmp_path.glob("*.json")
+        passes = strict_json(report)["passes"]
+        assert passes and all(isinstance(ok, bool) for ok in passes.values()), passes
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRUDLAB_OUT", str(tmp_path / "envout"))
         code = main(["experiment", "pl", "--p", "2", "--n", "2"])
@@ -281,6 +289,9 @@ class TestExitContract:
         ["verify", "--family", "paraboloid", "--R", "inf"],
         ["verify", "--family", "flatten-upper", "--R", "inf"],
         ["verify", "--family", "flatten-lower", "--R", "inf"],
+        # an overflowing exponent is no finite p, and not the infinity label either
+        ["eigen", "--p", "1e999"],
+        ["verify", "--family", "eigen", "--p", "1e999"],
     ])
     def test_bad_input_is_usage(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == EXIT_USAGE
@@ -314,6 +325,16 @@ class TestExitContract:
         cfg.write_text(json.dumps(payload))
         assert run(argv + [str(cfg)], tmp_path / "out") == EXIT_USAGE
         assert "dimension n must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [{"family": "eigen", "R": "x"},
+                                       {"family": "growth", "alpha": [1]},
+                                       {"family": "boundary", "lam": {"v": 1}}])
+    def test_non_numeric_family_parameter_is_usage(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert run(["verify", "--config", str(cfg)], tmp_path / "out") == EXIT_USAGE
+        assert "parameters must be numbers" in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("entry", [{"n": "two"}, {"dt": "x"}, {"tolerance": None},
                                        {"initial": {"kind": "bump", "floor": "x"}},

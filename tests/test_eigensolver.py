@@ -9,7 +9,6 @@ own right-hand side, and the stepper against cos r.
 """
 
 import csv
-import json
 import math
 from dataclasses import FrozenInstanceError
 
@@ -317,7 +316,7 @@ class TestFirstEigenvalue:
 
     def test_serialization(self, eigen_cache, tmp_path):
         res = eigen_cache(2.0, 3, 1.0)
-        data = json.loads(res.to_json())
+        data = res.to_dict()
         assert data["lambda"] == pytest.approx(PI2, abs=1e-4)
         path = tmp_path / "eig.csv"
         res.to_csv(path)
@@ -493,7 +492,7 @@ class TestQuotientComparison:
 class TestBvpSerialization:
     def test_json_and_csv(self, tmp_path):
         b = solve_delta_bvp(Exponent.finite(2), 3, 1.0, 0.5 * PI2, 1.0)
-        data = json.loads(b.to_json())
+        data = b.to_dict()
         assert data["M_lambda"] == pytest.approx(b.M_lambda)
         path = tmp_path / "bvp.csv"
         b.to_csv(path)

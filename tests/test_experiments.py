@@ -60,7 +60,7 @@ class TestDecay:
         assert p3_report.measured["generic_slope"] <= -lam / 2.0 * 0.98
 
     def test_report_shape(self, heat_report):
-        data = json.loads(heat_report.to_json())
+        data = heat_report.to_dict()
         assert data["name"] == "decay"
         assert set(data["passes"]) == {"eigen_rate_attained", "generic_rate_inequality"}
         for tgt in data["targets"].values():
@@ -84,6 +84,14 @@ class TestDecay:
 class TestFlatten:
     def test_all_checks_pass_p2(self, p2_flatten_report):
         assert p2_flatten_report.all_pass, p2_flatten_report.passes
+
+    def test_envelope_flag_applies_declared_tolerance(self, p2_flatten_report):
+        # the flag is the excess compared with the tolerance the report states
+        rep = p2_flatten_report
+        tolerance = rep.targets["envelope"]["tolerance"]
+        assert rep.passes["envelope"] == (rep.measured["envelope_excess"] <= tolerance)
+        t_end, alpha = rep.measured["t_end"], rep.inputs["alpha"]
+        assert tolerance > rep.measured["consistency_bound_u"] * (1.0 + t_end) ** alpha
 
     def test_sandwich_any_alpha_p2(self):
         # p = 2 admits every alpha > 0

@@ -20,9 +20,8 @@ from trudlab.operators import (
     SpaceTimeFunction,
     eval_radial_operator,
     fd_residual_on_field,
-    log_form_residual,
+    log_form_residual_grid,
     log_transform_consistency,
-    trudinger_residual,
     trudinger_residual_grid,
 )
 from trudlab.operators import _spatial_terms
@@ -140,12 +139,12 @@ class TestParabolicResiduals:
                               lambda r, t: 0.0 * np.asarray(r),
                               lambda r, t: 0.0 * np.asarray(r))
         for p in (Exponent.finite(2), Exponent.finite(3.5), INFINITY):
-            assert trudinger_residual(u, p, 3, (0.4, 1.0)) == 0.0
-            assert log_form_residual(u, p, 3, (0.4, 1.0)) == 0.0
+            assert trudinger_residual_grid(u, p, 3, 0.4, 1.0)[0][0] == 0.0
+            assert log_form_residual_grid(u, p, 3, 0.4, 1.0)[0][0] == 0.0
 
     def test_heat_kernel_annihilated(self):
         K = heat_kernel(2)
-        assert abs(trudinger_residual(K, Exponent.finite(2), 2, (1.0, 1.0))) < 1e-12
+        assert abs(trudinger_residual_grid(K, Exponent.finite(2), 2, 1.0, 1.0)[0][0]) < 1e-12
 
     def test_linear_in_time_log_form(self):
         a = 0.7
@@ -153,7 +152,8 @@ class TestParabolicResiduals:
                               lambda r, t: 0.0 * np.asarray(r),
                               lambda r, t: 0.0 * np.asarray(r),
                               lambda r, t: a + 0 * np.asarray(r))
-        assert log_form_residual(v, Exponent.finite(3), 2, (0.3, 0.5)) == pytest.approx(-2 * a)
+        res = log_form_residual_grid(v, Exponent.finite(3), 2, 0.3, 0.5)[0][0]
+        assert res == pytest.approx(-2 * a)
 
     def test_infinity_matches_hand_formula(self):
         # u = exp(r^2 + t): Delta_inf u - 3u^2 u_t and, for v = r^2 + t,
@@ -168,9 +168,9 @@ class TestParabolicResiduals:
             want_u = ur ** 2 * urr - 3 * uu ** 2 * uu
             want_v = (2 * r) ** 2 * 2 + (2 * r) ** 4 - 3
             for n in (2, 3):
-                assert trudinger_residual(u, INFINITY, n, (r, t)) == pytest.approx(
+                assert trudinger_residual_grid(u, INFINITY, n, r, t)[0][0] == pytest.approx(
                     want_u, rel=1e-12)
-                assert log_form_residual(v, INFINITY, n, (r, t)) == pytest.approx(
+                assert log_form_residual_grid(v, INFINITY, n, r, t)[0][0] == pytest.approx(
                     want_v, rel=1e-12)
 
 
