@@ -215,9 +215,9 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
     (x, iterations, max|F|); x is None if the search stalls or MAX_NEWTON
     iterations miss the tolerance."""
     F, cache = residual(x)
-    norm0 = np.abs(F).max()
+    norm = norm0 = np.abs(F).max()
+    merit = math.sqrt(F.dot(F))  # |F|_2, carried with F from the accepted trial
     for it in range(MAX_NEWTON):
-        norm = np.abs(F).max()
         if norm <= tol_abs:
             return x, it, norm
         lower, diag, upper = jacobian(cache)
@@ -227,7 +227,6 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
         big = np.abs(delta).max()
         if big > clip:
             delta *= clip / big
-        merit = math.sqrt(F.dot(F))  # |F|_2
         step = 1.0
         for _ in range(25):
             trial = x.copy()
@@ -237,12 +236,12 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
             # (an overflowing sum of squares fails the merit test either way)
             sq = F_try.dot(F_try)
             if math.isfinite(sq) and math.sqrt(sq) < merit:
-                x, F, cache = trial, F_try, cache_try
+                x, F, cache, merit = trial, F_try, cache_try, math.sqrt(sq)
+                norm = np.abs(F).max()
                 break
             step *= 0.5
         else:
             return None, it, norm
-    norm = np.abs(F).max()
     if norm <= max(tol_abs, 1e-10 * norm0):
         return x, MAX_NEWTON, norm
     return None, MAX_NEWTON, norm
