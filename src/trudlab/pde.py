@@ -11,7 +11,13 @@ Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
   = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
 
 Both run one damped Newton loop (`_newton`) on the flux tridiagonal
-(`_flux_jacobian`) plus the scheme's own terms; LAPACK dgtsv solves.
+(`_flux_jacobian`) plus the scheme's own terms; LAPACK dgtsv solves.  Newton
+starts from the polynomial through the last one to three accepted levels
+(`_extrapolate`, the predictor of BDF codes), clipped at zero on the direct
+scheme.  The log scheme restarts that history at a step that took more than
+6 iterations (its dt regrowth bound): levels before a hard step predict
+nothing.  Field metadata counts the work: newton_iterations_max and _total
+over accepted steps, and log-implicit's rejected_steps (dt halvings).
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -207,6 +213,21 @@ def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, nodes_h: np.ndarray):
     return lower, diag, upper
 
 
+def _extrapolate(history: list, t_new: float) -> np.ndarray:
+    """Predicted level at t_new: the polynomial through the one to three
+    accepted (t, level) pairs of history (oldest first), in Newton's
+    divided-difference form about the newest, x0 + (t-t0) d1 + (t-t0)(t-t1) d2,
+    so constant levels extrapolate to themselves bit-exactly."""
+    ts, diffs = zip(*reversed(history))
+    out, weight = diffs[0], 1.0
+    for j in range(1, len(ts)):
+        # divided differences of order j, [x_i, ..., x_{i+j}], newest first
+        diffs = [(diffs[i] - diffs[i + 1]) / (ts[i] - ts[i + j]) for i in range(len(diffs) - 1)]
+        weight *= t_new - ts[j - 1]
+        out = out + weight * diffs[0]
+    return out
+
+
 def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
             tol_abs: float, clip: float):
     """Damped Newton for residual(x) = (F, cache) = 0 on x[:-1] (x[-1] is
@@ -259,13 +280,16 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     dt = dt_target
     values = [f.copy()]
     times = [0.0]
+    history = [(t, v)]  # accepted (t, v) levels the predictor runs through
     newton_iters = []
+    rejected = 0
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
         w_dt = w / dt
         # log-space updates beyond 2 invite blowups, so Newton clips there
         out, iters, norm = _newton(
-            np.concatenate([v[:-1], [np.log(float(config.boundary(t + dt)))]]),
+            np.concatenate([_extrapolate(history, t + dt)[:-1],
+                            [np.log(float(config.boundary(t + dt)))]]),
             lambda x: _log_residual(x, v, dt, w, st),
             lambda cache: _log_jacobian(cache, st, w_dt, nodes_h),
             config.tolerance * w_dt * (1.0 + np.abs(v).max()), clip=2.0)
@@ -275,9 +299,12 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
                     f"inner iteration diverged at t={t:.6g} (level {len(times)}), "
                     f"residual {norm:.3e}")
             dt *= 0.5
+            rejected += 1
             continue
         v = out
         t += dt
+        # a hard step is a transient: the levels before it predict nothing
+        history = history[-2:] + [(t, v)] if iters <= 6 else [(t, v)]
         u = np.exp(v)
         if not np.all(np.isfinite(u)) or u.min() <= 0.0:
             raise SolverError(f"positivity loss at t={t:.6g}")
@@ -289,7 +316,9 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
             dt = min(dt * 1.3, dt_target)
     return SpaceTimeField(np.asarray(values), grid, np.asarray(times),
                           metadata={**config.manifest(),
-                                    "newton_iterations_max": int(max(newton_iters or [0]))})
+                                    "newton_iterations_max": int(max(newton_iters or [0])),
+                                    "newton_iterations_total": sum(newton_iters),
+                                    "rejected_steps": rejected})
 
 
 def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil):
@@ -319,15 +348,17 @@ def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
     values = np.empty((steps + 1, grid.count))
     u = values[0] = np.asarray(config.initial(grid.r), float)
     b = st.flux(u)
-    newton_max = 0
+    newton_iters = []
     for k in range(1, steps + 1):
         if k == 1:  # backward Euler starts the two-step method
             c_dt, B_dt = 1.0 / dt, b[:-1] / dt
         else:
             c_dt, B_dt = 1.5 / dt, (2.0 * b[:-1] - 0.5 * b_prev[:-1]) / dt
         u_bc = float(config.boundary(times[k]))
+        last = slice(max(0, k - 3), k)  # the predictor runs through up to three levels
+        start = _extrapolate(list(zip(times[last], values[last])), times[k])
         u, iters, norm = _newton(
-            np.concatenate([u[:-1], [u_bc]]),
+            np.concatenate([np.maximum(start[:-1], 0.0), [u_bc]]),
             lambda x: _direct_residual(x, c_dt, B_dt, st),
             lambda cache: _direct_jacobian(cache, st, c_dt, nodes_h),
             config.tolerance * c_dt * max(np.abs(b).max(), abs(st.flux(u_bc))), clip=np.inf)
@@ -336,9 +367,11 @@ def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
                               f"residual {norm:.3e}")
         values[k] = u
         b_prev, b = b, st.flux(u)
-        newton_max = max(newton_max, iters)
+        newton_iters.append(iters)
     return SpaceTimeField(values, grid, times,
-                          metadata={**config.manifest(), "newton_iterations_max": newton_max})
+                          metadata={**config.manifest(),
+                                    "newton_iterations_max": max(newton_iters),
+                                    "newton_iterations_total": sum(newton_iters)})
 
 
 def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:

@@ -211,6 +211,18 @@ class TestSolveCommand:
         code = run(["solve", "--config", str(cfg)], tmp_path)
         assert code == EXIT_OK
 
+    def test_manifest_counts_newton_work(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "p": "3", "n": 2, "scheme": "log-implicit", "t_end": 0.05, "nodes": 31,
+            "initial": {"kind": "bump", "floor": 1.0, "amplitude": 0.5}, "boundary": 1.0,
+        }))
+        assert run(["solve", "--config", str(cfg)], tmp_path) == EXIT_OK
+        manifest = json.loads(next(tmp_path.glob("solve-*.json")).read_text())
+        steps = manifest["levels"] - 1
+        assert manifest["rejected_steps"] == 0
+        assert 0 < manifest["newton_iterations_total"] <= steps * manifest["newton_iterations_max"]
+
 
 class TestExperimentCommand:
     def test_pl_passes(self, tmp_path, capsys):

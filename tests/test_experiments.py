@@ -21,6 +21,17 @@ from trudlab.pde import LOG_IMPLICIT, SolverConfig, solve_trudinger_radial
 
 PI2 = math.pi ** 2
 
+# (eigen_slope, generic_slope) of decay_experiment(p, n, 1.0) at 401 nodes,
+# computed with every implicit step's Newton solve started from the previous level
+SLOPES_FROM_PREVIOUS_LEVEL_START = {
+    (2.5, 2): (-5.142623689599501, -5.142623684931109),
+    (2.5, 3): (-9.411957118376595, -9.411953295829546),
+    (3.0, 2): (-4.9199872557044655, -4.919987255703158),
+    (3.0, 3): (-9.608759895746632, -9.608759882648238),
+    (4.0, 2): (-4.903609494010007, -4.903609494010007),
+    (4.0, 3): (-10.759499265357997, -10.759499265357995),
+}
+
 
 @pytest.fixture(scope="module")
 def heat_report():
@@ -73,6 +84,16 @@ class TestDecay:
         rate = -rep.measured["lambda"] / (pv - 1.0)
         assert rep.measured["eigen_slope"] == pytest.approx(rate, rel=0.02)
         assert rep.all_pass, rep.passes
+
+    @pytest.mark.parametrize("pv", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slopes_do_not_depend_on_newton_start(self, pv, n):
+        # Newton stops within its tolerance of the step's solution wherever it
+        # starts: these slopes were recorded with the previous level as start
+        eigen, generic = SLOPES_FROM_PREVIOUS_LEVEL_START[(pv, n)]
+        rep = decay_experiment(Exponent.finite(pv), n, 1.0)
+        assert rep.measured["eigen_slope"] == pytest.approx(eigen, rel=1e-7)
+        assert rep.measured["generic_slope"] == pytest.approx(generic, rel=1e-7)
 
     def test_infinity_rate_at_101_nodes(self):
         # 3 u^2 u_t = Delta_inf u decays at -lam/(g-1) = -lam/3

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trudlab import pde
+from trudlab import experiments, pde
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import fd_residual_on_field
@@ -371,6 +371,77 @@ class TestNewtonStep:
                            initial=sinc_profile, tolerance=1e-300)
         with pytest.raises(SolverError, match=r"newton failed at t=0.00025 \(level 1\)"):
             solve_trudinger_radial(cfg)
+
+
+class TestPredictor:
+    """`_extrapolate`, the Newton start of both schemes, and the work it saves."""
+
+    def test_constant_levels_extrapolate_bit_exactly(self):
+        level = np.array([2.5, np.log(2.5), 1e-300, 0.0, 7.0])
+        times = (0.0, 0.013, 0.05)
+        for count in (1, 2, 3):
+            history = [(t, level.copy()) for t in times[:count]]
+            for t_new in (0.05, 0.061, 0.37):
+                assert np.array_equal(pde._extrapolate(history, t_new), level)
+
+    def test_exact_on_quadratics_over_nonuniform_times(self):
+        r = np.linspace(0.0, 1.0, 7)
+        a, b, c = 1.0 + r, np.sin(3.0 * r), 0.5 - r ** 2
+
+        def level(t):
+            return a + b * t + c * t * t
+
+        history = [(t, level(t)) for t in (0.1, 0.13, 0.2)]
+        for t_new in (0.21, 0.3, 0.45):
+            np.testing.assert_allclose(pde._extrapolate(history, t_new), level(t_new),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_one_and_two_levels_are_constant_and_linear(self):
+        x0, x1 = np.array([1.0, 2.0, 3.0]), np.array([1.5, 1.0, 3.0])
+        assert np.array_equal(pde._extrapolate([(0.2, x0)], 0.7), x0)
+        np.testing.assert_allclose(pde._extrapolate([(0.2, x0), (0.5, x1)], 0.7),
+                                   x1 + (x1 - x0) * (0.2 / 0.3), rtol=1e-14)
+
+    def test_direct_decay_takes_about_one_iteration_per_step(self, eigen_cache):
+        # the previous level as start took 3.0 iterations per step here
+        eig = eigen_cache(3.0, 2, 1.0)
+        cfg = SolverConfig(p=Exponent.finite(3), n=2, R=1.0, nodes=401, t_end=10.0 / eig.lam,
+                           scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
+                           initial=lambda r: np.interp(r, eig.grid.r, eig.psi))
+        field = solve_trudinger_radial(cfg)
+        steps = field.times.size - 1
+        assert field.metadata["newton_iterations_total"] <= 1.5 * steps
+
+    @staticmethod
+    def flatten_field(monkeypatch, p, **kwargs):
+        """The one field `flatten_experiment` solves for straddle data in [0.5, 2]."""
+        fields = []
+
+        def solve(cfg):
+            fields.append(solve_trudinger_radial(cfg))
+            return fields[-1]
+
+        monkeypatch.setattr(experiments, "solve_trudinger_radial", solve)
+        experiments.flatten_experiment(p, 2, 1.0, m=0.5, M=2.0, **kwargs)
+        (field,) = fields
+        return field
+
+    def test_flatten_p3_start_needs_no_halving(self, monkeypatch):
+        # extrapolating through the violent first step would fail the second;
+        # the reset after a hard step keeps every step, and the 1.88 iterations
+        # per step of the previous level as start drop to at most 1.6
+        field = self.flatten_field(monkeypatch, Exponent.finite(3))
+        assert field.grid.count == 201
+        assert field.metadata["rejected_steps"] == 0
+        assert field.metadata["newton_iterations_total"] <= 1.6 * (field.times.size - 1)
+
+    def test_rejected_steps_count_halvings(self, monkeypatch):
+        # the p = inf straddle data fail the first full steps; the first
+        # accepted step is the t_end/200 target halved once per rejection
+        field = self.flatten_field(monkeypatch, INFINITY, nodes=41)
+        halvings = round(np.log2(field.times[-1] / 200.0 / field.times[1]))
+        assert halvings > 0
+        assert field.metadata["rejected_steps"] >= halvings
 
 
 class TestDiscreteBalance:
