@@ -101,7 +101,7 @@ class BarrierSpec:
     params: dict
     derived: dict
     phi: SpaceTimeFunction
-    residual_fn: Callable  # (r, t) -> (residual, term-magnitude scale)
+    residual_fn: Callable  # (r, t) -> (residual, term-magnitude scale), broadcasting r and t
     expected: Verdict | None
     r_range: tuple
     t_start: float = 0.0
@@ -716,10 +716,13 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
                 random_samples: int = 1_000) -> ResidualReport:
     """Sample the family residual over an (r, t) box and classify the sign.
 
-    Tensor grid of ~samples points (sqrt(samples) per axis) plus
-    random_samples seeded uniform points.  Verdict thresholds are relative to
-    the largest term magnitude of the residual over the sample set, so exact
-    solutions classify as Solution instead of drowning in their own rounding.
+    Tensor grid of ~samples points (sqrt(samples) per axis), one residual_fn
+    call on the axes (r[:, None], t[None, :]), so residual_fn must be
+    elementwise and broadcast (r, t); then random_samples seeded uniform
+    points.  Samples count the grid r-major, then the random points.
+    Verdict thresholds are relative to the largest term magnitude of the
+    residual over the sample set, so exact solutions classify as Solution
+    instead of drowning in their own rounding.
     """
     if region is None:
         region = spec.default_region()
@@ -732,20 +735,24 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
     k = max(2, int(np.sqrt(samples)))
     r_axis = np.linspace(r_lo, r_hi, k)
     t_axis = np.linspace(t_lo, t_hi, k)
-    rg, tg = np.meshgrid(r_axis, t_axis, indexing="ij")
     rng = np.random.default_rng(seed)
     rr = rng.uniform(r_lo, r_hi, random_samples)
     tr = rng.uniform(t_lo, t_hi, random_samples)
-    r_all = np.concatenate([rg.ravel(), rr])
-    t_all = np.concatenate([tg.ravel(), tr])
 
-    res, scale_terms = spec.residual_fn(r_all, t_all)
-    res = np.broadcast_to(np.asarray(res, float), r_all.shape)
-    scale_terms = np.broadcast_to(np.asarray(scale_terms, float), r_all.shape)
+    grid = spec.residual_fn(r_axis[:, None], t_axis[None, :])
+    rand = spec.residual_fn(rr, tr)
+    res, scale_terms = (np.concatenate([np.broadcast_to(g, (k, k)).ravel(),
+                                        np.broadcast_to(x, rr.shape)], dtype=float)
+                        for g, x in zip(grid, rand))
+
+    def point(i):
+        if i < k * k:
+            return SpaceTimePoint(float(r_axis[i // k]), float(t_axis[i % k]))
+        return SpaceTimePoint(float(rr[i - k * k]), float(tr[i - k * k]))
+
     if not np.all(np.isfinite(res)):
-        bad = np.argmax(~np.isfinite(res))
-        raise ConstraintError(
-            f"residual not finite at (r={r_all[bad]:g}, t={t_all[bad]:g})")
+        bad = point(int(np.argmax(~np.isfinite(res))))
+        raise ConstraintError(f"residual not finite at (r={bad.r:g}, t={bad.t:g})")
 
     i_min = int(np.argmin(res))
     i_max = int(np.argmax(res))
@@ -768,8 +775,8 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
         derived=dict(spec.derived),
         min_residual=float(res[i_min]),
         max_residual=float(res[i_max]),
-        argmin=SpaceTimePoint(float(r_all[i_min]), float(t_all[i_min])),
-        argmax=SpaceTimePoint(float(r_all[i_max]), float(t_all[i_max])),
+        argmin=point(i_min),
+        argmax=point(i_max),
         samples=int(res.size),
         verdict=verdict,
         tolerance=tolerance,

@@ -177,7 +177,7 @@ class Shot:
 
         def sol(r):
             psi, w = self.sol(s * np.asarray(r, float))
-            return np.vstack([psi, s ** (self.p.g - 1.0) * w])
+            return np.stack([psi, s ** (self.p.g - 1.0) * w])
 
         return Shot(self.p, self.n, self.lam * s ** self.p.g, self.psi0, R, R, sol)
 

@@ -5,11 +5,14 @@ checked with an independent arithmetic script where noted in comments).
 """
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trudlab.barriers import (
     CATALOG_FAMILIES,
+    DEFAULT_SEED,
     ConstraintError,
     Family,
     Verdict,
@@ -482,6 +485,101 @@ class TestVerifySign:
             for spec in specs:
                 rep = verify_sign(spec, samples=900, random_samples=100)
                 assert verdict_matches(rep, spec.expected), (spec.family, spec.params)
+
+
+def flat_sample_report(spec, samples=10_000, random_samples=1_000, seed=DEFAULT_SEED):
+    """verify_sign's sampling at its default region and tolerance, written out
+    flat: the meshgrid raveled in r-major order, then the seeded random
+    points, in one residual_fn call."""
+    r_lo, r_hi, t_lo, t_hi = spec.default_region()
+    k = max(2, int(np.sqrt(samples)))
+    rg, tg = np.meshgrid(np.linspace(r_lo, r_hi, k), np.linspace(t_lo, t_hi, k),
+                         indexing="ij")
+    rng = np.random.default_rng(seed)
+    rr = rng.uniform(r_lo, r_hi, random_samples)
+    tr = rng.uniform(t_lo, t_hi, random_samples)
+    r_all, t_all = np.concatenate([rg.ravel(), rr]), np.concatenate([tg.ravel(), tr])
+    res, scale = (np.broadcast_to(x, r_all.shape) for x in spec.residual_fn(r_all, t_all))
+    i_min, i_max = int(np.argmin(res)), int(np.argmax(res))
+    scale = float(np.max(scale))
+    is_sub, is_super = res[i_min] >= -1e-9 * scale, res[i_max] <= 1e-9 * scale
+    verdict = (Verdict.SOLUTION if is_sub and is_super else Verdict.SUBSOLUTION if is_sub
+               else Verdict.SUPERSOLUTION if is_super else Verdict.INDETERMINATE)
+    return {"min_residual": float(res[i_min]), "max_residual": float(res[i_max]),
+            "argmin": {"r": float(r_all[i_min]), "t": float(t_all[i_min])},
+            "argmax": {"r": float(r_all[i_max]), "t": float(t_all[i_max])},
+            "scale": scale, "verdict": verdict.value, "samples": int(res.size)}
+
+
+def planted(residual):
+    """A spec on 0 <= r <= 1 whose residual is the given elementwise function."""
+    return dataclasses.replace(make_paraboloid(Exponent.finite(3), 2, 1.0),
+                               residual_fn=lambda r, t: (residual(r, t), np.abs(residual(r, t))))
+
+
+class TestSampling:
+    """verify_sign against its flat-sample reference, and its broadcast contract."""
+
+    @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_residual_broadcasts(self, p, n):
+        for spec in default_catalog(p, n):
+            self.assert_broadcasts(spec)
+
+    def test_separated_solution_broadcasts(self, eigen_cache):
+        eig = eigen_cache(3.0, 2, 1.0)
+        spec = separated_solution(eig.profile(), lam=eig.lam, mu=eig.lam,
+                                  p=Exponent.finite(3), n=2)
+        self.assert_broadcasts(spec, region=(0.0, 0.98, 0.0, 0.5))
+
+    @staticmethod
+    def assert_broadcasts(spec, region=None):
+        # unequal axis lengths, so a transposed layout cannot match
+        r_lo, r_hi, t_lo, t_hi = region or spec.default_region()
+        r, t = np.linspace(r_lo, r_hi, 9), np.linspace(t_lo, t_hi, 7)
+        rg, tg = np.meshgrid(r, t, indexing="ij")
+        grid = spec.residual_fn(r[:, None], t[None, :])
+        flat = spec.residual_fn(rg.ravel(), tg.ravel())
+        for on_axes, on_points in zip(grid, flat):
+            on_points = np.broadcast_to(on_points, rg.size).reshape(rg.shape)
+            assert np.array_equal(np.broadcast_to(on_axes, rg.shape), on_points), spec.family
+
+    @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+    def test_matches_flat_reference(self, p, n, seed):
+        for spec in default_catalog(p, n):
+            got = verify_sign(spec, seed=seed).to_dict()
+            want = flat_sample_report(spec, seed=seed)
+            assert {key: got[key] for key in want} == want, spec.family
+
+    def test_no_random_points(self):
+        for spec in default_catalog(Exponent.finite(3), 2):
+            rep = verify_sign(spec, samples=400, random_samples=0)
+            want = flat_sample_report(spec, samples=400, random_samples=0)
+            assert rep.samples == 400
+            assert {key: rep.to_dict()[key] for key in want} == want, spec.family
+
+    def test_non_finite_grid_point_named(self):
+        r_i, t_j = np.linspace(0.0, 1.0, 10)[3], np.linspace(0.0, 2.0, 10)[6]
+        spec = planted(lambda r, t: np.where((r == r_i) & (t == t_j), np.nan, r + t))
+        with pytest.raises(ConstraintError, match=f"r={r_i:g}, t={t_j:g}"):
+            verify_sign(spec, region=(0.0, 1.0, 0.0, 2.0), samples=100, random_samples=50)
+
+    def test_non_finite_random_point_named(self):
+        rng = np.random.default_rng(DEFAULT_SEED)
+        r_x, t_x = rng.uniform(0.0, 1.0, 50)[17], rng.uniform(0.0, 2.0, 50)[17]
+        spec = planted(lambda r, t: np.where((r == r_x) & (t == t_x), np.inf, r + t))
+        with pytest.raises(ConstraintError, match=f"r={r_x:g}, t={t_x:g}"):
+            verify_sign(spec, region=(0.0, 1.0, 0.0, 2.0), samples=100, random_samples=50)
+
+    def test_planted_minimum_located(self):
+        # r_i = 1/3 and t_j = 14/9 cannot swap roles: the report is r-major
+        r_i, t_j = np.linspace(0.0, 1.0, 10)[3], np.linspace(0.0, 2.0, 10)[7]
+        spec = planted(lambda r, t: np.where((r == r_i) & (t == t_j), -1.0, 0.0 * r * t))
+        rep = verify_sign(spec, region=(0.0, 1.0, 0.0, 2.0), samples=100, random_samples=50)
+        assert (rep.argmin.r, rep.argmin.t, rep.min_residual) == (r_i, t_j, -1.0)
+        assert rep.verdict == Verdict.SUPERSOLUTION
 
 
 class TestClosedFormVsFiniteDifference:

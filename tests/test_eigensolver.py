@@ -290,6 +290,15 @@ class TestFirstEigenvalue:
         assert np.all(np.diff(res.psi) < 1e-12)
         assert abs(res.psi[-1]) < 1e-4
 
+    @pytest.mark.parametrize("pv", [2.0, 3.0, "inf"])
+    def test_profile_elementwise_on_a_matrix(self, eigen_cache, pv):
+        # the stretched shot's profile keeps the shape of its radii, as the
+        # broadcast (r[:, None], t[None, :]) grid of verify_sign needs
+        prof = eigen_cache(pv, 2, 1.0).profile()
+        r = np.linspace(0.0, 0.98, 12).reshape(3, 4)
+        for f in (prof.value, prof.d1, prof.d2):
+            assert np.array_equal(f(r), f(r.ravel()).reshape(r.shape))
+
     def test_residual_audit_refines(self, eigen_cache):
         # away from the axis the profile is smooth and the audit is O(h^2);
         # at r = 0 the r^{p/(p-1)} behaviour caps every FD stencil at O(1),
