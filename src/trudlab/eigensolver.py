@@ -9,12 +9,16 @@ the right-hand side regular through the degenerate axis:
 
     psi' = sign(W) |W|^{1/(g-1)},     W' = -k lam |psi|^{g-2} psi - (d-1) W / r.
 
-Near r = 0 the solution is the series psi0 - C r^{g/(g-1)}, written once in
-`_series`: the start value at the handover h0 = 1e-6 R, the solution below
-h0 and the eigenfunction's `PowerOrigin` coefficient.  Above h0 the 8th-order
-Dormand-Prince pair DOP853 takes over, on plain floats with scipy's tables
-and step control (`_dop853`); one integration is one frozen `Shot` holding
-its 7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter
+Near r = 0 the solution is a power series in x = (mu r)^{g/(g-1)}, mu^g = k lam,
+whose coefficients (`_axis_coefficients`, one triangular recurrence) depend
+on the law only; `_axis_series` gives the start values at the handover h (the
+largest r where the series' 12th term is at most 1e-2 ATOL, capped at 0.1 R),
+the solution below h and, through a_1, the eigenfunction's `PowerOrigin`
+coefficient.  Above h the 8th-order Dormand-Prince pair DOP853 takes over, on
+plain floats with scipy's tables and step control (`_dop853`), so it never
+steps through the non-integer powers of r at the axis; one integration is one
+frozen `Shot` holding its 7th-order dense solution sol(r) -> (psi, W) on
+[0, r_end].  No parameter
 is searched for: the equation is invariant under r -> s r, lam -> lam s^g
 (the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a
 single shot yields the eigenvalue (from where its first zero falls) or the
@@ -23,6 +27,7 @@ center value (from its boundary trace).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -39,6 +44,7 @@ from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
 
 GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
 RTOL, ATOL = 1e-11, 1e-13  # the shot's DOP853 tolerances
+_TERMS = 12  # terms of the axis series
 
 
 class ShootingError(RuntimeError):
@@ -148,11 +154,41 @@ def _dpsi_from_flux(w, g: float):
     return np.sign(w) * np.abs(w) ** (1.0 / (g - 1.0))
 
 
-def _series(g: float, d: float, klam: float, psi0: float, r):
-    """Axis series (psi, W) = (psi0 - C r^{g/(g-1)}, -k lam psi0^{g-1} r / d) and
-    its C, for klam = k lam."""
-    C = (klam * psi0 ** (g - 1.0) / d) ** (1.0 / (g - 1.0)) * (g - 1.0) / g
-    return psi0 - C * r ** (g / (g - 1.0)), -klam * psi0 ** (g - 1.0) * r / d, C
+def _next_power_coefficient(a, b, alpha: float) -> float:
+    """b_m of B = A^alpha (a_0 = 1) from a_1..a_m and b_0..b_{m-1}: J.C.P. Miller's
+    recurrence m b_m = sum_{k=1}^m ((alpha+1) k - m) a_k b_{m-k} (Knuth, TAOCP 2, 4.7)."""
+    m = len(b)
+    return sum(((alpha + 1.0) * k - m) * a[k] * b[m - k] for k in range(1, m + 1)) / m if m else 1.0
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_coefficients(g: float, d: float) -> tuple:
+    """The _TERMS coefficients (a_j, s_j) of the axis series in x = (mu r)^sigma.
+
+    With sigma = g/(g-1), psi = psi0 A(x) and W = -k lam psi0^{g-1} (r/d) S(x)
+    solve the shot's system iff (r^{d-1} W)' = -k lam r^{d-1} psi^{g-1} and
+    psi' = -|W|^{1/(g-1)}, i.e. s_j = b_j d/(d + sigma j) for b = A^{g-1} and
+    a_{j+1} = -d^{-1/(g-1)} c_j / (sigma (j+1)) for c = S^{1/(g-1)}: one
+    triangular recurrence from a_0 = 1.  They depend on the law (g, d) only.
+    """
+    sigma, e = g / (g - 1.0), 1.0 / (g - 1.0)
+    a, b, s, c = [1.0], [], [], []
+    for j in range(_TERMS):
+        b.append(_next_power_coefficient(a, b, g - 1.0))
+        s.append(b[j] * d / (d + sigma * j))
+        c.append(_next_power_coefficient(s, c, e))
+        a.append(-d ** -e * c[j] / (sigma * (j + 1)))
+    return tuple(a[:_TERMS]), tuple(s)
+
+
+def _axis_series(g: float, d: float, klam: float, psi0: float, r):
+    """(psi, W) of the axis series at r (a float or an array), for klam = k lam."""
+    a, s = _axis_coefficients(g, d)
+    x = (klam ** (1.0 / g) * r) ** (g / (g - 1.0))
+    A = S = 0.0
+    for aj, sj in zip(reversed(a), reversed(s)):  # Horner in x
+        A, S = A * x + aj, S * x + sj
+    return psi0 * A, -klam * psi0 ** (g - 1.0) * r / d * S
 
 
 @dataclass(frozen=True)
@@ -165,6 +201,7 @@ class Shot:
     psi0: float
     r_end: float
     first_zero: float | None
+    handover: float  # where the axis series hands over to DOP853
     sol: Callable  # r -> (psi, W) on [0, r_end]
 
     def profile_on(self, grid: RadialGrid) -> tuple:
@@ -179,15 +216,18 @@ class Shot:
             psi, w = self.sol(s * np.asarray(r, float))
             return np.stack([psi, s ** (self.p.g - 1.0) * w])
 
-        return Shot(self.p, self.n, self.lam * s ** self.p.g, self.psi0, R, R, sol)
+        return Shot(self.p, self.n, self.lam * s ** self.p.g, self.psi0, R, R,
+                    self.handover / s, sol)
 
 
 def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0) -> Shot:
     """Integrate the radial eigen-equation from the axis out to r = R.
 
     Stops at R or at the first sign change of psi (location recorded in
-    first_zero).  At lam = 0 the series and the right-hand side vanish, so
-    the shot is the constant profile psi0.
+    first_zero).  DOP853 starts from the axis series at the handover h, the
+    largest r at which the series' last term is at most 1e-2 ATOL, capped at
+    0.1 R.  At lam = 0 the series and the right-hand side vanish, so the shot
+    is the constant profile psi0.
     """
     if n < 2:
         raise ValueError("dimension n must be >= 2")
@@ -197,24 +237,25 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0) -
         raise ValueError("psi0 must be positive")
     g, d = p.g, p.d(n)
     klam, psi0, R = p.k * float(lam), float(psi0), float(R)  # no numpy scalars in the loop
-    h0 = 1e-6 * R
     e, q, c = 1.0 / (g - 1.0), g - 2.0, d - 1.0
+    x_h = (1e-2 * ATOL / (psi0 * abs(_axis_coefficients(g, d)[0][-1]))) ** (1.0 / (_TERMS - 1))
+    h = 0.1 * R if klam == 0.0 else min(0.1 * R, x_h ** ((g - 1.0) / g) / klam ** (1.0 / g))
 
     def rhs(r, psi, w):  # plain floats: the arithmetic of _dpsi_from_flux
         return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
 
-    ts, dense, first_zero = _dop853(rhs, h0, _series(g, d, klam, psi0, h0)[:2], R, RTOL, ATOL)
+    ts, dense, first_zero = _dop853(rhs, h, _axis_series(g, d, klam, psi0, h), R, RTOL, ATOL)
     r_end = float(ts[-1])
 
     def sol(r):
         r = np.asarray(r, dtype=float)
-        vals = dense(np.clip(r, h0, r_end))
-        small = r < h0  # below the handover the series is the solution
+        vals = dense(np.clip(r, h, r_end))
+        small = r < h  # below the handover the series is the solution
         if np.any(small):
-            vals[:, small] = _series(g, d, klam, psi0, r[small])[:2]
+            vals[:, small] = _axis_series(g, d, klam, psi0, r[small])
         return vals
 
-    return Shot(p, n, float(lam), psi0, r_end, first_zero, sol)
+    return Shot(p, n, float(lam), psi0, r_end, first_zero, h, sol)
 
 
 class _ProfileWriter:
@@ -264,10 +305,12 @@ class EigenResult(_ProfileWriter):
             hi = np.minimum(r + eps, shot.r_end)
             return (d1(hi) - d1(lo)) / (hi - lo)
 
-        C = _series(g, self.p.d(self.n), self.p.k * shot.lam, shot.psi0, 0.0)[2]
+        # psi = psi0 (1 + a_1 (mu r)^{g/(g-1)} + ...) with mu^g = k lam
+        a1 = _axis_coefficients(g, self.p.d(self.n))[0][1]
+        C = shot.psi0 * a1 * (self.p.k * shot.lam) ** (1.0 / (g - 1.0))
         return RadialProfile(value=lambda r: shot.sol(r)[0], d1=d1, d2=d2,
                              R=min(R, shot.r_end),
-                             origin=PowerOrigin(self.p.power_exponent, -C))
+                             origin=PowerOrigin(self.p.power_exponent, C))
 
 
 def bracket_rate(p: Exponent, n: int, R: float) -> float:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.special import j0
 
 from trudlab import eigensolver
 from trudlab.eigensolver import (
@@ -110,18 +111,32 @@ class TestShootRadial:
 RTOL, ATOL = 1e-11, 1e-13  # shoot_radial's tolerances
 
 
-def reference_ivp(pv, n, R, lam, events=None):
-    """solve_ivp's DOP853 from the axis series at h0 = 1e-6 R, numpy right-hand side."""
-    h0 = 1e-6 * R
-    C = (lam / n) ** (1.0 / (pv - 1.0)) * (pv - 1.0) / pv
-    y0 = [1.0 - C * h0 ** (pv / (pv - 1.0)), -lam * h0 / n]
+def law_rhs(p, n, lam):
+    """The shot's system in (psi, W) for the law (g, k, d), numpy right-hand side."""
+    g, klam, d = p.g, p.k * lam, p.d(n)
 
     def rhs(r, y):
         psi, w = y
-        return [np.sign(w) * np.abs(w) ** (1.0 / (pv - 1.0)),
-                -lam * np.abs(psi) ** (pv - 2.0) * psi - (n - 1.0) * w / r]
+        return [np.sign(w) * np.abs(w) ** (1.0 / (g - 1.0)),
+                -klam * np.abs(psi) ** (g - 2.0) * psi - (d - 1.0) * w / r]
 
-    return solve_ivp(rhs, (h0, R), y0, method="DOP853", rtol=RTOL, atol=ATOL,
+    return rhs
+
+
+def reference_ivp(shot, R, events=None):
+    """solve_ivp's DOP853 from the shot's own start values at its handover."""
+    h = shot.handover
+    return solve_ivp(law_rhs(shot.p, shot.n, shot.lam), (h, R), shot.sol(h), method="DOP853",
+                     rtol=RTOL, atol=ATOL, dense_output=True, events=events)
+
+
+def two_term_ivp(p, n, R, lam, events=None):
+    """solve_ivp's DOP853 from the two-term axis series psi0 - C r^{g/(g-1)},
+    W = -k lam r/d at 1e-6 R: a start independent of the shot's handover."""
+    g, klam, d, h0 = p.g, p.k * lam, p.d(n), 1e-6 * R
+    C = (klam / d) ** (1.0 / (g - 1.0)) * (g - 1.0) / g
+    y0 = [1.0 - C * h0 ** (g / (g - 1.0)), -klam * h0 / d]
+    return solve_ivp(law_rhs(p, n, lam), (h0, R), y0, method="DOP853", rtol=RTOL, atol=ATOL,
                      dense_output=True, events=events)
 
 
@@ -141,8 +156,8 @@ class TestAgainstSolveIvp:
     def test_first_zero_at_barrier_rate(self, pv, n):
         R = 1.0
         rate = eigensolver.bracket_rate(Exponent.finite(pv), n, R)
-        ref = reference_ivp(pv, n, R, rate, events=downward_zero)
         shot = shoot_radial(Exponent.finite(pv), n, R, rate)
+        ref = reference_ivp(shot, R, events=downward_zero)
         assert ref.t_events[0].size == 1
         assert shot.first_zero == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0)
         assert shot.r_end == shot.first_zero
@@ -152,11 +167,11 @@ class TestAgainstSolveIvp:
     def test_trace_and_dense_solution_below_eigenvalue(self, eigen_cache, pv, n):
         R = 1.0
         lam = 0.7 * eigen_cache(pv, n, R).lam
-        ref = reference_ivp(pv, n, R, lam)
         shot = shoot_radial(Exponent.finite(pv), n, R, lam)
+        ref = reference_ivp(shot, R)
         assert shot.first_zero is None and shot.r_end == R
         assert float(shot.sol(R)[0]) == pytest.approx(ref.y[0, -1], rel=1e-10, abs=0)
-        r = np.linspace(1e-6 * R, R, 513)
+        r = np.linspace(shot.handover, R, 513)
         got, want = shot.sol(r), ref.sol(r)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -178,8 +193,74 @@ class TestAgainstSolveIvp:
         rate = eigensolver.bracket_rate(Exponent.finite(pv), n, R)
         lam = 0.7 * eigen_cache(pv, n, R).lam
         for rate_, events in ((rate, downward_zero), (lam, None)):
-            shoot_radial(Exponent.finite(pv), n, R, rate_)
-            assert abs(steps[-1] - (len(reference_ivp(pv, n, R, rate_, events).t) - 1)) <= 1
+            shot = shoot_radial(Exponent.finite(pv), n, R, rate_)
+            assert abs(steps[-1] - (len(reference_ivp(shot, R, events).t) - 1)) <= 1
+
+
+class TestHandover:
+    """The axis series against closed forms, and the handover against a shot
+    started by solve_ivp from the two-term series at 1e-6 R."""
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", ["2", "2.5", "3", "4", "inf"])
+    def test_matches_the_two_term_start(self, eigen_cache, pv, n, R):
+        p = Exponent.parse(pv)
+        rate = eigensolver.bracket_rate(p, n, R)
+        zero = two_term_ivp(p, n, R, rate, events=downward_zero).t_events[0][0]
+        lam = eigen_cache(pv, n, R).lam
+        assert lam == pytest.approx(rate * (zero / R) ** p.g, rel=1e-10, abs=0)
+        shot = shoot_radial(p, n, R, 0.7 * lam)
+        r = np.linspace(shot.handover, R, 257)
+        got, want = shot.sol(r), two_term_ivp(p, n, R, 0.7 * lam).sol(r)
+        # between breakpoints W carries the dense interpolant's own error, up
+        # to 1.6e-10 of max |W| in either run against a 1e-14 solve_ivp
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err[0] <= 1e-10 and err[1] <= 3e-10, err
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linear_series_is_the_closed_form(self, n, R):
+        # p = 2: psi = J0(sqrt(lam) r) (n = 2) and sin(sqrt(lam) r)/(sqrt(lam) r)
+        # (n = 3), below and at the handover
+        lam = (J01 / R) ** 2 if n == 2 else PI2 / R ** 2
+        shot = shoot_radial(Exponent.finite(2), n, R, lam)
+        r = np.linspace(0.0, shot.handover, 65)
+        exact = j0(math.sqrt(lam) * r) if n == 2 else np.sinc(math.sqrt(lam) * r / math.pi)
+        assert shot.handover > 1e-6 * R
+        assert np.abs(shot.sol(r)[0] - exact).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", ["2", "2.5", "3", "4", "inf"])
+    def test_accepted_steps_pinned(self, eigen_cache, monkeypatch, pv, n):
+        # started from the series away from the axis, no shot spends its
+        # steps climbing out of the r^{g/(g-1)} singularity
+        p, lam = Exponent.parse(pv), 0.7 * eigen_cache(pv, n, 1.0).lam
+        steps = []
+        real = eigensolver._dop853
+
+        def counting(*args):
+            out = real(*args)
+            steps.append(len(out[0]) - 1)
+            return out
+
+        monkeypatch.setattr(eigensolver, "_dop853", counting)
+        shoot_radial(p, n, 1.0, eigensolver.bracket_rate(p, n, 1.0))
+        shoot_radial(p, n, 1.0, lam)
+        assert len(steps) == 2 and max(steps) <= 25, steps
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", ["2", "2.5", "3", "4", "inf"])
+    def test_second_derivative_across_the_seam(self, eigen_cache, pv, n):
+        # d2 differences d1 over +-1e-6 R, so within 1e-6 R of the handover h
+        # it takes one value from the series and one from the dense solution;
+        # there, and on either side, it matches the FD second derivative of psi
+        res = eigen_cache(pv, n, 1.0)
+        prof, h = res.profile(), res.shot.handover
+        e = 5e-4 * h
+        for r in h + np.array([-2.0 * e, -5e-7, 0.0, 5e-7, 2.0 * e]):
+            fd = (prof.value(r + e) - 2.0 * prof.value(r) + prof.value(r - e)) / e ** 2
+            assert abs(prof.d2(r) - fd) <= 1e-6 * abs(fd)
 
 
 class TestStepper:
