@@ -81,7 +81,10 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     rule, the E5/E3 error norm, safety 0.9, step factors in [0.2, 10] with
     exponent -1/8 and no growth right after a rejection; the zero is brentq's
     (xtol = rtol = 4 eps) on the step's dense polynomial.  Returns (ts, sol,
-    first_zero): the breakpoints, ending at the stop, and sol(r) -> (psi, w).
+    first_zero): the breakpoints, ending at the stop, and sol(r) -> (psi, w) of
+    shape (2, *r.shape).  The dense table is component-major, F[j, component,
+    step], so sol's one take along the step axis gathers unit-stride rows and
+    each Horner term is one pass over them, not len(r) passes over two values.
     """
     psi, w = y
     f = rhs(r, psi, w)
@@ -131,21 +134,23 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
         crossed = psi >= 0.0 and psi_new <= 0.0  # solve_ivp's direction = -1 event
         r, psi, w, f = r_new, psi_new, w_new, f_new
 
-    # the dense coefficients of all steps at once, F[j, step, component]
+    # the dense coefficients of all steps at once, built as F[j, step, component]
+    # and stored as F[j, component, step], with y_old as (component, step)
     r_old, hs, psi_old, w_old, psi_new, w_new, kp, kw = map(np.array, zip(*steps))
     y_old, K = np.stack([psi_old, w_old], -1), np.stack([kp, kw], -1)
     dy, h = np.stack([psi_new, w_new], -1) - y_old, hs[:, None]
     F = np.concatenate([[dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 12] + K[:, 0])],
-                        h * np.einsum("jk,mkc->jmc", DOP853.D, K)])
+                        h * np.einsum("jk,mkc->jmc", DOP853.D, K)]).transpose(0, 2, 1).copy()
+    y_old = y_old.T.copy()
     if crossed:  # the zero of the last step's polynomial
-        Fp, (r0, h, psi0) = F[:, -1, 0].tolist(), steps[-1][:3]
+        Fp, (r0, h, psi0) = F[:, 0, -1].tolist(), steps[-1][:3]
         r = first_zero = brentq(lambda t: _interp(Fp, (t - r0) / h) + psi0, r0, r,
                                 xtol=_EPS4, rtol=_EPS4)
 
     def sol(t):
         seg = np.searchsorted(r_old[1:], t)  # a breakpoint takes the step that ends there
-        x = ((t - r_old[seg]) / hs[seg])[..., None]
-        return np.moveaxis(_interp(F[:, seg], x) + y_old[seg], -1, 0)
+        x = (t - r_old[seg]) / hs[seg]
+        return _interp(F.take(seg, -1), x) + y_old.take(seg, -1)
 
     return np.append(r_old, r), sol, first_zero
 
@@ -394,7 +399,9 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> 
         raise ValueError("lam must be positive (lam -> 0 gives the constant delta)")
 
     probe = shoot_radial(p, n, R, lam, psi0=1.0)
-    trace = float(probe.sol(R)[0])
+    grid = RadialGrid(R, GRID_COUNT)
+    psi, dpsi = probe.profile_on(grid)
+    trace = float(psi[-1])  # grid.r[-1] == R == r_end unless the shot crossed zero
     if probe.first_zero is not None or trace <= 0.0:
         raise ShootingError(
             f"lam={lam:g} is at or above the first eigenvalue of the ball: the "
@@ -402,55 +409,5 @@ def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> 
             "center value M_lambda blows up as lam approaches the eigenvalue; "
             "no bounded positive solution exists")
     M = delta / trace
-    grid = RadialGrid(R, GRID_COUNT)
-    psi, dpsi = probe.profile_on(grid)
     return BvpResult(lam=lam, delta=delta, grid=grid, u=M * psi, du=M * dpsi,
                      M_lambda=M, p=p, n=n)
-
-
-def epsilon_gain(result: BvpResult, t: float, slack: float = 1e-8) -> float:
-    """Largest zero-order gain for the shifted profile u - t*delta.
-
-    eps = lam [ (1/(1 - t m/M))^{g-1} - 1 ] with m the boundary value and M
-    the center value; verifies on the grid that the shifted profile satisfies
-    L(u - t m) + (lam + eps)(u - t m)^{g-1} <= 0.
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie in (0, 1)")
-    lam, m, M, u = result.lam, result.delta, result.M_lambda, result.u
-    w = result.p.time_weight
-    eps = lam * ((1.0 / (1.0 - t * m / M)) ** w - 1.0)
-    # along the profile L u = -lam u^{g-1} exactly, and shifting by a
-    # constant leaves L unchanged
-    res = -lam * u ** w + (lam + eps) * (u - t * m) ** w
-    worst = float(res.max())
-    scale = lam * M ** w
-    if worst > slack * scale:
-        raise ShootingError(
-            f"shifted-profile verification failed: worst residual {worst:.3e} "
-            f"exceeds {slack:g} x scale {scale:.3e}")
-    return float(eps)
-
-
-def quotient_comparison_check(u: np.ndarray, v: np.ndarray, lam: float,
-                              lam_bar: float, tol: float = 1e-8) -> dict:
-    """Check that max(u/v) over the grid sits at the boundary node.
-
-    u must be the profile with the smaller zero-order rate (lam < lam_bar)
-    and v positive.  Diagnostic: returns the verdict plus interior and
-    boundary maxima.
-    """
-    if not lam < lam_bar:
-        raise ValueError("need lam < lam_bar")
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    if np.any(v <= 0):
-        raise ValueError("v must be positive")
-    ratio = u / v
-    boundary = float(ratio[-1])
-    interior = float(ratio[:-1].max())
-    return {
-        "ok": bool(interior <= boundary * (1.0 + tol) + tol),
-        "interior_max": interior,
-        "boundary_value": boundary,
-    }

@@ -5,7 +5,9 @@ dimensions; the first Bessel J0 zero in two), and the infinity branch, a 1-D
 p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p;
 all are built here independently of the solver before asserting against it.  For every p the shot is also checked
 against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
-own right-hand side, and the stepper against cos r.
+own right-hand side, and the stepper against cos r.  The zero-order gain of
+shifted profiles and the quotient comparison, two lemmas of the paper, are
+written here as helpers and checked on the solver's delta-boundary profiles.
 """
 
 import csv
@@ -24,9 +26,7 @@ from trudlab.eigensolver import (
     BvpResult,
     ShootingError,
     elliptic_residual_grid,
-    epsilon_gain,
     first_eigenvalue,
-    quotient_comparison_check,
     scaling_check,
     shoot_radial,
     solve_delta_bvp,
@@ -78,6 +78,54 @@ def infinity_eigenvalue(R):
 J01 = bessel_j0_first_zero()
 
 
+def epsilon_gain(result: BvpResult, t: float, slack: float = 1e-8) -> float:
+    """Largest zero-order gain for the shifted profile u - t*delta.
+
+    eps = lam [ (1/(1 - t m/M))^{g-1} - 1 ] with m the boundary value and M
+    the center value; verifies on the grid that the shifted profile satisfies
+    L(u - t m) + (lam + eps)(u - t m)^{g-1} <= 0.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie in (0, 1)")
+    lam, m, M, u = result.lam, result.delta, result.M_lambda, result.u
+    w = result.p.time_weight
+    eps = lam * ((1.0 / (1.0 - t * m / M)) ** w - 1.0)
+    # along the profile L u = -lam u^{g-1} exactly, and shifting by a
+    # constant leaves L unchanged
+    res = -lam * u ** w + (lam + eps) * (u - t * m) ** w
+    worst = float(res.max())
+    scale = lam * M ** w
+    if worst > slack * scale:
+        raise ShootingError(
+            f"shifted-profile verification failed: worst residual {worst:.3e} "
+            f"exceeds {slack:g} x scale {scale:.3e}")
+    return float(eps)
+
+
+def quotient_comparison_check(u: np.ndarray, v: np.ndarray, lam: float,
+                              lam_bar: float, tol: float = 1e-8) -> dict:
+    """Check that max(u/v) over the grid sits at the boundary node.
+
+    u must be the profile with the smaller zero-order rate (lam < lam_bar)
+    and v positive.  Diagnostic: returns the verdict plus interior and
+    boundary maxima.
+    """
+    if not lam < lam_bar:
+        raise ValueError("need lam < lam_bar")
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
+    if np.any(v <= 0):
+        raise ValueError("v must be positive")
+    ratio = u / v
+    boundary = float(ratio[-1])
+    interior = float(ratio[:-1].max())
+    return {
+        "ok": bool(interior <= boundary * (1.0 + tol) + tol),
+        "interior_max": interior,
+        "boundary_value": boundary,
+    }
+
+
 class TestShootRadial:
     def test_linear_case_matches_sinc(self):
         sh = shoot_radial(Exponent.finite(2), 3, 1.2, PI2)
@@ -106,6 +154,29 @@ class TestShootRadial:
     def test_dimension_below_two_rejected(self, n):
         with pytest.raises(ValueError, match="dimension"):
             shoot_radial(Exponent.finite(3), n, 1.0, 1.0)
+
+    @pytest.mark.parametrize("pv", ["2.5", "3", "inf"])
+    @pytest.mark.parametrize("stretched", [False, True])
+    def test_sol_shape_and_points(self, eigen_cache, pv, stretched):
+        # sol(r) has shape (2, *r.shape), and each entry is the sorted grid's
+        # entry bit for bit: whatever the order and shape of the points
+        if stretched:
+            shot = eigen_cache(pv, 2, 1.3).shot
+        else:
+            shot = shoot_radial(Exponent.parse(pv), 2, 1.0, 8.0)
+        grid = np.linspace(0.0, shot.r_end, 2001)  # the axis series, every step, r_end
+        full = shot.sol(grid)
+        assert full.shape == (2, 2001)
+        idx = np.random.default_rng(7).permutation(2001)[:600]
+        assert np.any(np.diff(idx) < 0)
+        for sel in (idx, idx.reshape(20, 30)):
+            out = shot.sol(grid[sel])
+            assert out.shape == (2, *sel.shape)
+            assert np.array_equal(out, full[:, sel])
+        for k in (0, 1000, 2000):
+            out = shot.sol(grid[k])
+            assert out.shape == (2,)
+            assert np.array_equal(out, full[:, k])
 
 
 RTOL, ATOL = 1e-11, 1e-13  # shoot_radial's tolerances
