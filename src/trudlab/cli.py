@@ -147,7 +147,8 @@ def cmd_eigen(args) -> int:
     paths = write_artifacts(out_dir, f"eigen-{p.label}-{n}", {"p": p.label, "n": n, "R": args.R},
                             res.to_dict(), {".csv": res.to_csv})
     print(f"lambda = {res.lam:.10g}  (certified bound {res.rate_bound:.6g}, "
-          f"residual audit {res.residual_norm:.3e})")
+          f"residual audit {res.residual_norm:.3e}, "
+          f"{res.residual_norm_interior:.3e} over r >= 0.05 R)")
     print(f"wrote {', '.join(paths)}")
     return EXIT_OK
 

@@ -281,7 +281,8 @@ class EigenResult(_ProfileWriter):
     psi: np.ndarray
     dpsi: np.ndarray
     rate_bound: float  # certified barrier rate the eigenvalue was checked against
-    residual_norm: float
+    residual_norm: float  # FD audit max over nodes 1..count-2; the axis node sets it for p != 2
+    residual_norm_interior: float  # the same over r >= 0.05 R, where the profile is smooth
     p: Exponent
     n: int
     shot: Shot  # the eigenfunction shot, stretched to [0, R]
@@ -290,7 +291,8 @@ class EigenResult(_ProfileWriter):
 
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "p": self.p.label, "n": self.n, "R": self.grid.R,
-                "rate_bound": self.rate_bound, "residual_norm": self.residual_norm}
+                "rate_bound": self.rate_bound, "residual_norm": self.residual_norm,
+                "residual_norm_interior": self.residual_norm_interior}
 
     def profile(self) -> RadialProfile:
         """RadialProfile view of the shot.
@@ -343,10 +345,12 @@ def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
     grid = RadialGrid(R, GRID_COUNT)
     psi, dpsi = shot.profile_on(grid)
     psi = np.maximum(psi, 0.0)
-    res_norm = float(np.abs(
-        elliptic_residual_grid(psi, grid, p, n, shot.lam)).max())
+    audit = np.abs(elliptic_residual_grid(psi, grid, p, n, shot.lam))
+    # audit[i] is node i + 1, and node (count - 1)/20 is r = 0.05 R
+    interior = audit[(GRID_COUNT - 1) // 20 - 1:]
     return EigenResult(lam=shot.lam, grid=grid, psi=psi / psi[0], dpsi=dpsi / psi[0],
-                       rate_bound=rate, residual_norm=res_norm, p=p, n=n, shot=shot)
+                       rate_bound=rate, residual_norm=float(audit.max()),
+                       residual_norm_interior=float(interior.max()), p=p, n=n, shot=shot)
 
 
 def elliptic_residual_grid(psi: np.ndarray, grid: RadialGrid, p: Exponent,

@@ -252,6 +252,8 @@ def log_transform_consistency(u: SpaceTimeFunction, p: Exponent, n: int,
 # ---------------------------------------------------------------------------
 # finite-difference residual audit on grid fields
 
+AUDIT_BLOCK_BYTES = 1 << 16  # level block of `fd_residual_on_field`
+
 
 def _flux(q, p: Exponent):
     if p.is_finite:
@@ -293,16 +295,27 @@ def fd_residual_on_field(field: SpaceTimeField, p: Exponent, n: int) -> np.ndarr
     Central second-order stencils in r (symmetry-corrected at the axis),
     first-order backward differences in t.  Returns residuals at time levels
     1..end for all spatial nodes except the r = R boundary column.
+
+    Levels are evaluated in blocks of about AUDIT_BLOCK_BYTES into one output,
+    so every temporary stays below glibc's mmap threshold and reuses heap
+    pages instead of being page-faulted afresh; each entry is computed as
+    for the whole field at once.
     """
     if field.grid.count < 3 or field.times.size < 2:
         raise DomainError("field needs at least 3 spatial nodes and 2 time levels")
     u = field.values
-    spatial = fd_laplacian_grid(u[1:], field.grid, p, n)
     dt = np.diff(field.times)[:, None]
-    ut = (u[1:, :-1] - u[:-1, :-1]) / dt
-    uval = u[1:, :-1]
-    if p.is_finite:
-        time_term = (p.p - 1.0) * grad_factor(uval, p.p) * ut
-    else:
-        time_term = 3.0 * uval ** 2 * ut
-    return spatial - time_term
+    out = np.empty((u.shape[0] - 1, u.shape[1] - 1))
+    block = max(1, AUDIT_BLOCK_BYTES // u[0].nbytes)
+    for a in range(0, out.shape[0], block):
+        b = min(a + block, out.shape[0])  # output rows a..b-1 are levels a+1..b
+        level = u[a + 1:b + 1]
+        spatial = fd_laplacian_grid(level, field.grid, p, n)
+        uval = level[:, :-1]
+        ut = (uval - u[a:b, :-1]) / dt[a:b]
+        if p.is_finite:
+            time_term = (p.p - 1.0) * grad_factor(uval, p.p) * ut
+        else:
+            time_term = 3.0 * uval ** 2 * ut
+        np.subtract(spatial, time_term, out=out[a:b])
+    return out

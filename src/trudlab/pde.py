@@ -11,13 +11,16 @@ Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
   = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
 
 Both run one damped Newton loop (`_newton`) on the flux tridiagonal
-(`_flux_jacobian`) plus the scheme's own terms; LAPACK dgtsv solves.  Newton
-starts from the polynomial through the last one to three accepted levels
-(`_extrapolate`, the predictor of BDF codes), clipped at zero on the direct
-scheme.  The log scheme restarts that history at a step that took more than
-6 iterations (its dt regrowth bound): levels before a hard step predict
-nothing.  Field metadata counts the work: newton_iterations_max and _total
-over accepted steps, and log-implicit's rejected_steps (dt halvings).
+(`_flux_jacobian`, its face weights over nodes h folded once into `_Stencil`)
+plus the scheme's own terms; LAPACK dgtsv solves.  Newton starts from the
+polynomial through the last one to three accepted levels (`_extrapolate`, the
+predictor of BDF codes, x0 + A (x0 - x1) + B (x1 - x2) with weights from the
+times alone: A = 2, B = -1 on the direct scheme's uniform steps), clipped at
+zero on the direct scheme.  The log scheme restarts that history at a step
+that took more than 6 iterations (its dt regrowth bound): levels before a
+hard step predict nothing.  Field metadata counts the work:
+newton_iterations_max and _total over accepted steps, and log-implicit's
+rejected_steps (dt halvings).
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -124,7 +127,9 @@ class _Stencil(NamedTuple):
     The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
     flux_prime(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme;
     at g = 2 the identity and one, chosen once.  grad = (g-1)/k is the
-    coefficient of the log form's gradient term.
+    coefficient of the log form's gradient term.  The flux Jacobian's
+    weights are folded once: axis_h = axis/h, and left, right = the faces
+    at i -+ 1/2 over nodes h for nodes 1..m-1.
     """
 
     h: float
@@ -133,6 +138,9 @@ class _Stencil(NamedTuple):
     axis: float
     faces: np.ndarray
     nodes: np.ndarray
+    axis_h: float
+    left: np.ndarray
+    right: np.ndarray
     flux: Callable
     flux_prime: Callable
 
@@ -144,12 +152,14 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
     midpoint surrogate r_i^{d-1} h loses consistency at the first node off
     the axis, where r is comparable to h.
     """
-    g, k, d = p.g, p.k, p.d(n)
+    g, k, d, h = p.g, p.k, p.d(n), grid.h
     r = grid.r
     r_face = 0.5 * (r[:-1] + r[1:])
     faces = r_face ** (d - 1.0) / k
     nodes = (r_face[1:] ** d - r_face[:-1] ** d) / d
-    law = (grid.h, g, (g - 1.0) / k, 2.0 * d / (grid.h * k), faces, nodes)
+    axis = 2.0 * d / (h * k)
+    law = (h, g, (g - 1.0) / k, axis, faces, nodes,
+           axis / h, faces[:-1] / (nodes * h), faces[1:] / (nodes * h))
     if g == 2.0:
         return _Stencil(*law, lambda q: q, np.ones_like)
     return _Stencil(*law, lambda q: np.abs(q) ** (g - 2.0) * q,
@@ -168,10 +178,11 @@ def _divergence(q: np.ndarray, st: _Stencil, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float, st: _Stencil):
+def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
     """Backward-Euler residual F = div flux(v_r) + ((g-1)/k) c flux(c) - w (v - v_prev)/dt
     at nodes 0..m-1, where c flux(c) = |c|^g for the centered gradient c at
-    nodes 1..m-1; the axis has no gradient term.
+    nodes 1..m-1; the axis has no gradient term.  w_dt = w/dt is the step's
+    constant.
 
     Returns F and the cache (q = diff(v)/h, flux(c)).
     """
@@ -180,31 +191,35 @@ def _log_residual(v: np.ndarray, v_prev: np.ndarray, dt: float, w: float, st: _S
     c = 0.5 * (q[:-1] + q[1:])
     flux_c = st.flux(c)
     F[1:] += st.grad * c * flux_c
-    F -= w * (v[:-1] - v_prev[:-1]) / dt
+    dv = v[:-1] - v_prev[:-1]
+    dv *= w_dt
+    F -= dv
     return F, (q, flux_c)
 
 
-def _flux_jacobian(q: np.ndarray, st: _Stencil, nodes_h: np.ndarray):
+def _flux_jacobian(q: np.ndarray, st: _Stencil):
     """d `_divergence` / du at nodes 0..m-1 as (sub, diagonal, super) from the
-    face slopes q; nodes_h = nodes h is the solve's constant."""
-    h = st.h
+    face slopes q."""
     fp = st.flux_prime(q)
-    a = st.faces * fp   # node i couples through faces a[i-1] (left), a[i] (right)
-    top = st.axis * fp[0] / h
+    # node i couples through its left face i-1/2 and its right face i+1/2
+    lower = st.left * fp[:-1]
+    right = st.right * fp[1:]
+    top = st.axis_h * fp[0]
     diag = np.empty(q.size)
     diag[0] = -top
-    np.divide(-(a[1:] + a[:-1]), nodes_h, out=diag[1:])
+    np.add(lower, right, out=diag[1:])
+    np.negative(diag[1:], out=diag[1:])
     upper = np.empty(q.size - 1)
     upper[0] = top
-    np.divide(a[1:-1], nodes_h[:-1], out=upper[1:])
-    return a[:-1] / nodes_h, diag, upper
+    upper[1:] = right[:-1]
+    return lower, diag, upper
 
 
-def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, nodes_h: np.ndarray):
+def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float):
     """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
-    w_dt = w/dt and nodes_h = nodes h are the step's constants."""
+    w_dt = w/dt is the step's constant."""
     q, flux_c = cache
-    lower, diag, upper = _flux_jacobian(q, st, nodes_h)
+    lower, diag, upper = _flux_jacobian(q, st)
     diag -= w_dt
     # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
     hi = (0.5 * st.grad * st.g / st.h) * flux_c
@@ -213,18 +228,31 @@ def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, nodes_h: np.ndarray):
     return lower, diag, upper
 
 
-def _extrapolate(history: list, t_new: float) -> np.ndarray:
-    """Predicted level at t_new: the polynomial through the one to three
-    accepted (t, level) pairs of history (oldest first), in Newton's
-    divided-difference form about the newest, x0 + (t-t0) d1 + (t-t0)(t-t1) d2,
-    so constant levels extrapolate to themselves bit-exactly."""
-    ts, diffs = zip(*reversed(history))
-    out, weight = diffs[0], 1.0
-    for j in range(1, len(ts)):
-        # divided differences of order j, [x_i, ..., x_{i+j}], newest first
-        diffs = [(diffs[i] - diffs[i + 1]) / (ts[i] - ts[i + j]) for i in range(len(diffs) - 1)]
-        weight *= t_new - ts[j - 1]
-        out = out + weight * diffs[0]
+def _extrapolate(history: list, t: float) -> np.ndarray:
+    """Predicted level at t, a new array: the polynomial through the one to
+    three accepted (t, level) pairs of history (oldest first), written about
+    the newest as x0 + A (x0 - x1) + B (x1 - x2).
+
+    With w1 = (t - t0)/(t0 - t1) and c = w1 (t - t1)/(t0 - t2), A = w1 + c
+    and B = -c (t0 - t1)/(t1 - t2) (c = 0 for two levels); on uniform times
+    A = 2, B = -1.  Constant levels extrapolate to themselves bit-exactly.
+    """
+    t0, x0 = history[-1]
+    if len(history) == 1:
+        return x0.copy()
+    t1, x1 = history[-2]
+    out = x0 - x1
+    w1 = (t - t0) / (t0 - t1)
+    if len(history) == 2:
+        out *= w1
+    else:
+        t2, x2 = history[-3]
+        c = w1 * (t - t1) / (t0 - t2)
+        out *= w1 + c
+        older = x1 - x2
+        older *= -c * (t0 - t1) / (t1 - t2)
+        out += older
+    out += x0
     return out
 
 
@@ -251,7 +279,7 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
         step = 1.0
         for _ in range(25):
             trial = x.copy()
-            trial[:-1] += step * delta
+            trial[:-1] += delta if step == 1.0 else step * delta
             F_try, cache_try = residual(trial)
             # the squared norm is finite exactly when every residual entry is
             # (an overflowing sum of squares fails the merit test either way)
@@ -272,7 +300,6 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
     w = config.p.time_weight
     st = _stencil(grid, config.n, config.p)
-    nodes_h = st.nodes * st.h
     f = np.asarray(config.initial(grid.r), float)
     v = np.log(f)
     t = 0.0
@@ -286,12 +313,13 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
         w_dt = w / dt
+        start = _extrapolate(history, t + dt)
+        start[-1] = np.log(float(config.boundary(t + dt)))
         # log-space updates beyond 2 invite blowups, so Newton clips there
         out, iters, norm = _newton(
-            np.concatenate([_extrapolate(history, t + dt)[:-1],
-                            [np.log(float(config.boundary(t + dt)))]]),
-            lambda x: _log_residual(x, v, dt, w, st),
-            lambda cache: _log_jacobian(cache, st, w_dt, nodes_h),
+            start,
+            lambda x: _log_residual(x, v, w_dt, st),
+            lambda cache: _log_jacobian(cache, st, w_dt),
             config.tolerance * w_dt * (1.0 + np.abs(v).max()), clip=2.0)
         if out is None:
             if dt <= dt_target * 2.0 ** -30:
@@ -306,7 +334,7 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         # a hard step is a transient: the levels before it predict nothing
         history = history[-2:] + [(t, v)] if iters <= 6 else [(t, v)]
         u = np.exp(v)
-        if not np.all(np.isfinite(u)) or u.min() <= 0.0:
+        if not (u.min() > 0.0 and u.max() < math.inf):
             raise SolverError(f"positivity loss at t={t:.6g}")
         values.append(u)
         times.append(t)
@@ -330,10 +358,10 @@ def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil)
     return F, (q, u)
 
 
-def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float, nodes_h: np.ndarray):
+def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float):
     """dF/du of `_direct_residual`: the flux tridiagonal minus c_dt b'(u)."""
     q, u = cache
-    lower, diag, upper = _flux_jacobian(q, st, nodes_h)
+    lower, diag, upper = _flux_jacobian(q, st)
     diag -= c_dt * st.flux_prime(u[:-1])
     return lower, diag, upper
 
@@ -341,13 +369,14 @@ def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float, nodes_h: np.ndarra
 def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
     grid = config.grid
     st = _stencil(grid, config.n, config.p)
-    nodes_h = st.nodes * st.h
     dt_target = config.dt if config.dt else config.t_end / 200.0
     steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
     times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
     values = np.empty((steps + 1, grid.count))
     u = values[0] = np.asarray(config.initial(grid.r), float)
     b = st.flux(u)
+    ts = times.tolist()
+    history = [(0.0, u)]  # the last three levels the predictor runs through
     newton_iters = []
     for k in range(1, steps + 1):
         if k == 1:  # backward Euler starts the two-step method
@@ -355,17 +384,19 @@ def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
         else:
             c_dt, B_dt = 1.5 / dt, (2.0 * b[:-1] - 0.5 * b_prev[:-1]) / dt
         u_bc = float(config.boundary(times[k]))
-        last = slice(max(0, k - 3), k)  # the predictor runs through up to three levels
-        start = _extrapolate(list(zip(times[last], values[last])), times[k])
+        start = _extrapolate(history, ts[k])
+        np.maximum(start, 0.0, out=start)
+        start[-1] = u_bc
         u, iters, norm = _newton(
-            np.concatenate([np.maximum(start[:-1], 0.0), [u_bc]]),
+            start,
             lambda x: _direct_residual(x, c_dt, B_dt, st),
-            lambda cache: _direct_jacobian(cache, st, c_dt, nodes_h),
+            lambda cache: _direct_jacobian(cache, st, c_dt),
             config.tolerance * c_dt * max(np.abs(b).max(), abs(st.flux(u_bc))), clip=np.inf)
         if u is None:
             raise SolverError(f"newton failed at t={times[k]:.6g} (level {k}), "
                               f"residual {norm:.3e}")
         values[k] = u
+        history = history[-2:] + [(ts[k], values[k])]
         b_prev, b = b, st.flux(u)
         newton_iters.append(iters)
     return SpaceTimeField(values, grid, times,
@@ -386,14 +417,15 @@ def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
     """
     p, n = config.p, config.n
     res = fd_residual_on_field(field, p, n)
-    audit_max = float(np.abs(res).max())
+    res_levels = np.abs(res, out=res).max(axis=1)
+    audit_max = float(res_levels.max())
     u = field.values
     dt_levels = np.diff(field.times)
-    res_levels = np.abs(res).max(axis=1)
     # truncation invisible to the backward-difference audit: 0.5 dt |u_tt|
     utt_term = np.zeros_like(res_levels)
     if len(dt_levels) >= 2:
-        utt = np.abs(np.diff(np.diff(u, axis=0), axis=0)).max(axis=1)
+        utt = np.diff(np.diff(u, axis=0), axis=0)
+        utt = np.abs(utt, out=utt).max(axis=1)
         dts = 0.5 * (dt_levels[1:] + dt_levels[:-1])
         rate = utt / dts ** 2
         utt_term[1:] = 0.5 * dt_levels[1:] * rate

@@ -144,6 +144,7 @@ class TestEigenCommand:
         assert list(tmp_path.glob("eigen-*.csv"))
         data = json.loads(next(tmp_path.glob("eigen-*.json")).read_text())
         assert data["lambda"] <= data["rate_bound"]
+        assert f"{data['residual_norm_interior']:.3e} over r >= 0.05 R" in out
 
     def test_broken_certificate_fails(self, tmp_path, monkeypatch):
         # half the true eigenvalue pi^2 ~ 9.8696 of the unit ball, p = 2, n = 3

@@ -470,6 +470,22 @@ class TestFirstEigenvalue:
         assert 1.7 <= slope <= 2.3, (norms, slope)
         assert max(full) < 10.0 * res.lam
 
+    @pytest.mark.parametrize("pv, n", [(2.0, 2), (2.5, 3), (3.0, 2), (4.0, 3), ("inf", 2)])
+    def test_interior_audit_is_the_window_max(self, eigen_cache, pv, n):
+        # residual_norm_interior is the audit over test_residual_audit_refines'
+        # window r >= 0.05 R; off p = 2 the axis node sets residual_norm alone
+        res = eigen_cache(pv, n, 1.0)
+        psi, _ = res.shot.profile_on(res.grid)
+        audit = np.abs(elliptic_residual_grid(np.maximum(psi, 0.0), res.grid, res.p, n, res.lam))
+        window = res.grid.r[1:-1] >= 0.05
+        assert res.residual_norm == audit.max()
+        assert res.residual_norm_interior == audit[window].max()
+        assert res.to_dict()["residual_norm_interior"] == res.residual_norm_interior
+        if pv == 2.0:
+            assert res.residual_norm_interior == pytest.approx(res.residual_norm, rel=0.1)
+        else:
+            assert res.residual_norm_interior < 1e-3 * res.residual_norm
+
     def test_result_frozen(self, eigen_cache):
         res = eigen_cache(2.0, 3, 1.0)
         with pytest.raises(FrozenInstanceError):

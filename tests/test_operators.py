@@ -24,7 +24,7 @@ from trudlab.operators import (
     log_transform_consistency,
     trudinger_residual_grid,
 )
-from trudlab.operators import _spatial_terms
+from trudlab.operators import AUDIT_BLOCK_BYTES, _spatial_terms
 
 
 def power_profile(gamma, R=10.0, coeff=1.0):
@@ -294,3 +294,53 @@ class TestFieldResidual:
             hs.append(grid.h)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2, slope
+
+
+def whole_field_audit(values, times, R, p, n):
+    """The FD audit of a whole (levels, nodes) field in one pass, written out
+    here in the audit's operation order: the reference of the level blocks."""
+    count = values.shape[1]
+    h, r = R / (count - 1), np.linspace(0.0, R, count)
+    v = values[1:]
+    spatial = np.empty((v.shape[0], count - 1))
+    q0 = (v[:, 1] - v[:, 0]) / h
+    ur = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
+    urr = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h ** 2
+    ut = (values[1:, :-1] - values[:-1, :-1]) / np.diff(times)[:, None]
+    uval = values[1:, :-1]
+    if p == np.inf:
+        spatial[:, 0] = (2.0 / h) * (q0 ** 3 / 3.0)
+        spatial[:, 1:] = ur ** 2 * urr
+        return spatial - 3.0 * uval ** 2 * ut
+    if p == 2.0:
+        spatial[:, 0] = (2.0 * n / h) * q0
+        spatial[:, 1:] = np.ones_like(ur) * ((p - 1.0) * urr + (n - 1.0) * ur / r[1:-1])
+        return spatial - (p - 1.0) * np.ones_like(uval) * ut
+    spatial[:, 0] = (2.0 * n / h) * (np.abs(q0) ** (p - 2.0) * q0)
+    spatial[:, 1:] = np.abs(ur) ** (p - 2.0) * ((p - 1.0) * urr + (n - 1.0) * ur / r[1:-1])
+    return spatial - (p - 1.0) * np.abs(uval) ** (p - 2.0) * ut
+
+
+class TestFieldResidualBlocks:
+    """`fd_residual_on_field` runs in level blocks; every entry equals the
+    whole-field evaluation bit for bit, at every cut between blocks."""
+
+    COUNT = 41
+    BLOCK = AUDIT_BLOCK_BYTES // (8 * COUNT)  # audited levels per block
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0, np.inf])
+    @pytest.mark.parametrize("shape", [(2, COUNT), (BLOCK - 1, COUNT), (BLOCK, COUNT),
+                                       (BLOCK + 1, COUNT), (BLOCK + 2, COUNT), (201, 401)],
+                             ids=["2", "block-1", "block", "block+1", "block+2", "201x401"])
+    def test_blocks_match_whole_field(self, pv, n, shape):
+        levels, count = shape
+        rng = np.random.default_rng([levels, count])
+        grid = RadialGrid(1.3, count)
+        # uneven steps and rough positive data, so no entry is zero by symmetry
+        times = np.cumsum(rng.uniform(1e-3, 4e-3, levels))
+        values = (1.0 + 0.5 * np.cos(2.0 * grid.r))[None, :] * np.exp(-times)[:, None]
+        values = values + 0.01 * rng.uniform(-1.0, 1.0, shape)
+        p = INFINITY if pv == np.inf else Exponent.finite(pv)
+        res = fd_residual_on_field(SpaceTimeField(values, grid, times), p, n)
+        assert np.array_equal(res, whole_field_audit(values, times, 1.3, pv, n))

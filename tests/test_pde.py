@@ -321,11 +321,11 @@ class TestNewtonStep:
         dt, w = 2e-3, p.time_weight
 
         def residual(x):
-            return pde._log_residual(x, v_prev, dt, w, st)[0]
+            return pde._log_residual(x, v_prev, w / dt, st)[0]
 
-        _, cache = pde._log_residual(v, v_prev, dt, w, st)
+        _, cache = pde._log_residual(v, v_prev, w / dt, st)
         self.assert_central_differences(
-            residual, v, pde._log_jacobian(cache, st, w / dt, st.nodes * st.h))
+            residual, v, pde._log_jacobian(cache, st, w / dt))
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
@@ -339,7 +339,7 @@ class TestNewtonStep:
         u = np.exp(v)
         _, cache = pde._direct_residual(u, c_dt, B_dt, st)
         self.assert_central_differences(
-            residual, u, pde._direct_jacobian(cache, st, c_dt, st.nodes * st.h))
+            residual, u, pde._direct_jacobian(cache, st, c_dt))
 
     @staticmethod
     def assert_central_differences(residual, v, diagonals):
@@ -401,6 +401,25 @@ class TestPredictor:
         assert np.array_equal(pde._extrapolate([(0.2, x0)], 0.7), x0)
         np.testing.assert_allclose(pde._extrapolate([(0.2, x0), (0.5, x1)], 0.7),
                                    x1 + (x1 - x0) * (0.2 / 0.3), rtol=1e-14)
+
+    def test_uniform_times_give_the_closed_form(self):
+        # the direct scheme's fixed steps: x0 + d + (d - (x1 - x2)), d = x0 - x1
+        times = np.linspace(0.0, 0.37, 201).tolist()
+        r = np.linspace(0.0, 1.0, 9)
+        rng = np.random.default_rng(3)
+        for k in range(3, 201):
+            history = [(t, np.exp(-t) * (1.5 - r ** 2) + 1e-3 * rng.standard_normal(r.size))
+                       for t in times[k - 3:k]]
+            (_, x2), (_, x1), (_, x0) = history
+            d = x0 - x1
+            np.testing.assert_allclose(pde._extrapolate(history, times[k]),
+                                       x0 + d + (d - (x1 - x2)), rtol=1e-15, atol=0.0)
+        # and it stays exact on quadratics there
+        a, b, c = 1.0 + r, np.sin(3.0 * r), 0.5 - r ** 2
+        history = [(t, a + b * t + c * t * t) for t in times[40:43]]
+        t_new = times[43]
+        np.testing.assert_allclose(pde._extrapolate(history, t_new),
+                                   a + b * t_new + c * t_new * t_new, rtol=0.0, atol=1e-12)
 
     def test_direct_decay_takes_about_one_iteration_per_step(self, eigen_cache):
         # the previous level as start took 3.0 iterations per step here
