@@ -4,16 +4,16 @@ Each family packages one explicit sub/super-solution construction: the
 separable eigen-type barrier on a ball, the space-time growth envelope on the
 whole space, the self-similar kernels, the power profiles, the flattening
 envelopes that squeeze solutions toward constant boundary data, and the
-elliptic boundary barriers for the delta-boundary problem.  The time factor
-used to halve a solution over one time block is a `TimeFactor`, not a family.
+elliptic boundary barriers for the delta-boundary problem.
 
 Every formula is written once in the exponent law (g, k, d) of
 `exponent.Exponent`: (p, 1, n) for finite p, (4, 3, 1) for infinity.  The
 growth, kernel, power and flattening families are all v = A(t) + B(t) r^beta
 with beta = g/(g-1); `_power_log` is their one constructor and its
-closed-form log-form residual.  A branch on the exponent is left only where
-the construction itself differs: the eigen barrier's (alpha, rate) rule, the
-infinity lower envelope's cubic amplitude, and the finite-p boundary barriers.
+closed-form log-form residual.  The boundary barrier's cone and outer ball
+are one power of the law, chosen by g > d.  A branch on the exponent is left
+only where the construction itself differs: the eigen barrier's (alpha, rate)
+rule and the infinity lower envelope's cubic amplitude.
 
 A BarrierSpec validates its parameter constraints at construction, stores the
 derived constants, evaluates phi (and log phi where the family is naturally a
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -69,11 +71,17 @@ class Verdict(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
+def _freeze_mappings(obj) -> None:
+    """Store obj.params and obj.derived as read-only mappings over copies."""
+    for name in ("params", "derived"):
+        object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     family: str
-    params: dict
-    derived: dict
+    params: Mapping
+    derived: Mapping
     min_residual: float
     max_residual: float
     argmin: SpaceTimePoint
@@ -84,9 +92,14 @@ class ResidualReport:
     scale: float
     seed: int
 
+    def __post_init__(self):
+        _freeze_mappings(self)
+
     def to_dict(self) -> dict:
-        """Plain JSON types: the points as {"r", "t"}, the verdict by value."""
+        """Plain JSON types: the mappings as dicts, the points as {"r", "t"},
+        the verdict by value."""
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "params": dict(self.params), "derived": dict(self.derived),
                 "argmin": self.argmin._asdict(), "argmax": self.argmax._asdict(),
                 "verdict": self.verdict.value}
 
@@ -98,8 +111,8 @@ class BarrierSpec:
     family: Family
     p: Exponent
     n: int
-    params: dict
-    derived: dict
+    params: Mapping
+    derived: Mapping
     phi: SpaceTimeFunction
     residual_fn: Callable  # (r, t) -> (residual, term-magnitude scale), broadcasting r and t
     expected: Verdict | None
@@ -107,6 +120,9 @@ class BarrierSpec:
     t_start: float = 0.0
     t_end: float = np.inf
     log_phi: Callable | None = None  # log-form value when stored that way
+
+    def __post_init__(self):
+        _freeze_mappings(self)
 
     @property
     def is_log_form(self) -> bool:
@@ -499,111 +515,50 @@ def make_flattening_lower(p: Exponent, n: int, R: float = 1.0, m: float = 0.5,
         derived=derived, expected=Verdict.SUBSOLUTION, t_start=derived["T1"])
 
 
-@dataclass(frozen=True)
-class TimeFactor:
-    """Time damping factor F(t; S, T) interpolating 1 -> 1/2 over [S, T].
-
-    F = (1/2)[1 + (beta(t) - 1)/(beta_S - 1)] with beta(t) = exp(lam (T-t)/w),
-    w = g - 1 the time weight, beta_S = beta(S) >= 2.
-    """
-
-    lam: float
-    S: float
-    T: float
-    w: float
-    beta_S: float
-
-    def _beta(self, t):
-        return np.exp(self.lam * (self.T - np.asarray(t, float)) / self.w)
-
-    def F(self, t):
-        return 0.5 * (1.0 + (self._beta(t) - 1.0) / (self.beta_S - 1.0))
-
-    def F_t(self, t):
-        return -self.lam * self._beta(t) / (2.0 * self.w * (self.beta_S - 1.0))
-
-
-def make_time_factor(lam: float, p: Exponent, S: float, T: float) -> TimeFactor:
-    """The time factor of one block [S, T]; requires beta(S) >= 2 so that
-    multiplying a positive separable profile by F stays a supersolution.
-    It carries no sign claim of its own: combine it with an elliptic profile.
-    """
-    if lam <= 0:
-        raise ConstraintError("lam must be positive")
-    if not S < T:
-        raise ConstraintError("need S < T")
-    w = p.time_weight
-    beta_S = float(np.exp(lam * (T - S) / w))
-    if beta_S < 2.0 - 1e-12:
-        raise ConstraintError(
-            f"beta(S,T)={beta_S:.6g} < 2; stretch the block so exp(lam (T-S)/{w:g}) >= 2")
-    return TimeFactor(float(lam), float(S), float(T), w, beta_S)
-
-
-def _finite_p(p: Exponent) -> float:
-    if p.is_infinity:
-        raise ConstraintError("boundary barriers are defined for finite p only")
-    return p.p
-
-
-def _boundary_law(p: Exponent, n: int, case_params: dict) -> tuple:
-    """(e, r0, r1, K, lam_max) of the boundary barrier w = delta + c |r^e - r0^e|.
-
-    Cone (n < p): e = theta (p-n)/(p-1) on 0 < r <= r1 = R, r0 = 0.  Outer
-    ball (p <= n): e = -alpha on r0 = rho <= r <= r1 = R + rho.  Then
-    Delta_p w = -c^{p-1} K r^{(e-1)(p-1)-1} with K = |e|^{p-1}(1 - n - (p-1)(e-1)),
-    and the zero-order rate must stay below K r1^{(e-1)(p-1)-1} / |r1^e - r0^e|^{p-1}.
-    """
-    pf = _finite_p(p)
-    R = case_params["R"]
-    if pf > n:
-        theta = case_params["theta"]
-        if not 0.0 < theta < 1.0:
-            raise ConstraintError("theta must lie in (0, 1)")
-        e, r0, r1 = theta * (pf - n) / (pf - 1.0), 0.0, R
-    else:
-        alpha, rho = case_params["alpha"], case_params["rho"]
-        if rho is None or rho <= 0:
-            raise ConstraintError("outer-ball case needs a positive outer radius rho")
-        alpha_min = max(0.0, (n - pf) / (pf - 1.0))
-        if not alpha > alpha_min:
-            raise ConstraintError(f"alpha must exceed {alpha_min:g}")
-        e, r0, r1 = -alpha, rho, R + rho
-    K = abs(e) ** (pf - 1.0) * (1.0 - n - (pf - 1.0) * (e - 1.0))
-    lam_max = K * r1 ** ((e - 1.0) * (pf - 1.0) - 1.0) / abs(r1 ** e - r0 ** e) ** (pf - 1.0)
-    return e, r0, r1, K, lam_max
-
-
 def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | None = None,
                           R: float = 1.0, theta: float = 0.5, alpha: float | None = None,
                           rho: float = 0.5, safety: float = 1.05) -> BarrierSpec:
-    """Elliptic supersolution w with Delta_p w + lam w^{p-1} <= 0 and w = delta
-    at the contact point.
+    """Elliptic supersolution w = delta + c |r^e - r0^e| with L w + lam w^{g-1} <= 0
+    and w = delta at the contact radius r0.
 
-    n < p: cone barrier delta + c r^alpha on 0 < r <= R with
-    alpha = theta (p-n)/(p-1), 0 < theta < 1.  2 <= p <= n: outer-ball barrier
-    delta + c (rho^{-alpha} - r^{-alpha}) on rho <= r <= R + rho with
-    alpha > max(0, (n-p)/(p-1)).  Both are `_boundary_law` powers; c is the
-    smallest admissible value times `safety`; lam above the admissible bound
-    is rejected with the bound reported, and defaults to half of it.  The
-    outer-ball alpha defaults to one above its least value.
+    g > d: cone, e = theta (g-d)/(g-1) with 0 < theta < 1, on 0 < r <= r1 = R
+    with r0 = 0.  g <= d: outer ball, e = -alpha with alpha > max(0, (d-g)/(g-1))
+    (by default one above that bound), on r0 = rho <= r <= r1 = R + rho.  Then
+    L w = -c^{g-1} K r^{(e-1)(g-1)-1} with K = |e|^{g-1}(1 - d - (g-1)(e-1))/k,
+    and lam must stay below lam_max = K r1^{(e-1)(g-1)-1} / |r1^e - r0^e|^{g-1}:
+    a larger lam is rejected with the bound reported, and lam defaults to half
+    of it.  c is the smallest admissible value times `safety`.  At infinity
+    g = 4 > d = 1, so the barrier is the cone, with K = theta^3 (1 - theta).
     """
-    pf = _finite_p(p)
     if delta <= 0 or R <= 0 or (lam is not None and lam <= 0):
         raise ConstraintError("delta, lam, R must be positive")
-    if pf > n:
+    g, k, d = p.g, p.k, p.d(n)
+    if g > d:
+        if not 0.0 < theta < 1.0:
+            raise ConstraintError("theta must lie in (0, 1)")
         case = {"theta": theta, "R": R}
+        e, r0, r1 = theta * (g - d) / (g - 1.0), 0.0, R
+        # the vertex r = 0 carries value delta but residual -> -inf; sample off it
+        family, r_range, reported = Family.BOUNDARY_CONE, (1e-6 * R, R), ()
     else:
+        alpha_min = max(0.0, (d - g) / (g - 1.0))
         if alpha is None:
-            alpha = max(0.0, (n - pf) / (pf - 1.0)) + 1.0
+            alpha = alpha_min + 1.0
+        if rho is None or rho <= 0:
+            raise ConstraintError("outer-ball case needs a positive outer radius rho")
+        if not alpha > alpha_min:
+            raise ConstraintError(f"alpha must exceed {alpha_min:g}")
         case = {"alpha": alpha, "rho": rho, "R": R}
-    e, r0, r1, K, lam_max = _boundary_law(p, n, case)
+        e, r0, r1 = -alpha, rho, R + rho
+        family, r_range, reported = Family.BOUNDARY_OUTER_BALL, (rho, r1), ("k", "J")
+    w = g - 1.0
+    K = abs(e) ** w * (1.0 - d - w * (e - 1.0)) / k
+    span = abs(r1 ** e - r0 ** e)
+    lam_max = K * r1 ** ((e - 1.0) * w - 1.0) / span ** w
     if lam is None:
         lam = 0.5 * lam_max
     if not lam < lam_max:
         raise ConstraintError(f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
-    w = pf - 1.0
-    span = abs(r1 ** e - r0 ** e)
     q = (lam / lam_max) ** (1.0 / w)
     c = safety * delta * q / (span * (1.0 - q))
     sign = np.sign(e)  # c sign (r^e - r0^e) grows from 0 at the contact radius
@@ -620,15 +575,10 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | 
         dt=lambda r, t: 0.0,
         R=r1,
     )
-    derived = {"alpha": abs(e), "c": c, "lam_max": lam_max}
-    if e > 0:
-        # the vertex r = 0 carries value delta but residual -> -inf; sample off it
-        fam, r_range = Family.BOUNDARY_CONE, (1e-6 * R, R)
-    else:
-        fam, r_range = Family.BOUNDARY_OUTER_BALL, (rho, r1)
-        derived.update(k=K, J=span)
+    derived = {"alpha": abs(e), "c": c, "lam_max": lam_max,
+               **dict(zip(reported, (K, span)))}  # the outer ball reports K and the span
     return BarrierSpec(
-        family=fam, p=p, n=n, params={"delta": delta, "lam": lam, **case, "safety": safety},
+        family=family, p=p, n=n, params={"delta": delta, "lam": lam, **case, "safety": safety},
         derived=derived, phi=phi, residual_fn=residual_fn,
         expected=Verdict.SUPERSOLUTION, r_range=r_range, t_start=0.0,
     )
@@ -772,7 +722,7 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
     return ResidualReport(
         family=spec.family.value,
         params={**spec.params, "p": spec.p.label, "n": spec.n},
-        derived=dict(spec.derived),
+        derived=spec.derived,
         min_residual=float(res[i_min]),
         max_residual=float(res[i_max]),
         argmin=point(i_min),
@@ -826,8 +776,7 @@ def make_family(family: str, p: Exponent, n: int, given: dict) -> BarrierSpec:
 def default_catalog(p: Exponent, n: int, R: float = 1.0) -> list:
     """One representative spec per family with a sign claim, for sweeps.
 
-    Boundary barriers appear only for finite p, as the cone (n < p) or the
-    outer ball (p <= n).
+    The boundary barrier is the cone (g > d, always at infinity) or the outer
+    ball (g <= d).
     """
-    return [make_family(name, p, n, {"R": R}) for name in CATALOG_FAMILIES
-            if p.is_finite or name != "boundary"]
+    return [make_family(name, p, n, {"R": R}) for name in CATALOG_FAMILIES]

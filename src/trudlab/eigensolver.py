@@ -39,7 +39,7 @@ from scipy.optimize import brentq
 
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
-from .grids import RadialGrid
+from .grids import RadialGrid, read_only
 from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
 
 GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
@@ -263,8 +263,13 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0) -
     return Shot(p, n, float(lam), psi0, r_end, first_zero, h, sol)
 
 
-class _ProfileWriter:
-    """CSV writer of the two result types: the rows (r, `column`)."""
+class _ProfileResult:
+    """Shared by the two result types: the profile arrays named in `arrays`
+    are stored as read-only views, and `to_csv` writes the rows (r, `column`)."""
+
+    def __post_init__(self):
+        for name in self.arrays:
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def to_csv(self, path) -> None:
         """r,<column> rows as csv.writer writes them (%.17g, CRLF), one write."""
@@ -275,7 +280,7 @@ class _ProfileWriter:
 
 
 @dataclass(frozen=True)
-class EigenResult(_ProfileWriter):
+class EigenResult(_ProfileResult):
     lam: float
     grid: RadialGrid
     psi: np.ndarray
@@ -287,7 +292,7 @@ class EigenResult(_ProfileWriter):
     n: int
     shot: Shot  # the eigenfunction shot, stretched to [0, R]
 
-    column = "psi"
+    column, arrays = "psi", ("psi", "dpsi")
 
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "p": self.p.label, "n": self.n, "R": self.grid.R,
@@ -371,7 +376,7 @@ def scaling_check(p: Exponent, n: int, radii) -> float:
 
 
 @dataclass(frozen=True)
-class BvpResult(_ProfileWriter):
+class BvpResult(_ProfileResult):
     lam: float
     delta: float
     grid: RadialGrid
@@ -381,7 +386,7 @@ class BvpResult(_ProfileWriter):
     p: Exponent
     n: int
 
-    column = "u"
+    column, arrays = "u", ("u", "du")
 
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "delta": self.delta, "M_lambda": self.M_lambda,

@@ -9,6 +9,13 @@ from types import MappingProxyType
 import numpy as np
 
 
+def read_only(values) -> np.ndarray:
+    """A read-only float view of values (the caller's array stays writeable)."""
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform nodes on [0, R], endpoints included."""
@@ -48,9 +55,7 @@ class SpaceTimeField:
 
     def __post_init__(self):
         for name in ("values", "times"):
-            view = np.asarray(getattr(self, name), dtype=float).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         if self.values.shape != (self.times.size, self.grid.count):
             raise ValueError(

@@ -27,13 +27,14 @@ from trudlab.barriers import (
     make_kernel,
     make_paraboloid,
     make_power_solution,
-    make_time_factor,
     separated_solution,
     verify_sign,
 )
 from trudlab.exponent import INFINITY, Exponent
+from trudlab.grids import RadialGrid
 from trudlab.operators import (
     RadialProfile,
+    fd_laplacian_grid,
     fd_residual_on_field,
     log_form_residual_grid,
     log_transform_consistency,
@@ -244,6 +245,47 @@ class TestFlatteningEnvelopes:
             assert np.all(np.diff(lo_vals, axis=0) >= -1e-12)
 
 
+@dataclasses.dataclass(frozen=True)
+class TimeFactor:
+    """Time damping factor F(t; S, T) interpolating 1 -> 1/2 over [S, T].
+
+    F = (1/2)[1 + (beta(t) - 1)/(beta_S - 1)] with beta(t) = exp(lam (T-t)/w),
+    w = g - 1 the time weight, beta_S = beta(S) >= 2.
+    """
+
+    lam: float
+    S: float
+    T: float
+    w: float
+    beta_S: float
+
+    def _beta(self, t):
+        return np.exp(self.lam * (self.T - np.asarray(t, float)) / self.w)
+
+    def F(self, t):
+        return 0.5 * (1.0 + (self._beta(t) - 1.0) / (self.beta_S - 1.0))
+
+    def F_t(self, t):
+        return -self.lam * self._beta(t) / (2.0 * self.w * (self.beta_S - 1.0))
+
+
+def make_time_factor(lam: float, p: Exponent, S: float, T: float) -> TimeFactor:
+    """The time factor of one block [S, T]; requires beta(S) >= 2 so that
+    multiplying a positive separable profile by F stays a supersolution.
+    It carries no sign claim of its own: combine it with an elliptic profile.
+    """
+    if lam <= 0:
+        raise ConstraintError("lam must be positive")
+    if not S < T:
+        raise ConstraintError("need S < T")
+    w = p.time_weight
+    beta_S = float(np.exp(lam * (T - S) / w))
+    if beta_S < 2.0 - 1e-12:
+        raise ConstraintError(
+            f"beta(S,T)={beta_S:.6g} < 2; stretch the block so exp(lam (T-S)/{w:g}) >= 2")
+    return TimeFactor(float(lam), float(S), float(T), w, beta_S)
+
+
 class TestTimeFactor:
     def test_endpoint_values(self):
         s = make_time_factor(2.0, Exponent.finite(3), S=0.5, T=2.5)
@@ -371,9 +413,34 @@ class TestBoundaryBarriers:
         assert np.all(res <= 1e-12)
         assert s.value(0.5, 0.0) == pytest.approx(1.0)
 
-    def test_infinity_rejected(self):
-        with pytest.raises(ConstraintError):
-            make_boundary_barrier(INFINITY, 2, delta=1.0, lam=0.01, R=1.0)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_infinity_cone_constants(self, n):
+        # (g, k, d) = (4, 3, 1), theta = 1/2: e = theta, K = theta^3 (1 - theta)
+        # = 1/16, and lam_max = K R^{3(e-1)-1} / R^{3e} = 1/16 at R = 1
+        s = make_boundary_barrier(INFINITY, n)
+        assert s.family is Family.BOUNDARY_CONE
+        assert s.derived["alpha"] == pytest.approx(0.5, rel=1e-15)
+        assert s.derived["lam_max"] == pytest.approx(1.0 / 16.0, rel=1e-15)
+        assert s.params["lam"] == pytest.approx(1.0 / 32.0, rel=1e-15)
+        assert s.value(0.0, 0.0) == pytest.approx(1.0)  # contact value delta
+        assert verify_sign(s).verdict == Verdict.SUPERSOLUTION
+
+    def test_infinity_cone_matches_fd_laplacian(self):
+        """residual - lam w^3 against the infinity branch of the FD Laplacian,
+        (u')^2 u'' by central differences, written without the law."""
+        s = make_boundary_barrier(INFINITY, 2)
+        lam = s.params["lam"]
+        errs, hs = [], []
+        for count in (501, 2001, 8001):
+            grid = RadialGrid(1.0, count)
+            window = grid.r[:-1] >= 0.1  # fd_laplacian_grid drops the r = R column
+            r = grid.r[:-1][window]
+            fd = fd_laplacian_grid(s.value(grid.r, 0.0), grid, INFINITY, 2)[window]
+            closed = s.residual(r, 0.0 * r) - lam * s.value(r, 0.0) ** 3
+            errs.append(np.abs(fd - closed).max() / np.abs(closed).max())
+            hs.append(grid.h)
+        order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert 1.8 <= order <= 2.2, (order, errs)
 
 
 class TestSeparatedSolution:
@@ -699,6 +766,24 @@ class TestBarrierEval:
         with pytest.raises(ValueError):
             s.log_value(0.5, 1.0)
 
+    def test_spec_and_report_mappings_read_only(self):
+        spec = make_boundary_barrier(Exponent.finite(2), 3)
+        rep = verify_sign(spec, samples=400, random_samples=40)
+        for mapping in (spec.params, spec.derived, rep.params, rep.derived):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = 0.0
+            with pytest.raises(TypeError):
+                mapping["added"] = 0.0
+        given = {"R": 2.0}  # a spec copies the caller's dict instead of sharing it
+        copied = dataclasses.replace(spec, params=given)
+        given["R"] = 3.0
+        assert copied.params == {"R": 2.0}
+        data = rep.to_dict()
+        assert type(data["params"]) is dict and type(data["derived"]) is dict
+        assert data["params"] == {**spec.params, "p": "2", "n": 3}
+        assert data["derived"] == spec.derived
+
 
 class TestPowerLogClosedForm:
     """The `_power_log` residual against the operator path on the same phi."""
@@ -731,8 +816,7 @@ class TestCatalogDefaults:
     @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)
     @pytest.mark.parametrize("n", [2, 3])
     def test_defaults_pinned(self, p, n):
-        built = {name: make_family(name, p, n, {}).params for name in CATALOG_FAMILIES
-                 if p.is_finite or name != "boundary"}
+        built = {name: make_family(name, p, n, {}).params for name in CATALOG_FAMILIES}
         alpha = 1.0 if p.is_finite else 0.5
         assert built["growth"] == {
             "T": 1.0, "alpha": alpha, "b": 0.5 * growth_barrier_max_b(p, 1.0, alpha)}
@@ -742,11 +826,10 @@ class TestCatalogDefaults:
         assert built["eigen"] == built["paraboloid"] == {"R": 1.0}
         assert built["kernel"] == {}
         assert built["power"] == {"sign": 1, "f": "1/(1+t)", "t_max": None}
-        if p.is_infinity:
-            return
-        if p.p > n:
+        g, d = p.g, p.d(n)
+        if g > d:
             case = {"theta": 0.5, "R": 1.0}
         else:
-            case = {"alpha": 1.0 + max(0.0, (n - p.p) / (p.p - 1.0)), "rho": 0.5, "R": 1.0}
+            case = {"alpha": 1.0 + max(0.0, (d - g) / (g - 1.0)), "rho": 0.5, "R": 1.0}
         lam = 0.5 * make_boundary_barrier(p, n, **case).derived["lam_max"]
         assert built["boundary"] == {"delta": 1.0, "lam": lam, **case, "safety": 1.05}

@@ -51,6 +51,13 @@ class TestVerifyCommand:
         assert rep["verdict"] == "Solution"
         assert max(abs(rep["min_residual"]), abs(rep["max_residual"])) < 1e-8 * rep["scale"]
 
+    def test_boundary_cone_at_infinity(self, tmp_path, capsys):
+        code = run(["verify", "--family", "boundary", "--p", "inf", "--n", "3"], tmp_path)
+        assert code == EXIT_OK
+        assert "boundary-cone p=inf n=3" in capsys.readouterr().out
+        [path] = tmp_path.glob("verify-boundary-cone-inf-3-*.json")
+        assert strict_json(path)["report"]["verdict"] == "Supersolution"
+
     def test_unknown_family(self, tmp_path):
         code = run(["verify", "--family", "mystery"], tmp_path)
         assert code == EXIT_USAGE
@@ -128,7 +135,7 @@ class TestVerifyCommand:
     def test_defaults_match_catalog(self, p, n):
         # a bare `trudlab verify --family F` checks the catalog's own entry
         catalog = default_catalog(Exponent.parse(p), n)
-        assert len(catalog) == (8 if p != "inf" else 7)
+        assert len(catalog) == 8
         for name, spec in zip(CATALOG_FAMILIES, catalog):
             built = make_family(name, Exponent.parse(p), n, {"family": name, "p": p, "n": n})
             assert built.family == spec.family

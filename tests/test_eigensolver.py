@@ -491,6 +491,13 @@ class TestFirstEigenvalue:
         with pytest.raises(FrozenInstanceError):
             res.lam = 0.0
 
+    def test_profile_arrays_read_only(self, eigen_cache):
+        res = eigen_cache(2.0, 3, 1.0)
+        for values in (res.psi, res.dpsi):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = values[0]  # the same value: the shared result stays intact
+
     def test_serialization(self, eigen_cache, tmp_path):
         res = eigen_cache(2.0, 3, 1.0)
         data = res.to_dict()
@@ -667,6 +674,13 @@ class TestQuotientComparison:
 
 
 class TestBvpSerialization:
+    def test_profile_arrays_read_only(self):
+        b = solve_delta_bvp(Exponent.finite(2), 3, 1.0, 0.5 * PI2, 1.0)
+        for values in (b.u, b.du):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
     def test_json_and_csv(self, tmp_path):
         b = solve_delta_bvp(Exponent.finite(2), 3, 1.0, 0.5 * PI2, 1.0)
         data = b.to_dict()
