@@ -421,14 +421,14 @@ def default_flatten_alpha(p: Exponent) -> float:
 
 
 def _check_flatten(p: Exponent, R: float, alpha: float | None) -> float:
-    """R > 0 and alpha in (0, 1/(g-2)], any alpha > 0 at g = 2; returns alpha,
-    `default_flatten_alpha` when None."""
-    if R <= 0:
-        raise ConstraintError("R must be positive")
+    """Finite R > 0 and alpha in (0, 1/(g-2)], any finite alpha > 0 at g = 2;
+    returns alpha, `default_flatten_alpha` when None."""
+    if not 0 < R < np.inf:
+        raise ConstraintError("R must be positive and finite")
     if alpha is None:
         return default_flatten_alpha(p)
-    if alpha <= 0:
-        raise ConstraintError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ConstraintError("alpha must be positive and finite")
     g = p.g
     if g > 2.0 and alpha > 1.0 / (g - 2.0):
         raise ConstraintError(f"alpha must lie in (0, {1.0 / (g - 2.0):g}] for p={p.label}")
@@ -469,8 +469,8 @@ def make_flattening_upper(p: Exponent, n: int, R: float = 1.0, M: float = 2.0,
     Boundary trace >= 1 for all t, initial trace >= M at t = T0, and the
     envelope decreases to 1 pointwise as t -> infinity.
     """
-    if M <= 1:
-        raise ConstraintError("M must exceed 1")
+    if not 1 < M < np.inf:
+        raise ConstraintError("M must be finite and exceed 1")
     alpha = _check_flatten(p, R, alpha)
     cst = flattening_constants(p, n, R, M, alpha, safety)
     return _flattening(

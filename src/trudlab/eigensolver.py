@@ -15,14 +15,14 @@ on the law only; `_axis_series` gives the start values at the handover h (the
 largest r where the series' 12th term is at most 1e-2 ATOL, capped at 0.1 R),
 the solution below h and, through a_1, the eigenfunction's `PowerOrigin`
 coefficient.  Above h the 8th-order Dormand-Prince pair DOP853 takes over, on
-plain floats with scipy's tables and step control (`_dop853`), so it never
-steps through the non-integer powers of r at the axis; one integration is one
-frozen `Shot` holding its 7th-order dense solution sol(r) -> (psi, W) on
-[0, r_end].  No parameter
-is searched for: the equation is invariant under r -> s r, lam -> lam s^g
-(the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a
-single shot yields the eigenvalue (from where its first zero falls) or the
-center value (from its boundary trace).
+plain floats with scipy's tables, read on the first shot (`_tableau`), and its
+step control (`_dop853`), so it never steps through the non-integer powers of
+r at the axis; one integration is one frozen `Shot` holding its 7th-order
+dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter is searched
+for: the equation is invariant under r -> s r, lam -> lam s^g (the lam_R R^g
+law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a single shot yields
+the eigenvalue (from where its first zero falls) or the center value (from its
+boundary trace).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
@@ -51,13 +49,25 @@ class ShootingError(RuntimeError):
     """Integration failure, or a shot that contradicts a certified bound."""
 
 
-# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) as scipy ships it, as
-# plain floats: (c_s, a_s) for the stages 1..11 of a step and for the three
-# extra dense-output stages 13..15, then the weights.
-_STAGES = [(c, a[:s]) for s, (c, a) in enumerate(zip(DOP853.C.tolist(), DOP853.A.tolist())) if s]
-_EXTRA = [(c, a[:s]) for s, (c, a) in enumerate(
-    zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA.tolist()), start=DOP853.n_stages + 1)]
-_B, _E3, _E5 = DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist()
+@functools.cache
+def _tableau():
+    """DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) as scipy ships it, as
+    plain floats, and brentq: (stages, extra, B, E3, E5, D, brentq), with
+    (c_s, a_s) for the stages 1..11 of a step and for the three extra
+    dense-output stages 13..15.  scipy.integrate and scipy.optimize are
+    imported here, on the first shot, so a process that never shoots never
+    loads them."""
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
+
+    stages = [(c, a[:s]) for s, (c, a) in enumerate(
+        zip(DOP853.C.tolist(), DOP853.A.tolist())) if s]
+    extra = [(c, a[:s]) for s, (c, a) in enumerate(
+        zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA.tolist()), start=DOP853.n_stages + 1)]
+    return (stages, extra, DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist(),
+            DOP853.D, brentq)
+
+
 _EPS4 = 4.0 * np.finfo(float).eps
 
 
@@ -86,6 +96,7 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     step], so sol's one take along the step axis gathers unit-stride rows and
     each Horner term is one pass over them, not len(r) passes over two values.
     """
+    stages, extra, B, E3, E5, D, brentq = _tableau()
     psi, w = y
     f = rhs(r, psi, w)
     sp, sw = atol + abs(psi) * rtol, atol + abs(w) * rtol
@@ -107,18 +118,18 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
             r_new = min(r + h_abs, r_bound)
             h = r_new - r
             kp, kw = [f[0]], [f[1]]
-            for c, a in _STAGES:
+            for c, a in stages:
                 k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
                 kp.append(k[0])
                 kw.append(k[1])
-            psi_new, w_new = psi + h * sum(map(mul, _B, kp)), w + h * sum(map(mul, _B, kw))
+            psi_new, w_new = psi + h * sum(map(mul, B, kp)), w + h * sum(map(mul, B, kw))
             f_new = rhs(r + h, psi_new, w_new)
             kp.append(f_new[0])
             kw.append(f_new[1])
             sp = atol + max(abs(psi), abs(psi_new)) * rtol
             sw = atol + max(abs(w), abs(w_new)) * rtol
-            e5 = (sum(map(mul, _E5, kp)) / sp) ** 2 + (sum(map(mul, _E5, kw)) / sw) ** 2
-            e3 = (sum(map(mul, _E3, kp)) / sp) ** 2 + (sum(map(mul, _E3, kw)) / sw) ** 2
+            e5 = (sum(map(mul, E5, kp)) / sp) ** 2 + (sum(map(mul, E5, kw)) / sw) ** 2
+            e3 = (sum(map(mul, E3, kp)) / sp) ** 2 + (sum(map(mul, E3, kw)) / sw) ** 2
             err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
@@ -126,7 +137,7 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        for c, a in _EXTRA:
+        for c, a in extra:
             k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
             kp.append(k[0])
             kw.append(k[1])
@@ -140,7 +151,7 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     y_old, K = np.stack([psi_old, w_old], -1), np.stack([kp, kw], -1)
     dy, h = np.stack([psi_new, w_new], -1) - y_old, hs[:, None]
     F = np.concatenate([[dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 12] + K[:, 0])],
-                        h * np.einsum("jk,mkc->jmc", DOP853.D, K)]).transpose(0, 2, 1).copy()
+                        h * np.einsum("jk,mkc->jmc", D, K)]).transpose(0, 2, 1).copy()
     y_old = y_old.T.copy()
     if crossed:  # the zero of the last step's polynomial
         Fp, (r0, h, psi0) = F[:, 0, -1].tolist(), steps[-1][:3]

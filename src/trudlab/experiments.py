@@ -23,10 +23,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .artifacts import write_artifacts
 from .barriers import (
+    ConstraintError,
     growth_barrier_max_b,
     make_eigen_barrier,
     make_flattening_lower,
@@ -90,6 +90,8 @@ def _write_rows(rows, path) -> None:
 
 def straddle_initial(m: float, M: float, R: float):
     """C^1 initial profile: M at the axis, dipping to m at 0.6 R, back to 1 at r = R."""
+    from scipy.interpolate import CubicHermiteSpline
+
     spline = CubicHermiteSpline([0.0, 0.6 * R, R], [M, m, 1.0], [0.0, 0.0, 0.0])
     return lambda r: spline(np.asarray(r, float))
 
@@ -233,6 +235,8 @@ def phragmen_lindelof_study(p: Exponent, n: int, m: float, M: float,
     -> M as eps -> 0, with log-gap proportional to eps^{g-1} (eps^{p-1} for
     finite p, eps^3 for infinity).
     """
+    if not 0 < m <= M < np.inf:
+        raise ConstraintError(f"m and M must satisfy 0 < m <= M < inf, got m={m}, M={M}")
     t0 = time.time()
     R_list = sorted(float(R) for R in R_list)
     eps_list = sorted(float(e) for e in eps_list)

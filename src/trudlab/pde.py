@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .exponent import Exponent
 from .grids import RadialGrid, SpaceTimeField
@@ -48,6 +47,14 @@ from .operators import fd_residual_on_field
 LOG_IMPLICIT = "log-implicit"
 DIRECT_IMPLICIT = "direct-implicit"
 MAX_NEWTON = 50
+
+
+def dgtsv(*args):
+    """LAPACK's tridiagonal solve: the first call imports scipy.linalg and
+    rebinds this module attribute to the routine itself."""
+    global dgtsv
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv(*args)
 
 
 class SolverError(RuntimeError):

@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +315,17 @@ class TestExitContract:
         # an overflowing exponent is no finite p, and not the infinity label either
         ["eigen", "--p", "1e999"],
         ["verify", "--family", "eigen", "--p", "1e999"],
+        # a non-finite flatten parameter: rejected before any spline is built
+        ["experiment", "flatten", "--p", "3", "--M", "nan"],
+        ["experiment", "flatten", "--p", "3", "--R", "nan"],
+        ["experiment", "flatten", "--p", "3", "--M", "inf"],
+        ["experiment", "flatten", "--p", "3", "--R", "inf"],
+        ["experiment", "flatten", "--p", "2", "--alpha", "inf"],
+        # pl needs 0 < m <= M < inf: no report, no verdict
+        ["experiment", "pl", "--p", "3", "--m", "nan"],
+        ["experiment", "pl", "--p", "3", "--m", "-1"],
+        ["experiment", "pl", "--p", "3", "--M", "0.1"],
+        ["experiment", "pl", "--p", "3", "--M", "inf"],
     ])
     def test_bad_input_is_usage(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == EXIT_USAGE
@@ -384,3 +398,73 @@ class TestExitContract:
         for _ in range(2):
             assert main(["eigen", "--p", "1.5"]) == EXIT_USAGE
         assert progs.count("trudlab") == 1
+
+
+# Runs main on each argv (with --out) in a fresh interpreter, then prints the
+# scipy modules loaded, as one JSON line.
+FOOTPRINT = """
+import json, sys
+from trudlab.cli import main
+for argv in json.loads(sys.argv[2]):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def scipy_footprint(out_dir, *runs) -> set:
+    """The scipy modules a fresh process has loaded after the runs, with this
+    process's trudlab (the sources, or the installed package) first on its path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = filter(None, [root, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(out_dir), json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestImportFootprint:
+    """Each scipy module is imported by the first call that needs it."""
+
+    def test_closed_form_commands_load_no_scipy(self, tmp_path):
+        mods = scipy_footprint(
+            tmp_path,
+            ["verify", "--family", "kernel", "--p", "3", "--n", "2"],
+            ["verify", "--family", "eigen", "--p", "2.5", "--n", "3"],
+            ["verify", "--family", "boundary", "--p", "inf", "--n", "2"],
+            ["experiment", "pl", "--p", "3"],
+            ["solve", "--p", "3", "--scheme", "log-implicit", "--t-end", "0.05",
+             "--nodes", "21"])
+        assert not mods
+
+    def test_solve_loads_linalg_only(self, tmp_path):
+        cfg = tmp_path / "bump.json"
+        cfg.write_text(json.dumps({"p": "3", "scheme": "log-implicit", "t_end": 0.05,
+                                   "nodes": 21, "initial": {"kind": "bump"}}))
+        mods = scipy_footprint(tmp_path, ["solve", "--config", str(cfg)])
+        assert "scipy.linalg" in mods
+        assert not mods & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+
+    def test_eigen_loads_integrate(self, tmp_path):
+        assert "scipy.integrate" in scipy_footprint(tmp_path, ["eigen", "--p", "3", "--n", "2"])
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate import DOP853
+
+        stages, extra, B, E3, E5, D, _ = eigensolver._tableau()
+
+        def full(rows, width):
+            return np.array([[*a, *[0.0] * (width - len(a))] for a in rows])
+
+        A, A_extra = DOP853.A, DOP853.A_EXTRA
+        tables = [
+            (np.array([0.0] + [c for c, _ in stages]), DOP853.C),
+            (full([[]] + [a for _, a in stages], A.shape[1]), A),
+            (np.array([c for c, _ in extra]), DOP853.C_EXTRA),
+            (full([a for _, a in extra], A_extra.shape[1]), A_extra),
+            (np.array(B), DOP853.B), (np.array(E3), DOP853.E3), (np.array(E5), DOP853.E5),
+            (D, DOP853.D),
+        ]
+        for ours, theirs in tables:
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
