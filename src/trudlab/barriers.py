@@ -10,14 +10,16 @@ Every formula is written once in the exponent law (g, k, d) of
 `exponent.Exponent`: (p, 1, n) for finite p, (4, 3, 1) for infinity.  The
 growth, kernel, power and flattening families are all v = A(t) + B(t) r^beta
 with beta = g/(g-1); `_power_log` is their one constructor and its
-closed-form log-form residual.  The boundary barrier's cone and outer ball
+closed-form log-form residual, and each family states its time law once, as
+terms(t) -> (A, A', B, B').  The boundary barrier's cone and outer ball
 are one power of the law, chosen by g > d.  A branch on the exponent is left
 only where the construction itself differs: the eigen barrier's (alpha, rate)
 rule and the infinity lower envelope's cubic amplitude.
 
-A BarrierSpec validates its parameter constraints at construction, stores the
-derived constants, evaluates phi (and log phi where the family is naturally a
-log form), and exposes a vectorized signed residual.  Each maker owns its
+A BarrierSpec validates its parameter constraints at construction (also
+that its derived constants come out finite, `_derivation`), stores them,
+evaluates phi (and log phi where the family is naturally a log form), and
+exposes a vectorized signed residual.  Each maker owns its
 parameter defaults; `CATALOG_FAMILIES` maps the CLI names to the makers.
 `verify_sign` samples the residual over a space-time box and reports a
 Subsolution / Supersolution / Solution verdict against a relative tolerance.
@@ -25,6 +27,7 @@ Subsolution / Supersolution / Solution verdict against a relative tolerance.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 from collections.abc import Mapping
@@ -37,7 +40,6 @@ import numpy as np
 from .exponent import Exponent
 from .operators import (
     DomainError,
-    RadialProfile,
     SpaceTimeFunction,
     SpaceTimePoint,
     separable_function,
@@ -47,6 +49,22 @@ from .operators import (
 
 class ConstraintError(ValueError):
     """Family parameters violate the construction's admissibility constraints."""
+
+
+@contextlib.contextmanager
+def _derivation():
+    """`with _derivation() as check:` around a maker's arithmetic: a float overflow, a division
+    by an underflowed zero and a check(**constants) outside (0, inf) are ConstraintErrors."""
+
+    def check(**constants):
+        bad = {name: v for name, v in constants.items() if not 0.0 < v < np.inf}
+        if bad:
+            raise ConstraintError(f"derived constants must be finite and positive, got {bad}")
+
+    try:
+        yield check
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConstraintError(f"a derived constant leaves the floats ({exc.args[-1]})") from None
 
 
 class Family(enum.Enum):
@@ -155,12 +173,12 @@ class BarrierSpec:
 # the power-log calculus
 
 
-def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
-               dB: Callable, R: float = np.inf, exponentiate: bool = True,
-               time_terms: Callable | None = None):
+def _power_log(p: Exponent, n: int, terms: Callable, R: float = np.inf,
+               exponentiate: bool = True):
     """v = A(t) + B(t) r^beta, beta = g/(g-1), and its closed-form log-form residual.
 
-    The radial operator of B r^beta is the constant d sgn(B)|beta B|^{g-1}/k,
+    terms(t) -> (A, A', B, B') is the family's time law, called on arrays of
+    times.  The radial operator of B r^beta is the constant d sgn(B)|beta B|^{g-1}/k,
     so with (P, Q) = power_solution_coefficients the log form
     Lv + ((g-1)/k)|Dv|^g - (g-1) v_t is
 
@@ -168,9 +186,7 @@ def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
 
     with term-magnitude scale |zero order| + gradient + (g-1)|A' + B' r^beta|.
     Returns (phi, residual_fn, v): phi is exp(v) when exponentiate (the
-    envelopes), else v itself (the power profiles).  The residual reads
-    (B, v_t) = time_terms(t, r^beta), by default from the four callables; a
-    family passes its own to share the time powers of B, A' and B'.
+    envelopes), else v itself (the power profiles).
     """
     g, k = p.g, p.k
     beta = p.power_exponent
@@ -180,45 +196,47 @@ def _power_log(p: Exponent, n: int, A: Callable, dA: Callable, B: Callable,
     flux = (lambda b: b) if g == 2.0 else (lambda b: np.abs(b) ** (g - 2.0) * b)
 
     def logv(r, t):
-        return A(t) + B(t) * r ** beta
+        A, _, B, _ = terms(t)
+        return A + B * r ** beta
 
     def v_r(r, t):
-        return beta * B(t) * r ** (beta - 1.0)
+        return beta * terms(t)[2] * r ** (beta - 1.0)
 
     def v_rr(r, t):
-        return beta * (beta - 1.0) * B(t) * r ** (beta - 2.0)
+        return beta * (beta - 1.0) * terms(t)[2] * r ** (beta - 2.0)
 
     def v_t(r, t):
-        return dA(t) + dB(t) * r ** beta
-
-    if time_terms is None:
-        time_terms = lambda t, r_beta: (B(t), dA(t) + dB(t) * r_beta)
+        _, dA, _, dB = terms(t)
+        return dA + dB * r ** beta
 
     def residual_fn(r, t):
         r_beta = r ** beta
-        Bt, vt = time_terms(t, r_beta)
-        flux_B = flux(Bt)
+        _, dA, B, dB = terms(t)
+        flux_B = flux(B)
         zero_order = P * flux_B
-        grad_term = grad_coeff * flux_B * Bt * r_beta
-        time_term = (g - 1.0) * vt
+        grad_term = grad_coeff * flux_B * B * r_beta
+        time_term = (g - 1.0) * (dA + dB * r_beta)
         return (zero_order + grad_term - time_term,
                 np.abs(zero_order) + grad_term + np.abs(time_term))
 
     if not exponentiate:
         phi = SpaceTimeFunction(logv, v_r, v_rr, v_t, R=R, origin_exponent=beta,
-                                origin_coefficient=B)
+                                origin_coefficient=lambda t: terms(t)[2])
         return phi, residual_fn, logv
 
     def value(r, t):
         return np.exp(logv(r, t))
+
+    def origin_coefficient(t):
+        A, _, B, _ = terms(t)
+        return np.exp(A) * B
 
     phi = SpaceTimeFunction(
         value,
         dr=lambda r, t: value(r, t) * v_r(r, t),
         drr=lambda r, t: value(r, t) * (v_rr(r, t) + v_r(r, t) ** 2),
         dt=lambda r, t: value(r, t) * v_t(r, t),
-        R=R, origin_exponent=beta,
-        origin_coefficient=lambda t: np.exp(A(t)) * B(t),
+        R=R, origin_exponent=beta, origin_coefficient=origin_coefficient,
     )
     return phi, residual_fn, logv
 
@@ -256,8 +274,11 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
         alpha, theta2 = (2.0 * g + K - 1.0) / (2.0 * (g - 1.0)), K / (K + 1.0)
     else:
         alpha, theta2 = 2.0, 0.5
-    lam = (K * theta2 ** ((g - 2.0) / 2.0) / (k * R ** g)) * (2.0 * alpha / (1.0 - theta2)) ** (g - 1.0)
-    c1 = 2.0 * alpha / R ** 2
+    with _derivation() as check:
+        lam = (K * theta2 ** ((g - 2.0) / 2.0) / (k * R ** g)) * (2.0 * alpha / (1.0 - theta2)) ** (g - 1.0)
+        c1 = 2.0 * alpha / R ** 2
+        flux_c1 = c1 ** (g - 1.0) / k
+        check(rate=lam)
     h_exp = (alpha - 1.0) * (g - 1.0) - 1.0
 
     def h(r):
@@ -266,15 +287,15 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
     def residual_fn(r, t):
         # grouped closed form of L eta, finite at r = R even when eta'' blows up
         decay = np.exp(-lam * np.asarray(t, float))
-        spatial = (c1 ** (g - 1.0) / k * r ** (g - 2.0) * h(r) ** h_exp
+        spatial = (flux_c1 * r ** (g - 2.0) * h(r) ** h_exp
                    * (2.0 * (alpha - 1.0) * (g - 1.0) * r ** 2 / R ** 2 - K * h(r)))
         zero_order = lam * h(r) ** (alpha * (g - 1.0))
         return decay * (spatial + zero_order), decay * (np.abs(spatial) + zero_order)
 
-    eta = RadialProfile(
-        value=lambda r: h(r) ** alpha,
-        d1=lambda r: -c1 * r * h(r) ** (alpha - 1.0),
-        d2=lambda r: -c1 * h(r) ** (alpha - 1.0)
+    eta = SpaceTimeFunction(
+        value=lambda r, t: h(r) ** alpha,
+        dr=lambda r, t: -c1 * r * h(r) ** (alpha - 1.0),
+        drr=lambda r, t: -c1 * h(r) ** (alpha - 1.0)
         + 2.0 * c1 * (alpha - 1.0) * r ** 2 / R ** 2 * h(r) ** (alpha - 2.0),
         R=R,
     )
@@ -309,23 +330,25 @@ def make_growth_barrier(p: Exponent, n: int, T: float = 1.0, alpha: float | None
         alpha = 1.0 if p.is_finite else 0.5
     if T <= 0 or alpha <= 0 or (b is not None and b <= 0):
         raise ConstraintError("T, alpha, b must all be positive")
-    b_max = growth_barrier_max_b(p, T, alpha)
-    if b is None:
-        b = 0.5 * b_max
-    if not b < b_max:
-        raise ConstraintError(
-            f"b={b:g} inadmissible: need b < {b_max:.12g} for T={T:g}, alpha={alpha:g}")
     g, k, d = p.g, p.k, p.d(n)
     gamma = alpha * (g - 1.0) + 1.0
-    a = d * (p.power_exponent * b) ** (g - 1.0) / (k * (g - 1.0) * gamma)
+    with _derivation() as check:
+        b_max = growth_barrier_max_b(p, T, alpha)
+        if b is None:
+            b = 0.5 * b_max
+        if not b < b_max:
+            raise ConstraintError(
+                f"b={b:g} inadmissible: need b < {b_max:.12g} for T={T:g}, alpha={alpha:g}")
+        a = d * (p.power_exponent * b) ** (g - 1.0) / (k * (g - 1.0) * gamma)
+        check(a=a)
     A, Bgrad = power_solution_coefficients(p, n)
-    phi, residual_fn, logv = _power_log(
-        p, n,
-        A=lambda t: a * ((t + 1.0) ** gamma - 1.0),
-        dA=lambda t: a * gamma * (t + 1.0) ** (gamma - 1.0),
-        B=lambda t: b * (t + 1.0) ** alpha,
-        dB=lambda t: alpha * b * (t + 1.0) ** (alpha - 1.0),
-    )
+
+    def terms(t):
+        s = t + 1.0
+        return (a * (s ** gamma - 1.0), a * gamma * s ** (gamma - 1.0),
+                b * s ** alpha, alpha * b * s ** (alpha - 1.0))
+
+    phi, residual_fn, logv = _power_log(p, n, terms)
     return BarrierSpec(
         family=Family.GROWTH_ENVELOPE, p=p, n=n,
         params={"T": float(T), "alpha": float(alpha), "b": float(b)},
@@ -349,14 +372,12 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
     c = (g - 1.0) * k ** (1.0 / (g - 1.0)) / g ** p.power_exponent
     s = 1.0 / (g - 1.0)
 
-    def log_t(t):
+    def terms(t):
         if np.any(np.asarray(t) <= 0):
             raise DomainError("kernel defined for t > 0 only")
-        return np.log(t)
+        return -m * np.log(t), -m / t, -c * t ** (-s), c * s * t ** (-s - 1.0)
 
-    phi, residual_fn, logv = _power_log(
-        p, n, A=lambda t: -m * log_t(t), dA=lambda t: -m / t,
-        B=lambda t: -c * t ** (-s), dB=lambda t: c * s * t ** (-s - 1.0))
+    phi, residual_fn, logv = _power_log(p, n, terms)
     return BarrierSpec(
         family=Family.KERNEL, p=p, n=n, params={}, derived={"m": m, "c": c},
         phi=phi, residual_fn=residual_fn,
@@ -365,8 +386,7 @@ def make_kernel(p: Exponent, n: int) -> BarrierSpec:
 
 
 def make_power_solution(p: Exponent, n: int, sign: int, f: Callable,
-                        fprime: Callable, t_max: float = np.inf,
-                        f_label: str = "f") -> BarrierSpec:
+                        fprime: Callable, f_label: str = "f") -> BarrierSpec:
     """u = sign * f(t) r^beta with its closed-form log-form residual.
 
     G u = sign*A f^{g-1} + ((g-1)/k) B f^g r^beta - sign*(g-1) r^beta f'
@@ -375,20 +395,19 @@ def make_power_solution(p: Exponent, n: int, sign: int, f: Callable,
     at A(t) = 0, B(t) = sign f(t)); f and f' are called on arrays of times.
     The gradient term is a fixed-sign even power, so the plus branch with
     non-increasing f >= 0 is a subsolution on all of r >= 0; the minus branch
-    is only sign-definite on small radii.
+    is only sign-definite on small radii.  f >= 0 is probed on t in [0, 10].
     """
     if sign not in (+1, -1):
         raise ConstraintError("sign must be +1 or -1")
-    if np.any(np.asarray(f(np.linspace(0.0, min(t_max, 10.0), 64))) < 0):
+    if np.any(np.asarray(f(np.linspace(0.0, 10.0, 64))) < 0):
         raise ConstraintError("time factor f must be nonnegative")
     A, B = power_solution_coefficients(p, n)
     phi, residual_fn, _ = _power_log(
-        p, n, A=lambda t: 0.0, dA=lambda t: 0.0,
-        B=lambda t: sign * f(t), dB=lambda t: sign * fprime(t), exponentiate=False)
+        p, n, lambda t: (0.0, 0.0, sign * f(t), sign * fprime(t)), exponentiate=False)
     expected = Verdict.SUBSOLUTION if sign > 0 else Verdict.SUPERSOLUTION
     return BarrierSpec(
         family=Family.POWER_PROFILE, p=p, n=n,
-        params={"sign": sign, "f": f_label, "t_max": float(t_max) if np.isfinite(t_max) else None},
+        params={"sign": sign, "f": f_label},
         derived={"power_coeff": A, "grad_coeff": B},
         phi=phi, residual_fn=residual_fn, expected=expected, r_range=(0.0, np.inf), t_start=0.0,
     )
@@ -406,12 +425,14 @@ def flattening_constants(p: Exponent, n: int, R: float, M: float, alpha: float,
     g, d = p.g, p.d(n)
     beta = p.power_exponent
     A, grad_coeff = power_solution_coefficients(p, n)
-    B = (g - 1.0) / p.k * grad_coeff * R ** beta
-    K = A * (A * (g - 1.0) / (g * B)) ** (g - 1.0) / g
-    Kbar = alpha * (g - 1.0) * (d * (g - 1.0) / g ** 2 + np.log(M))
-    T0 = safety * max(Kbar / K - 1.0, 0.0)
-    a = A * (g - 1.0) * (1.0 + T0) ** alpha / (g * B)
-    b = (1.0 + T0) ** alpha * np.log(M) / a
+    with _derivation() as check:
+        B = (g - 1.0) / p.k * grad_coeff * R ** beta
+        K = A * (A * (g - 1.0) / (g * B)) ** (g - 1.0) / g
+        Kbar = alpha * (g - 1.0) * (d * (g - 1.0) / g ** 2 + np.log(M))
+        T0 = safety * max(Kbar / K - 1.0, 0.0)
+        a = A * (g - 1.0) * (1.0 + T0) ** alpha / (g * B)
+        b = (1.0 + T0) ** alpha * np.log(M) / a
+        check(B=B, K=K, a=a, b=b)
     return {"A": A, "B": B, "K": K, "Kbar": Kbar, "T0": T0, "a": a, "b": b}
 
 
@@ -442,19 +463,13 @@ def _flattening(name: str, p: Exponent, n: int, R: float, alpha: float, c: float
     (prefixed "inf-" for the infinity branch)."""
     level = R ** p.power_exponent + offset
 
-    def time_terms(t, r_beta):  # B' = -alpha B/(1+t), A' = -level B': one power
+    def terms(t):  # A = -level B and B' = -alpha B/(1+t): one power of 1+t
         s = 1.0 + t
-        Bt = -c / s ** alpha
-        return Bt, (-alpha / s) * Bt * (r_beta - level)
+        B = -c / s ** alpha
+        dB = -alpha / s * B
+        return -level * B, -level * dB, B, dB
 
-    phi, residual_fn, logv = _power_log(
-        p, n,
-        A=lambda t: c * level / (1.0 + t) ** alpha,
-        dA=lambda t: -alpha * c * level / (1.0 + t) ** (alpha + 1.0),
-        B=lambda t: -c / (1.0 + t) ** alpha,
-        dB=lambda t: alpha * c / (1.0 + t) ** (alpha + 1.0),
-        R=R, time_terms=time_terms,
-    )
+    phi, residual_fn, logv = _power_log(p, n, terms, R=R)
     return BarrierSpec(
         family=Family(name if p.is_finite else "inf-" + name), p=p, n=n,
         params=params, derived=derived, phi=phi, residual_fn=residual_fn,
@@ -491,24 +506,27 @@ def make_flattening_lower(p: Exponent, n: int, R: float = 1.0, m: float = 0.5,
         raise ConstraintError("m must lie in (0, 1]")
     alpha = _check_flatten(p, R, alpha)
     A, _ = power_solution_coefficients(p, n)
-    R_beta = R ** p.power_exponent
     log_m = np.log(m)
-    if p.is_finite:
-        K = alpha * (p.g - 1.0) * (R_beta - log_m)
-        T1 = safety * max(K / A - 1.0, 0.0)
-        amp = (1.0 + T1) ** alpha  # coefficient in front of the shrinking exponent
-        derived = {"A": A, "K": K, "T1": T1, "amp": amp}
-        c, offset = -amp, -log_m
-    else:
-        # smallest a with A a^3 >= 3 alpha (R^{4/3} a - log m), then 5% margin
-        cubic = np.polynomial.polynomial.Polynomial(
-            [3.0 * alpha * log_m, -3.0 * alpha * R_beta, 0.0, A])
-        real_pos = [float(z.real) for z in cubic.roots() if abs(z.imag) < 1e-12 and z.real > 0]
-        if not real_pos:
-            raise ConstraintError("no admissible amplitude for the infinity lower envelope")
-        a = safety * max(real_pos)
-        derived = {"A": A, "a": a, "b": -log_m / a, "T1": 0.0}
-        c, offset = -a, derived["b"]
+    with _derivation() as check:
+        R_beta = R ** p.power_exponent
+        if p.is_finite:
+            K = alpha * (p.g - 1.0) * (R_beta - log_m)
+            T1 = safety * max(K / A - 1.0, 0.0)
+            amp = (1.0 + T1) ** alpha  # coefficient in front of the shrinking exponent
+            check(amp=amp)
+            derived = {"A": A, "K": K, "T1": T1, "amp": amp}
+            c, offset = -amp, -log_m
+        else:
+            # smallest a with A a^3 >= 3 alpha (R^{4/3} a - log m), then 5% margin
+            cubic = np.polynomial.polynomial.Polynomial(
+                [3.0 * alpha * log_m, -3.0 * alpha * R_beta, 0.0, A])
+            real_pos = [float(z.real) for z in cubic.roots() if abs(z.imag) < 1e-12 and z.real > 0]
+            if not real_pos:
+                raise ConstraintError("no admissible amplitude for the infinity lower envelope")
+            a = safety * max(real_pos)
+            check(a=a)
+            derived = {"A": A, "a": a, "b": -log_m / a, "T1": 0.0}
+            c, offset = -a, derived["b"]
     return _flattening(
         "flatten-lower", p, n, R, alpha, c, offset,
         params={"R": float(R), "m": float(m), "alpha": float(alpha), "safety": float(safety)},
@@ -553,14 +571,16 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | 
         family, r_range, reported = Family.BOUNDARY_OUTER_BALL, (rho, r1), ("k", "J")
     w = g - 1.0
     K = abs(e) ** w * (1.0 - d - w * (e - 1.0)) / k
-    span = abs(r1 ** e - r0 ** e)
-    lam_max = K * r1 ** ((e - 1.0) * w - 1.0) / span ** w
-    if lam is None:
-        lam = 0.5 * lam_max
-    if not lam < lam_max:
-        raise ConstraintError(f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
-    q = (lam / lam_max) ** (1.0 / w)
-    c = safety * delta * q / (span * (1.0 - q))
+    with _derivation() as check:
+        span = abs(r1 ** e - r0 ** e)
+        lam_max = K * r1 ** ((e - 1.0) * w - 1.0) / span ** w
+        if lam is None:
+            lam = 0.5 * lam_max
+        if not lam < lam_max:
+            raise ConstraintError(f"lam={lam:g} inadmissible: need lam < {lam_max:.12g}")
+        q = (lam / lam_max) ** (1.0 / w)
+        c = safety * delta * q / (span * (1.0 - q))
+        check(lam_max=lam_max, c=c)
     sign = np.sign(e)  # c sign (r^e - r0^e) grows from 0 at the contact radius
 
     def residual_fn(r, t):
@@ -584,31 +604,22 @@ def make_boundary_barrier(p: Exponent, n: int, delta: float = 1.0, lam: float | 
     )
 
 
-def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
+def separated_solution(psi: SpaceTimeFunction, lam: float, mu: float, p: Exponent,
                        n: int, elliptic_sign: str = "solution") -> BarrierSpec:
     """u = psi(r) e^{-mu t/(g-1)}: e^{-mu t/(p-1)}, or e^{-mu t/3} for infinity.
 
-    If Delta_p psi + lam psi^{p-1} >= 0 and mu >= lam the product is a
-    subsolution, and symmetrically for <=; elliptic_sign declares which
-    relation psi satisfies ('sub', 'super' or 'solution').
+    psi is a radial profile, its callbacks ignoring t.  If Delta_p psi +
+    lam psi^{p-1} >= 0 and mu >= lam the product is a subsolution, and
+    symmetrically for <=; elliptic_sign declares which relation psi
+    satisfies ('sub', 'super' or 'solution').
     """
     probe = np.linspace(0.0, psi.R, 33)
-    vals = np.asarray(psi.value(probe), float)
+    vals = np.asarray(psi.value(probe, 0.0), float)
     if np.any(vals < 0):
         raise ConstraintError("psi must be nonnegative on its domain")
     w = p.time_weight
-
-    def tf(t):
-        return np.exp(-mu * np.asarray(t, float) / w)
-
-    def tf_prime(t):
-        return -mu / w * tf(t)
-
-    phi = separable_function(psi, tf, tf_prime)
-
-    def residual_fn(r, t):
-        return trudinger_residual_grid(phi, p, n, r, t)
-
+    tf = lambda t: np.exp(-mu * np.asarray(t, float) / w)
+    phi = separable_function(psi, tf, lambda t: -mu / w * tf(t))
     if elliptic_sign == "solution":
         expected = (Verdict.SOLUTION if mu == lam
                     else Verdict.SUBSOLUTION if mu > lam else Verdict.SUPERSOLUTION)
@@ -622,7 +633,7 @@ def separated_solution(psi: RadialProfile, lam: float, mu: float, p: Exponent,
     return BarrierSpec(
         family=Family.SEPARATED, p=p, n=n,
         params={"lam": float(lam), "mu": float(mu), "elliptic_sign": elliptic_sign},
-        derived={}, phi=phi, residual_fn=residual_fn,
+        derived={}, phi=phi, residual_fn=functools.partial(trudinger_residual_grid, phi, p, n),
         expected=expected, r_range=(0.0, psi.R), t_start=0.0,
     )
 

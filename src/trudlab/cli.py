@@ -23,7 +23,8 @@ from .barriers import ConstraintError, Verdict, verify_sign
 from .eigensolver import ShootingError, first_eigenvalue, scaling_check
 from .exponent import Exponent
 from .experiments import decay_experiment, flatten_experiment, phragmen_lindelof_study
-from .pde import ConfigError, SolverConfig, SolverError, solve_trudinger_radial
+from .pde import (DIRECT_IMPLICIT, LOG_IMPLICIT, ConfigError, SolverConfig, SolverError,
+                  solve_trudinger_radial)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nodes", type=int)
     s.add_argument("--t-end", dest="t_end", type=float)
     s.add_argument("--dt", type=float)
-    s.add_argument("--scheme", choices=["log-implicit", "direct-implicit"])
+    s.add_argument("--scheme", choices=[LOG_IMPLICIT, DIRECT_IMPLICIT])
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 

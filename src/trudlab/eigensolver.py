@@ -13,12 +13,12 @@ Near r = 0 the solution is a power series in x = (mu r)^{g/(g-1)}, mu^g = k lam,
 whose coefficients (`_axis_coefficients`, one triangular recurrence) depend
 on the law only; `_axis_series` gives the start values at the handover h (the
 largest r where the series' 12th term is at most 1e-2 ATOL, capped at 0.1 R),
-the solution below h and, through a_1, the eigenfunction's `PowerOrigin`
-coefficient.  Above h the 8th-order Dormand-Prince pair DOP853 takes over, on
-plain floats with scipy's tables, read on the first shot (`_tableau`), and its
-step control (`_dop853`), so it never steps through the non-integer powers of
-r at the axis; one integration is one frozen `Shot` holding its 7th-order
-dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter is searched
+the solution below h and, through a_1, the origin_coefficient of the
+eigenfunction profile.  Above h the 8th-order Dormand-Prince pair DOP853 takes
+over, on plain floats with scipy's tables, read on the first shot (`_tableau`),
+and its step control (`_dop853`), so it never steps through the non-integer
+powers of r at the axis; one integration is one frozen `Shot` holding its
+7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter is searched
 for: the equation is invariant under r -> s r, lam -> lam s^g (the lam_R R^g
 law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a single shot yields
 the eigenvalue (from where its first zero falls) or the center value (from its
@@ -38,7 +38,7 @@ import numpy as np
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
 from .grids import RadialGrid, read_only
-from .operators import PowerOrigin, RadialProfile, fd_laplacian_grid
+from .operators import SpaceTimeFunction, fd_laplacian_grid
 
 GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
 RTOL, ATOL = 1e-11, 1e-13  # the shot's DOP853 tolerances
@@ -310,8 +310,8 @@ class EigenResult(_ProfileResult):
                 "rate_bound": self.rate_bound, "residual_norm": self.residual_norm,
                 "residual_norm_interior": self.residual_norm_interior}
 
-    def profile(self) -> RadialProfile:
-        """RadialProfile view of the shot.
+    def profile(self) -> SpaceTimeFunction:
+        """The shot as a radial profile: callbacks (r, t) that ignore t, dt None.
 
         The second derivative comes from differencing the dense first
         derivative (independent of the equation, so residual checks are not
@@ -319,21 +319,21 @@ class EigenResult(_ProfileResult):
         """
         shot, R, g = self.shot, self.grid.R, self.p.g
 
-        def d1(r):
+        def dr(r, t):
             return _dpsi_from_flux(shot.sol(r)[1], g)
 
-        def d2(r, eps=1e-6 * R):
+        def drr(r, t, eps=1e-6 * R):
             r = np.asarray(r, float)
             lo = np.maximum(r - eps, 1e-9 * R)
             hi = np.minimum(r + eps, shot.r_end)
-            return (d1(hi) - d1(lo)) / (hi - lo)
+            return (dr(hi, t) - dr(lo, t)) / (hi - lo)
 
         # psi = psi0 (1 + a_1 (mu r)^{g/(g-1)} + ...) with mu^g = k lam
         a1 = _axis_coefficients(g, self.p.d(self.n))[0][1]
         C = shot.psi0 * a1 * (self.p.k * shot.lam) ** (1.0 / (g - 1.0))
-        return RadialProfile(value=lambda r: shot.sol(r)[0], d1=d1, d2=d2,
-                             R=min(R, shot.r_end),
-                             origin=PowerOrigin(self.p.power_exponent, C))
+        return SpaceTimeFunction(lambda r, t: shot.sol(r)[0], dr, drr, R=min(R, shot.r_end),
+                                 origin_exponent=self.p.power_exponent,
+                                 origin_coefficient=lambda t: C)
 
 
 def bracket_rate(p: Exponent, n: int, R: float) -> float:

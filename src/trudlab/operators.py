@@ -14,8 +14,10 @@ u = exp(v) > 0, the first residual equals u^{g-1} times the second evaluated
 at v; `log_transform_consistency` measures that identity.
 
 Both return (residual, term-magnitude scale); at one point (r, t) the
-residual is the [0][0] entry of that pair.  Profiles supply exact derivative
-callbacks; grid fields are audited with finite differences
+residual is the [0][0] entry of that pair.  Closed forms are one type,
+`SpaceTimeFunction`, with exact derivative callbacks; a radial profile is one
+whose callbacks ignore t, and `eval_radial_operator` takes its spatial terms
+at t = 0.  Grid fields are audited with finite differences
 (`fd_residual_on_field`).  The audit is written out per branch on purpose,
 without the law: it is the independent oracle the solver and the closed
 forms are checked against.
@@ -46,68 +48,38 @@ class SpaceTimePoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PowerOrigin:
-    """Marks a profile behaving like coefficient * r**exponent near r = 0.
-
-    The exponent gamma in (1, 2) makes the second derivative blow up at the
-    axis while the operator value stays finite; the evaluators return that
-    finite limit instead of feeding inf into the formulas.
-    """
-
-    exponent: float
-    coefficient: float
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial function with exact first/second derivative callbacks on [0, R].
-
-    origin is None for profiles that are C^2 at the axis (d1(0) = 0 required
-    by symmetry), or a PowerOrigin flag for r**gamma-type behaviour.
-    """
-
-    value: Callable
-    d1: Callable
-    d2: Callable
-    R: float
-    origin: PowerOrigin | None = None
-
-
-@dataclass(frozen=True)
 class SpaceTimeFunction:
     """Space-time function u(r, t) with analytic derivative callbacks.
 
-    origin_coefficient gives the (possibly time-dependent) coefficient of the
-    leading r**origin_exponent term near the axis; like the derivative
-    callbacks it must broadcast over an array of times.
+    A radial profile is one whose callbacks ignore t and whose dt is None.
+    origin_exponent None declares u C^2 at the axis (u_r(0, t) = 0 by
+    symmetry); a gamma in (1, 2) declares u ~ c(t) r**gamma there, whose u_rr
+    blows up on the axis while the operator value stays finite, and
+    origin_coefficient gives c(t).  Like the derivative callbacks it must
+    broadcast over an array of times.
     """
 
     value: Callable
     dr: Callable
     drr: Callable
-    dt: Callable
+    dt: Callable | None = None
     R: float = np.inf
     origin_exponent: float | None = None
     origin_coefficient: Callable | None = None
 
 
-def separable_function(profile: RadialProfile, time_factor: Callable,
+def separable_function(profile: SpaceTimeFunction, time_factor: Callable,
                        time_factor_prime: Callable) -> SpaceTimeFunction:
     """u(r, t) = profile(r) * time_factor(t) with derived callbacks."""
-    origin_exp = None
-    origin_coeff = None
-    if profile.origin is not None:
-        origin_exp = profile.origin.exponent
-        base = profile.origin.coefficient
-        origin_coeff = lambda t: base * time_factor(t)
+    base = profile.origin_coefficient
     return SpaceTimeFunction(
-        value=lambda r, t: profile.value(r) * time_factor(t),
-        dr=lambda r, t: profile.d1(r) * time_factor(t),
-        drr=lambda r, t: profile.d2(r) * time_factor(t),
-        dt=lambda r, t: profile.value(r) * time_factor_prime(t),
+        value=lambda r, t: profile.value(r, t) * time_factor(t),
+        dr=lambda r, t: profile.dr(r, t) * time_factor(t),
+        drr=lambda r, t: profile.drr(r, t) * time_factor(t),
+        dt=lambda r, t: profile.value(r, t) * time_factor_prime(t),
         R=profile.R,
-        origin_exponent=origin_exp,
-        origin_coefficient=origin_coeff,
+        origin_exponent=profile.origin_exponent,
+        origin_coefficient=None if base is None else (lambda t: base(t) * time_factor(t)),
     )
 
 
@@ -159,27 +131,16 @@ def _axis_values(u: SpaceTimeFunction, p: Exponent, n: int, t: np.ndarray) -> np
     return np.abs(c * gamma) ** (g - 2.0) * (c * gamma) * bracket / k
 
 
-def _check_domain(r, R: float):
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > R * (1 + 1e-12)):
-        raise DomainError(f"radius outside [0, {R:g}]")
-    return r
-
-
-def eval_radial_operator(profile: RadialProfile, p: Exponent, n: int, r):
+def eval_radial_operator(profile: SpaceTimeFunction, p: Exponent, n: int, r):
     """Delta_p (Delta_inf) of a radial profile: |v'|^{g-2}((g-1)v'' + (d-1)v'/r)/k.
 
     (g, k, d) is the exponent law; at infinity this is (v')^2 v''.  The axis
     value follows `_axis_values`.
     """
-    r = _check_domain(r, profile.R)
-    origin = profile.origin
-    u = SpaceTimeFunction(
-        lambda r, t: profile.value(r), lambda r, t: profile.d1(r),
-        lambda r, t: profile.d2(r), dt=None, R=profile.R,
-        origin_exponent=None if origin is None else origin.exponent,
-        origin_coefficient=lambda t: origin.coefficient)
-    spatial = _spatial_terms(u, p, n, r, 0.0)[0]
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0) or np.any(r > profile.R * (1 + 1e-12)):
+        raise DomainError(f"radius outside [0, {profile.R:g}]")
+    spatial = _spatial_terms(profile, p, n, r, 0.0)[0]
     return float(spatial) if r.ndim == 0 else spatial
 
 
@@ -232,14 +193,9 @@ def log_transform_consistency(u: SpaceTimeFunction, p: Exponent, n: int,
 
     g - 1 is the time weight (p - 1, or 3 for infinity).  The identity is
     algebraic, so the deviation must sit at rounding scale when analytic
-    derivatives are used.  points is an (r, t) pair of arrays (or an
-    iterable of pairs).
+    derivatives are used.  points is an (r, t) pair of arrays.
     """
-    if isinstance(points, tuple) and len(points) == 2:
-        r, t = np.asarray(points[0], float), np.asarray(points[1], float)
-    else:
-        pts = np.asarray(list(points), dtype=float)
-        r, t = pts[:, 0], pts[:, 1]
+    r, t = (np.asarray(x, float) for x in points)
     uval = np.asarray(u.value(r, t), dtype=float)
     if np.any(uval <= 0.0):
         raise EvaluationError("log transform needs a positive function on all samples")

@@ -173,12 +173,11 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
                     lambda q: (g - 1.0) * np.abs(q) ** (g - 2.0))
 
 
-def _divergence(q: np.ndarray, st: _Stencil, out: np.ndarray) -> np.ndarray:
-    """Discrete radial operator at nodes 0..m-1 from face slopes q = diff(v)/h.
-
-    The boundary node m is excluded; the result is written into out.
-    """
+def _divergence(q: np.ndarray, st: _Stencil) -> np.ndarray:
+    """Discrete radial operator at nodes 0..m-1 from face slopes q = diff(v)/h;
+    the boundary node m is excluded."""
     flux = st.flux(q)
+    out = np.empty(q.size)
     out[0] = st.axis * flux[0]
     flux = st.faces * flux
     np.divide(flux[1:] - flux[:-1], st.nodes, out=out[1:])
@@ -194,7 +193,7 @@ def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
     Returns F and the cache (q = diff(v)/h, flux(c)).
     """
     q = (v[1:] - v[:-1]) / st.h
-    F = _divergence(q, st, np.empty(q.size))
+    F = _divergence(q, st)
     c = 0.5 * (q[:-1] + q[1:])
     flux_c = st.flux(c)
     F[1:] += st.grad * c * flux_c
@@ -360,7 +359,7 @@ def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil)
     """BDF residual L u - c_dt b(u) + B_dt at nodes 0..m-1, with b(u) =
     |u|^{g-2} u the stencil's flux law.  Returns F and the cache (q, u)."""
     q = (u[1:] - u[:-1]) / st.h
-    F = _divergence(q, st, np.empty(q.size))
+    F = _divergence(q, st)
     F += B_dt - c_dt * st.flux(u[:-1])
     return F, (q, u)
 

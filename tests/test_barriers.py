@@ -33,7 +33,7 @@ from trudlab.barriers import (
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.grids import RadialGrid
 from trudlab.operators import (
-    RadialProfile,
+    SpaceTimeFunction,
     fd_laplacian_grid,
     fd_residual_on_field,
     log_form_residual_grid,
@@ -360,21 +360,18 @@ class TestTimeFactor:
         tf = make_time_factor(lam, Exponent.finite(3), S=0.0, T=T)
         beta_S = tf.beta_S
         prof = eig.profile()
-
-        from trudlab.operators import SpaceTimeFunction
-
         u = SpaceTimeFunction(
-            value=lambda r, t: prof.value(r) * tf.F(t),
-            dr=lambda r, t: prof.d1(r) * tf.F(t),
-            drr=lambda r, t: prof.d2(r) * tf.F(t),
-            dt=lambda r, t: prof.value(r) * tf.F_t(t),
+            value=lambda r, t: prof.value(r, t) * tf.F(t),
+            dr=lambda r, t: prof.dr(r, t) * tf.F(t),
+            drr=lambda r, t: prof.drr(r, t) * tf.F(t),
+            dt=lambda r, t: prof.value(r, t) * tf.F_t(t),
         )
         rng = np.random.default_rng(5)
         rs = rng.uniform(0.1, 0.9, 100)
         ts = rng.uniform(0.0, T, 100)
         direct = np.array([trudinger_residual_grid(u, Exponent.finite(3), 2, r, t)[0][0]
                            for r, t in zip(rs, ts)])
-        psi_vals = prof.value(rs)
+        psi_vals = prof.value(rs, 0.0)
         closed = (-lam * psi_vals ** 2 * tf.F(ts) / 2.0
                   * (beta_S - 2.0) / (beta_S - 1.0))
         scale = np.abs(lam * psi_vals ** 2).max()
@@ -446,25 +443,25 @@ class TestBoundaryBarriers:
 class TestSeparatedSolution:
     @staticmethod
     def sinc_profile():
-        def val(r):
+        def val(r, t):
             r = np.maximum(np.asarray(r, float), 1e-300)
             return np.sin(np.pi * r) / (np.pi * r)
 
-        def d1(r):
+        def dr(r, t):
             r = np.maximum(np.asarray(r, float), 1e-300)
             return (np.pi * r * np.cos(np.pi * r) - np.sin(np.pi * r)) / (np.pi * r ** 2)
 
-        def d2(r):
+        def drr(r, t):
             r = np.maximum(np.asarray(r, float), 1e-300)
             return (-(np.pi ** 2) * np.sin(np.pi * r) / (np.pi * r)
                     - 2.0 * (np.pi * r * np.cos(np.pi * r) - np.sin(np.pi * r)) / (np.pi * r ** 3))
 
-        return RadialProfile(val, d1, d2, R=0.999)
+        return SpaceTimeFunction(val, dr, drr, R=0.999)
 
     def test_constant_profile_solution(self):
-        one = RadialProfile(lambda r: 1.0 + 0 * np.asarray(r),
-                            lambda r: 0.0 * np.asarray(r),
-                            lambda r: 0.0 * np.asarray(r), R=1.0)
+        one = SpaceTimeFunction(lambda r, t: 1.0 + 0 * np.asarray(r),
+                                lambda r, t: 0.0 * np.asarray(r),
+                                lambda r, t: 0.0 * np.asarray(r), R=1.0)
         s = separated_solution(one, lam=0.0, mu=0.0, p=Exponent.finite(3), n=2)
         rep = verify_sign(s, region=(0.0, 1.0, 0.0, 1.0))
         assert rep.verdict == Verdict.SOLUTION
@@ -825,7 +822,7 @@ class TestCatalogDefaults:
         assert built["flatten-lower"] == {"R": 1.0, "m": 0.5, "alpha": a, "safety": 1.05}
         assert built["eigen"] == built["paraboloid"] == {"R": 1.0}
         assert built["kernel"] == {}
-        assert built["power"] == {"sign": 1, "f": "1/(1+t)", "t_max": None}
+        assert built["power"] == {"sign": 1, "f": "1/(1+t)"}
         g, d = p.g, p.d(n)
         if g > d:
             case = {"theta": 0.5, "R": 1.0}

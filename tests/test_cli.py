@@ -326,6 +326,15 @@ class TestExitContract:
         ["experiment", "pl", "--p", "3", "--m", "-1"],
         ["experiment", "pl", "--p", "3", "--M", "0.1"],
         ["experiment", "pl", "--p", "3", "--M", "inf"],
+        # an extreme finite parameter whose derived constants leave the floats
+        ["verify", "--family", "eigen", "--p", "3", "--R", "1e300"],
+        ["verify", "--family", "eigen", "--p", "3", "--R", "1e-100"],
+        ["verify", "--family", "flatten-upper", "--p", "3", "--R", "1e300"],
+        ["verify", "--family", "boundary", "--p", "3", "--R", "1e-300"],
+        ["verify", "--family", "growth", "--p", "3", "--T", "1e300"],
+        ["eigen", "--p", "3", "--R", "1e300"],
+        ["experiment", "decay", "--p", "3", "--R", "1e-300", "--nodes", "41"],
+        ["experiment", "flatten", "--p", "3", "--R", "1e-300", "--nodes", "41"],
     ])
     def test_bad_input_is_usage(self, tmp_path, capsys, argv):
         assert run(argv, tmp_path) == EXIT_USAGE

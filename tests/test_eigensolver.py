@@ -323,15 +323,16 @@ class TestHandover:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("pv", ["2", "2.5", "3", "4", "inf"])
     def test_second_derivative_across_the_seam(self, eigen_cache, pv, n):
-        # d2 differences d1 over +-1e-6 R, so within 1e-6 R of the handover h
+        # drr differences dr over +-1e-6 R, so within 1e-6 R of the handover h
         # it takes one value from the series and one from the dense solution;
         # there, and on either side, it matches the FD second derivative of psi
         res = eigen_cache(pv, n, 1.0)
         prof, h = res.profile(), res.shot.handover
         e = 5e-4 * h
         for r in h + np.array([-2.0 * e, -5e-7, 0.0, 5e-7, 2.0 * e]):
-            fd = (prof.value(r + e) - 2.0 * prof.value(r) + prof.value(r - e)) / e ** 2
-            assert abs(prof.d2(r) - fd) <= 1e-6 * abs(fd)
+            fd = (prof.value(r + e, 0.0) - 2.0 * prof.value(r, 0.0)
+                  + prof.value(r - e, 0.0)) / e ** 2
+            assert abs(prof.drr(r, 0.0) - fd) <= 1e-6 * abs(fd)
 
 
 class TestStepper:
@@ -448,8 +449,8 @@ class TestFirstEigenvalue:
         # broadcast (r[:, None], t[None, :]) grid of verify_sign needs
         prof = eigen_cache(pv, 2, 1.0).profile()
         r = np.linspace(0.0, 0.98, 12).reshape(3, 4)
-        for f in (prof.value, prof.d1, prof.d2):
-            assert np.array_equal(f(r), f(r.ravel()).reshape(r.shape))
+        for f in (prof.value, prof.dr, prof.drr):
+            assert np.array_equal(f(r, 0.0), f(r.ravel(), 0.0).reshape(r.shape))
 
     def test_residual_audit_refines(self, eigen_cache):
         # away from the axis the profile is smooth and the audit is O(h^2);
@@ -713,7 +714,7 @@ class TestInfinity:
         res = eigen_cache("inf", 2, 1.0)
         prof = res.profile()
         r = np.array([0.0, 0.05, 0.2, 0.5, 0.8, 0.95])
-        resid = eval_radial_operator(prof, INFINITY, 2, r) + res.lam * prof.value(r) ** 3
+        resid = eval_radial_operator(prof, INFINITY, 2, r) + res.lam * prof.value(r, 0.0) ** 3
         assert np.abs(resid).max() < 1e-8 * res.lam
 
     def test_delta_bvp_and_gain(self, eigen_cache):

@@ -15,8 +15,6 @@ from trudlab.grids import RadialGrid, SpaceTimeField
 from trudlab.operators import (
     DomainError,
     EvaluationError,
-    PowerOrigin,
-    RadialProfile,
     SpaceTimeFunction,
     eval_radial_operator,
     fd_residual_on_field,
@@ -28,12 +26,13 @@ from trudlab.operators import AUDIT_BLOCK_BYTES, _spatial_terms
 
 
 def power_profile(gamma, R=10.0, coeff=1.0):
-    return RadialProfile(
-        value=lambda r: coeff * r ** gamma,
-        d1=lambda r: coeff * gamma * r ** (gamma - 1.0),
-        d2=lambda r: coeff * gamma * (gamma - 1.0) * r ** (gamma - 2.0),
+    return SpaceTimeFunction(
+        value=lambda r, t: coeff * r ** gamma,
+        dr=lambda r, t: coeff * gamma * r ** (gamma - 1.0),
+        drr=lambda r, t: coeff * gamma * (gamma - 1.0) * r ** (gamma - 2.0),
         R=R,
-        origin=PowerOrigin(gamma, coeff),
+        origin_exponent=gamma,
+        origin_coefficient=lambda t: coeff,
     )
 
 
@@ -67,8 +66,8 @@ class TestPLaplacianRadial:
         assert np.allclose(vals, expected, rtol=1e-12)
 
     def test_quadratic_gives_2n(self):
-        prof = RadialProfile(lambda r: r ** 2, lambda r: 2.0 * r,
-                             lambda r: 2.0 + 0.0 * np.asarray(r), R=5.0)
+        prof = SpaceTimeFunction(lambda r, t: r ** 2, lambda r, t: 2.0 * r,
+                                 lambda r, t: 2.0 + 0.0 * np.asarray(r), R=5.0)
         for n in (2, 3, 5):
             assert eval_radial_operator(prof, Exponent.finite(2), n, 0.7) == pytest.approx(2 * n)
             assert eval_radial_operator(prof, Exponent.finite(2), n, 0.0) == pytest.approx(2 * n)
@@ -84,17 +83,17 @@ class TestPLaplacianRadial:
 
     def test_log_profile_n_harmonic(self):
         # Delta_p log r = 0 when p = n
-        prof = RadialProfile(lambda r: np.log(r), lambda r: 1.0 / r,
-                             lambda r: -1.0 / r ** 2, R=2.0)
+        prof = SpaceTimeFunction(lambda r, t: np.log(r), lambda r, t: 1.0 / r,
+                                 lambda r, t: -1.0 / r ** 2, R=2.0)
         for n in (2, 3):
             r = np.linspace(0.1, 1.0, 50)
             vals = eval_radial_operator(prof, Exponent.finite(n), n, r)
             assert np.abs(vals).max() < 1e-9
 
     def test_constant_profile_zero(self):
-        prof = RadialProfile(lambda r: 3.0 + 0 * np.asarray(r),
-                             lambda r: 0.0 * np.asarray(r),
-                             lambda r: 0.0 * np.asarray(r), R=1.0)
+        prof = SpaceTimeFunction(lambda r, t: 3.0 + 0 * np.asarray(r),
+                                 lambda r, t: 0.0 * np.asarray(r),
+                                 lambda r, t: 0.0 * np.asarray(r), R=1.0)
         assert eval_radial_operator(prof, Exponent.finite(2.5), 3, 0.4) == 0.0
 
     def test_domain_and_exponent_errors(self):
@@ -121,14 +120,14 @@ class TestInfLaplacianRadial:
                     64.0 / 81.0, rel=1e-12)
 
     def test_linear_profile_zero(self):
-        prof = RadialProfile(lambda r: np.asarray(r, float),
-                             lambda r: 1.0 + 0 * np.asarray(r),
-                             lambda r: 0.0 * np.asarray(r), R=3.0)
+        prof = SpaceTimeFunction(lambda r, t: np.asarray(r, float),
+                                 lambda r, t: 1.0 + 0 * np.asarray(r),
+                                 lambda r, t: 0.0 * np.asarray(r), R=3.0)
         assert eval_radial_operator(prof, INFINITY, 2, 1.3) == 0.0
 
     def test_quadratic_at_one(self):
-        prof = RadialProfile(lambda r: r ** 2, lambda r: 2.0 * r,
-                             lambda r: 2.0 + 0 * np.asarray(r), R=3.0)
+        prof = SpaceTimeFunction(lambda r, t: r ** 2, lambda r, t: 2.0 * r,
+                                 lambda r, t: 2.0 + 0 * np.asarray(r), R=3.0)
         assert eval_radial_operator(prof, INFINITY, 3, 1.0) == pytest.approx(8.0)
 
 
@@ -176,11 +175,11 @@ class TestParabolicResiduals:
 
 def profile_at(u, t):
     """The radial profile u(., t) with its scalar-time axis coefficient."""
-    origin = None
-    if u.origin_exponent is not None:
-        origin = PowerOrigin(u.origin_exponent, float(u.origin_coefficient(t)))
-    return RadialProfile(value=lambda r: u.value(r, t), d1=lambda r: u.dr(r, t),
-                         d2=lambda r: u.drr(r, t), R=u.R, origin=origin)
+    c = None if u.origin_exponent is None else float(u.origin_coefficient(t))
+    return SpaceTimeFunction(value=lambda r, s: u.value(r, t), dr=lambda r, s: u.dr(r, t),
+                             drr=lambda r, s: u.drr(r, t), R=u.R,
+                             origin_exponent=u.origin_exponent,
+                             origin_coefficient=lambda s: c)
 
 
 class TestAxisColumn:
@@ -280,12 +279,12 @@ class TestFieldResidual:
         # time-constant field: the residual reduces to the discrete Delta_p
         p = Exponent.finite(3)
         n = 2
-        prof = RadialProfile(lambda r: np.cos(r) + 2.0, lambda r: -np.sin(r),
-                             lambda r: -np.cos(r), R=1.0)
+        prof = SpaceTimeFunction(lambda r, t: np.cos(r) + 2.0, lambda r, t: -np.sin(r),
+                                 lambda r, t: -np.cos(r), R=1.0)
         errs, hs = [], []
         for count in (51, 101, 201, 401):
             grid = RadialGrid(1.0, count)
-            vals = np.tile(prof.value(grid.r), (2, 1))
+            vals = np.tile(prof.value(grid.r, 0.0), (2, 1))
             field = SpaceTimeField(vals, grid, np.array([0.0, 1.0]))
             res = fd_residual_on_field(field, p, n)[0]
             exact = eval_radial_operator(prof, p, n, grid.r[:-1])
