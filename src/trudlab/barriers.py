@@ -53,8 +53,9 @@ class ConstraintError(ValueError):
 
 @contextlib.contextmanager
 def _derivation():
-    """`with _derivation() as check:` around a maker's arithmetic: a float overflow, a division
-    by an underflowed zero and a check(**constants) outside (0, inf) are ConstraintErrors."""
+    """`with _derivation() as check:` around a maker's arithmetic: an overflow, a division by an
+    underflowed zero or an invalid operation (float or numpy) and a check(**constants)
+    outside (0, inf) are ConstraintErrors."""
 
     def check(**constants):
         bad = {name: v for name, v in constants.items() if not 0.0 < v < np.inf}
@@ -62,8 +63,9 @@ def _derivation():
             raise ConstraintError(f"derived constants must be finite and positive, got {bad}")
 
     try:
-        yield check
-    except (OverflowError, ZeroDivisionError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield check
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         raise ConstraintError(f"a derived constant leaves the floats ({exc.args[-1]})") from None
 
 
@@ -199,11 +201,11 @@ def _power_log(p: Exponent, n: int, terms: Callable, R: float = np.inf,
         A, _, B, _ = terms(t)
         return A + B * r ** beta
 
-    def v_r(r, t):
-        return beta * terms(t)[2] * r ** (beta - 1.0)
+    def v_r(r, B):
+        return beta * B * r ** (beta - 1.0)
 
-    def v_rr(r, t):
-        return beta * (beta - 1.0) * terms(t)[2] * r ** (beta - 2.0)
+    def v_rr(r, B):
+        return beta * (beta - 1.0) * B * r ** (beta - 2.0)
 
     def v_t(r, t):
         _, dA, _, dB = terms(t)
@@ -220,24 +222,23 @@ def _power_log(p: Exponent, n: int, terms: Callable, R: float = np.inf,
                 np.abs(zero_order) + grad_term + np.abs(time_term))
 
     if not exponentiate:
-        phi = SpaceTimeFunction(logv, v_r, v_rr, v_t, R=R, origin_exponent=beta,
-                                origin_coefficient=lambda t: terms(t)[2])
+        phi = SpaceTimeFunction(logv, lambda r, t: v_r(r, terms(t)[2]),
+                                lambda r, t: v_rr(r, terms(t)[2]), v_t, R=R,
+                                origin_exponent=beta, origin_coefficient=lambda t: terms(t)[2])
         return phi, residual_fn, logv
 
-    def value(r, t):
-        return np.exp(logv(r, t))
+    def times_exp_v(f):  # the callback e^v f(r, B, v_t), from one terms(t) call
+        def callback(r, t):
+            A, dA, B, dB = terms(t)
+            r_beta = r ** beta
+            return np.exp(A + B * r_beta) * f(r, B, dA + dB * r_beta)
+        return callback
 
-    def origin_coefficient(t):
-        A, _, B, _ = terms(t)
-        return np.exp(A) * B
-
-    phi = SpaceTimeFunction(
-        value,
-        dr=lambda r, t: value(r, t) * v_r(r, t),
-        drr=lambda r, t: value(r, t) * (v_rr(r, t) + v_r(r, t) ** 2),
-        dt=lambda r, t: value(r, t) * v_t(r, t),
-        R=R, origin_exponent=beta, origin_coefficient=origin_coefficient,
-    )
+    phi = SpaceTimeFunction(lambda r, t: np.exp(logv(r, t)),
+                            times_exp_v(lambda r, B, vt: v_r(r, B)),
+                            times_exp_v(lambda r, B, vt: v_rr(r, B) + v_r(r, B) ** 2),
+                            times_exp_v(lambda r, B, vt: vt), R=R, origin_exponent=beta,
+                            origin_coefficient=lambda t: times_exp_v(lambda r, B, vt: B)(0.0, t))
     return phi, residual_fn, logv
 
 
@@ -332,15 +333,15 @@ def make_growth_barrier(p: Exponent, n: int, T: float = 1.0, alpha: float | None
         raise ConstraintError("T, alpha, b must all be positive")
     g, k, d = p.g, p.k, p.d(n)
     gamma = alpha * (g - 1.0) + 1.0
-    with _derivation() as check:
+    with _derivation():
         b_max = growth_barrier_max_b(p, T, alpha)
         if b is None:
             b = 0.5 * b_max
         if not b < b_max:
             raise ConstraintError(
                 f"b={b:g} inadmissible: need b < {b_max:.12g} for T={T:g}, alpha={alpha:g}")
+        # a tiny b may round a to 0: a negligible zero-order term, still a supersolution
         a = d * (p.power_exponent * b) ** (g - 1.0) / (k * (g - 1.0) * gamma)
-        check(a=a)
     A, Bgrad = power_solution_coefficients(p, n)
 
     def terms(t):

@@ -96,6 +96,12 @@ class TestGrowthBarrier:
             make_growth_barrier(Exponent.finite(2), 2, T=1.0, alpha=1.0, b=b_max)
         assert f"{b_max:.12g}" in str(err.value)
 
+    def test_tiny_b_rounds_a_to_zero_and_builds(self):
+        # a ~ 1e-600 is below the floats; 0 only drops a negligible zero-order term
+        s = make_growth_barrier(Exponent.finite(3), 2, b=1e-300)
+        assert s.derived["a"] == 0.0
+        assert verify_sign(s).verdict == Verdict.SUPERSOLUTION
+
     def test_supersolution_on_wide_box(self):
         # the claim covers all of space: sample far beyond the unit ball
         p = Exponent.finite(3)

@@ -330,6 +330,8 @@ class TestExitContract:
         ["verify", "--family", "eigen", "--p", "3", "--R", "1e300"],
         ["verify", "--family", "eigen", "--p", "3", "--R", "1e-100"],
         ["verify", "--family", "flatten-upper", "--p", "3", "--R", "1e300"],
+        # numpy-scalar arithmetic: K underflows to 0 and Kbar / K divides by it
+        ["verify", "--family", "flatten-upper", "--p", "3", "--R", "1e150"],
         ["verify", "--family", "boundary", "--p", "3", "--R", "1e-300"],
         ["verify", "--family", "growth", "--p", "3", "--T", "1e300"],
         ["eigen", "--p", "3", "--R", "1e300"],
