@@ -616,7 +616,8 @@ def separated_solution(psi: SpaceTimeFunction, lam: float, mu: float, p: Exponen
     """
     probe = np.linspace(0.0, psi.R, 33)
     vals = np.asarray(psi.value(probe, 0.0), float)
-    if np.any(vals < 0):
+    # a profile's zero at r = R may round to a few ulps below 0
+    if np.any(vals < -1e-12 * np.abs(vals).max()):
         raise ConstraintError("psi must be nonnegative on its domain")
     w = p.time_weight
     tf = lambda t: np.exp(-mu * np.asarray(t, float) / w)
@@ -701,8 +702,14 @@ def verify_sign(spec: BarrierSpec, region: tuple | None = None, samples: int = 1
     rr = rng.uniform(r_lo, r_hi, random_samples)
     tr = rng.uniform(t_lo, t_hi, random_samples)
 
-    grid = spec.residual_fn(r_axis[:, None], t_axis[None, :])
-    rand = spec.residual_fn(rr, tr)
+    # an overflow inside the residual is a parameter beyond the floats, not
+    # a verdict: the same usage error as a non-finite residual
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            grid = spec.residual_fn(r_axis[:, None], t_axis[None, :])
+            rand = spec.residual_fn(rr, tr)
+    except FloatingPointError as exc:
+        raise ConstraintError(f"residual leaves the floats ({exc})") from None
     res, scale_terms = (np.concatenate([np.broadcast_to(g, (k, k)).ravel(),
                                         np.broadcast_to(x, rr.shape)], dtype=float)
                         for g, x in zip(grid, rand))

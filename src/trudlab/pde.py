@@ -22,6 +22,16 @@ hard step predict nothing.  Field metadata counts the work:
 newton_iterations_max and _total over accepted steps, and log-implicit's
 rejected_steps (dt halvings).
 
+`solve_members` advances members, configs equal but for their initial data,
+through one time loop.  Their nodes are concatenated into one vector; each
+member's boundary node is an identity row (F = 0, diagonal 1, no coupling),
+so nothing couples across a seam and one dgtsv per Newton iteration solves
+every member with no pivot crossing a seam.  Newton keeps each member's
+norm, merit, line-search step and count, and a converged member's update is
+zero, so every member's field equals its lone solve bit for bit.  A lone
+solve is a batch of one; log-implicit, whose dt halves for one member's
+failure, runs one member per solve.
+
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
 the same code: (u^3)_t = Delta_inf u is the d = 1 case with flux (u_r)^3/3.
@@ -33,6 +43,7 @@ theory produces there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -129,14 +140,21 @@ class SolverConfig:
 
 
 class _Stencil(NamedTuple):
-    """Conservative stencil of one (grid, n, p): spacing, law, weights, flux.
+    """Conservative stencil of one (grid, n, p) for a batch of members: the
+    members' nodes concatenated into one vector of N nodes, count per member.
 
     The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
     flux_prime(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme;
-    at g = 2 the identity and one, chosen once.  grad = (g-1)/k is the
-    coefficient of the log form's gradient term.  The flux Jacobian's
-    weights are folded once: axis_h = axis/h, and left, right = the faces
-    at i -+ 1/2 over nodes h for nodes 1..m-1.
+    at g = 2 the identity and the scalar 1, chosen once.  grad = (g-1)/k is the
+    coefficient of the log form's gradient term.  Weights are tiled per
+    member: faces and the Jacobian's left, right and upper weights over the
+    N - 1 faces (a face across a seam weighs 0), nodes over nodes 1..N-2.
+    left and right are the faces at i -+ 1/2 over nodes h, the couplings of
+    node i to i -+ 1 (axis/h on the axis's right); upper is right without a
+    node's coupling to its boundary, and nothing couples to or from a
+    boundary node, so its row of the batch is the identity.  seams slices
+    the faces across seams; axes and edges index the members' axis and
+    boundary nodes (an int for one member, a strided slice for several).
     """
 
     h: float
@@ -145,15 +163,21 @@ class _Stencil(NamedTuple):
     axis: float
     faces: np.ndarray
     nodes: np.ndarray
-    axis_h: float
     left: np.ndarray
     right: np.ndarray
+    upper: np.ndarray
+    seams: slice
+    axes: int | slice
+    edges: int | slice
     flux: Callable
     flux_prime: Callable
 
 
-def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
-    """Axis factor 2d/(hk), face weights r_{i+1/2}^{d-1}/k, node weights.
+@functools.lru_cache(maxsize=16)
+def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stencil:
+    """Axis factor 2d/(hk), face weights r_{i+1/2}^{d-1}/k, node weights, for
+    `members` copies of the grid in one vector.  Cached: solves on one grid
+    share it, and its weights are read-only.
 
     Node weights are exact cell volumes (r_{i+1/2}^d - r_{i-1/2}^d)/d: the
     midpoint surrogate r_i^{d-1} h loses consistency at the first node off
@@ -165,30 +189,44 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent) -> _Stencil:
     faces = r_face ** (d - 1.0) / k
     nodes = (r_face[1:] ** d - r_face[:-1] ** d) / d
     axis = 2.0 * d / (h * k)
-    law = (h, g, (g - 1.0) / k, axis, faces, nodes,
-           axis / h, faces[:-1] / (nodes * h), faces[1:] / (nodes * h))
-    if g == 2.0:
-        return _Stencil(*law, lambda q: q, np.ones_like)
+    left, right = faces[:-1] / (nodes * h), faces[1:] / (nodes * h)
+
+    def tile(*parts):  # one member's weights, once per member
+        out = np.concatenate(parts * members)
+        out.flags.writeable = False
+        return out
+
+    count = grid.count
+    seams = slice(count - 1, None, count)  # the faces across seams (none for one member)
+    # one member's axis and boundary are single nodes: scalar indexing
+    axes, edges = (0, -1) if members == 1 else (slice(0, None, count), seams)
+    law = (h, g, (g - 1.0) / k, axis, tile(faces, [0.0])[:-1],
+           tile([1.0], nodes, [1.0])[1:-1], tile(left, [0.0, 0.0])[:-1],
+           tile([axis / h], right, [0.0])[:-1], tile([axis / h], right[:-1], [0.0, 0.0])[:-1],
+           seams, axes, edges)
+    if g == 2.0:  # flux_prime 1 scales every weight exactly
+        return _Stencil(*law, lambda q: q, lambda q: 1.0)
     return _Stencil(*law, lambda q: np.abs(q) ** (g - 2.0) * q,
                     lambda q: (g - 1.0) * np.abs(q) ** (g - 2.0))
 
 
 def _divergence(q: np.ndarray, st: _Stencil) -> np.ndarray:
-    """Discrete radial operator at nodes 0..m-1 from face slopes q = diff(v)/h;
-    the boundary node m is excluded."""
+    """Discrete radial operator at every node from face slopes q; 0 at the
+    boundary nodes, whose rows are the identity."""
     flux = st.flux(q)
-    out = np.empty(q.size)
-    out[0] = st.axis * flux[0]
-    flux = st.faces * flux
-    np.divide(flux[1:] - flux[:-1], st.nodes, out=out[1:])
+    out = np.empty(q.size + 1)
+    weighted = st.faces * flux
+    np.divide(weighted[1:] - weighted[:-1], st.nodes, out=out[1:-1])
+    out[st.axes] = st.axis * flux[st.axes]
+    out[st.edges] = 0.0
     return out
 
 
 def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
     """Backward-Euler residual F = div flux(v_r) + ((g-1)/k) c flux(c) - w (v - v_prev)/dt
-    at nodes 0..m-1, where c flux(c) = |c|^g for the centered gradient c at
-    nodes 1..m-1; the axis has no gradient term.  w_dt = w/dt is the step's
-    constant.
+    of one member, where c flux(c) = |c|^g for the centered gradient c at
+    nodes 1..m-1; the axis has no gradient term, the boundary row is 0.
+    w_dt = w/dt is the step's constant.
 
     Returns F and the cache (q = diff(v)/h, flux(c)).
     """
@@ -196,29 +234,28 @@ def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
     F = _divergence(q, st)
     c = 0.5 * (q[:-1] + q[1:])
     flux_c = st.flux(c)
-    F[1:] += st.grad * c * flux_c
-    dv = v[:-1] - v_prev[:-1]
+    F[1:-1] += st.grad * c * flux_c
+    dv = v - v_prev
     dv *= w_dt
     F -= dv
+    F[st.edges] = 0.0
     return F, (q, flux_c)
 
 
 def _flux_jacobian(q: np.ndarray, st: _Stencil):
-    """d `_divergence` / du at nodes 0..m-1 as (sub, diagonal, super) from the
-    face slopes q."""
+    """d `_divergence` / du as (sub, diagonal, super) from the face slopes
+    q.  A boundary node's row is the identity (a scheme that adds to the
+    whole diagonal sets it again) and no entry couples across a seam, so
+    dgtsv's pivots stay inside each member."""
     fp = st.flux_prime(q)
-    # node i couples through its left face i-1/2 and its right face i+1/2
-    lower = st.left * fp[:-1]
-    right = st.right * fp[1:]
-    top = st.axis_h * fp[0]
-    diag = np.empty(q.size)
-    diag[0] = -top
-    np.add(lower, right, out=diag[1:])
-    np.negative(diag[1:], out=diag[1:])
-    upper = np.empty(q.size - 1)
-    upper[0] = top
-    upper[1:] = right[:-1]
-    return lower, diag, upper
+    lower = st.left * fp
+    right = st.right * fp
+    diag = np.empty(q.size + 1)
+    diag[0] = -right[0]
+    np.add(lower[:-1], right[1:], out=diag[1:-1])
+    np.negative(diag[1:-1], out=diag[1:-1])
+    diag[st.edges] = 1.0
+    return lower, diag, st.upper * fp
 
 
 def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float):
@@ -227,10 +264,11 @@ def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float):
     q, flux_c = cache
     lower, diag, upper = _flux_jacobian(q, st)
     diag -= w_dt
+    diag[st.edges] = 1.0
     # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
     hi = (0.5 * st.grad * st.g / st.h) * flux_c
-    upper[1:] += hi[:-1]
-    lower -= hi
+    upper[1:-1] += hi[:-1]
+    lower[:-1] -= hi
     return lower, diag, upper
 
 
@@ -262,47 +300,90 @@ def _extrapolate(history: list, t: float) -> np.ndarray:
     return out
 
 
+class _Diverged(Exception):
+    """args (member, max|F|): its Newton iteration stalled or missed the tolerance."""
+
+
 def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
-            tol_abs: float, clip: float):
-    """Damped Newton for residual(x) = (F, cache) = 0 on x[:-1] (x[-1] is
-    boundary data); jacobian(cache) gives dF/dx's three diagonals.  Updates
-    are clipped to max-norm clip, then halved until |F|_2 falls.  Returns
-    (x, iterations, max|F|); x is None if the search stalls or MAX_NEWTON
-    iterations miss the tolerance."""
+            tol_abs: list, clip: float):
+    """Damped Newton for residual(x) = (F, cache) = 0 on a batch vector of
+    len(tol_abs) members, each count = x.size / members nodes with its last
+    node boundary data (F = 0 there, an identity row); jacobian(cache) gives
+    dF/dx's three diagonals, and one dgtsv solves every member at once.
+    Each member keeps its own max-norm, tolerance tol_abs[j], merit |F_j|_2,
+    step and iteration count: its update is clipped to max-norm clip, then
+    halved until its merit falls, and a converged member gets a zero update,
+    so every member follows its lone iteration bit for bit.  Returns (x,
+    cache, iterations per member); raises _Diverged for a member whose
+    search stalls or whose MAX_NEWTON iterations miss the tolerance."""
+    members = len(tol_abs)
+    count = x.size // members
+    rows = [slice(j * count, (j + 1) * count - 1) for j in range(members)]
     F, cache = residual(x)
-    norm = norm0 = np.abs(F).max()
-    merit = math.sqrt(F.dot(F))  # |F|_2, carried with F from the accepted trial
-    for it in range(MAX_NEWTON):
-        if norm <= tol_abs:
-            return x, it, norm
+    norm = norm0 = _maxima(F, members)
+    merit = [math.sqrt(F[r].dot(F[r])) for r in rows]  # |F_j|_2 of the accepted trial
+    iters = [0] * members
+    for _ in range(MAX_NEWTON):
+        live = [j for j in range(members) if not norm[j] <= tol_abs[j]]
+        if not live:
+            return x, cache, iters
         lower, diag, upper = jacobian(cache)
-        *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
+        rhs = -F
+        idle = () if len(live) == members else [
+            slice(j * count, (j + 1) * count) for j in range(members) if j not in live]
+        for block in idle:  # a converged member's rows: identity, zero update
+            lower[block] = upper[block] = rhs[block] = 0.0
+            diag[block] = 1.0
+        *_, delta, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
         if info != 0:
-            raise SolverError(f"newton linear solve failed: dgtsv info {info}")
-        big = np.abs(delta).max()
-        if big > clip:
-            delta *= clip / big
-        step = 1.0
+            raise SolverError(f"newton linear solve failed for member "
+                              f"{(info - 1) // count}: dgtsv info {info}")
+        for block in idle:  # 0 * inf = nan from a neighbour must not reach it
+            delta[block] = 0.0
+        if clip < math.inf:
+            for j, big in enumerate(_maxima(delta, members)):
+                if big > clip:
+                    delta[j * count:(j + 1) * count] *= clip / big
+        trial, step, pending = x + delta, None, live
         for _ in range(25):
-            trial = x.copy()
-            trial[:-1] += delta if step == 1.0 else step * delta
             F_try, cache_try = residual(trial)
-            # the squared norm is finite exactly when every residual entry is
-            # (an overflowing sum of squares fails the merit test either way)
-            sq = F_try.dot(F_try)
-            if math.isfinite(sq) and math.sqrt(sq) < merit:
-                x, F, cache, merit = trial, F_try, cache_try, math.sqrt(sq)
-                norm = np.abs(F).max()
+            failed = []
+            for j in pending:
+                f = F_try[rows[j]]
+                # an inf or nan merit (an entry or the sum of squares
+                # overflowing) is never below the last one
+                now = math.sqrt(f.dot(f))
+                if now < merit[j]:
+                    merit[j] = now
+                else:
+                    failed.append(j)
+            if not failed:
                 break
-            step *= 0.5
+            if step is None:  # members keep the step they were accepted at
+                step = np.ones((members, 1))
+            step[failed] *= 0.5
+            trial, pending = x + (step * delta.reshape(members, count)).ravel(), failed
         else:
-            return None, it, norm
-    if norm <= max(tol_abs, 1e-10 * norm0):
-        return x, MAX_NEWTON, norm
-    return None, MAX_NEWTON, norm
+            raise _Diverged(pending[0], norm[pending[0]])
+        x, F, cache = trial, F_try, cache_try
+        norm = _maxima(F, members)
+        for j in live:
+            iters[j] += 1
+    for j in range(members):
+        if not norm[j] <= max(tol_abs[j], 1e-10 * norm0[j]):
+            raise _Diverged(j, norm[j])
+    return x, cache, iters
 
 
-def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
+def _maxima(a: np.ndarray, members: int) -> list:
+    """max |a| over each member's nodes."""
+    if members == 1:
+        return [np.abs(a).max()]
+    return np.abs(a).reshape(members, -1).max(axis=1).tolist()
+
+
+def _solve_log_implicit(configs: tuple) -> list:
+    (config,) = configs
     grid = config.grid
     w = config.p.time_weight
     st = _stencil(grid, config.n, config.p)
@@ -322,20 +403,21 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         start = _extrapolate(history, t + dt)
         start[-1] = np.log(float(config.boundary(t + dt)))
         # log-space updates beyond 2 invite blowups, so Newton clips there
-        out, iters, norm = _newton(
-            start,
-            lambda x: _log_residual(x, v, w_dt, st),
-            lambda cache: _log_jacobian(cache, st, w_dt),
-            config.tolerance * w_dt * (1.0 + np.abs(v).max()), clip=2.0)
-        if out is None:
+        try:
+            v_new, _, (iters,) = _newton(
+                start,
+                lambda x: _log_residual(x, v, w_dt, st),
+                lambda cache: _log_jacobian(cache, st, w_dt),
+                [config.tolerance * w_dt * (1.0 + np.abs(v).max())], clip=2.0)
+        except _Diverged as failure:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
                     f"inner iteration diverged at t={t:.6g} (level {len(times)}), "
-                    f"residual {norm:.3e}")
+                    f"residual {failure.args[1]:.3e}") from None
             dt *= 0.5
             rejected += 1
             continue
-        v = out
+        v = v_new
         t += dt
         # a hard step is a transient: the levels before it predict nothing
         history = history[-2:] + [(t, v)] if iters <= 6 else [(t, v)]
@@ -348,67 +430,80 @@ def _solve_log_implicit(config: SolverConfig) -> SpaceTimeField:
         # regrow toward the target after transient halvings
         if iters <= 6:
             dt = min(dt * 1.3, dt_target)
-    return SpaceTimeField(np.asarray(values), grid, np.asarray(times),
-                          metadata={**config.manifest(),
-                                    "newton_iterations_max": int(max(newton_iters or [0])),
-                                    "newton_iterations_total": sum(newton_iters),
-                                    "rejected_steps": rejected})
+    return [SpaceTimeField(np.asarray(values), grid, np.asarray(times),
+                           metadata={**config.manifest(),
+                                     "newton_iterations_max": max(newton_iters or [0]),
+                                     "newton_iterations_total": sum(newton_iters),
+                                     "rejected_steps": rejected})]
 
 
 def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil):
-    """BDF residual L u - c_dt b(u) + B_dt at nodes 0..m-1, with b(u) =
-    |u|^{g-2} u the stencil's flux law.  Returns F and the cache (q, u)."""
+    """BDF residual L u - c_dt b(u) + B_dt of the batch vector u, with b(u) =
+    |u|^{g-2} u the stencil's flux law; 0 at the boundary nodes.  Returns F
+    and the cache (q, u, b(u)): the accepted level's b feeds the next step."""
     q = (u[1:] - u[:-1]) / st.h
+    q[st.seams] = 0.0  # no overflow from a slope across a seam
     F = _divergence(q, st)
-    F += B_dt - c_dt * st.flux(u[:-1])
-    return F, (q, u)
+    b = st.flux(u)
+    F += B_dt - c_dt * b
+    F[st.edges] = 0.0
+    return F, (q, u, b)
 
 
 def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float):
     """dF/du of `_direct_residual`: the flux tridiagonal minus c_dt b'(u)."""
-    q, u = cache
+    q, u, _ = cache
     lower, diag, upper = _flux_jacobian(q, st)
-    diag -= c_dt * st.flux_prime(u[:-1])
+    diag -= c_dt * st.flux_prime(u)
+    diag[st.edges] = 1.0
     return lower, diag, upper
 
 
-def _solve_direct_implicit(config: SolverConfig) -> SpaceTimeField:
+def _solve_direct_implicit(configs: tuple) -> list:
+    config = configs[0]
     grid = config.grid
-    st = _stencil(grid, config.n, config.p)
+    members, count = len(configs), grid.count
+    st = _stencil(grid, config.n, config.p, members)
     dt_target = config.dt if config.dt else config.t_end / 200.0
     steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
     times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
-    values = np.empty((steps + 1, grid.count))
-    u = values[0] = np.asarray(config.initial(grid.r), float)
+    values = np.empty((members, steps + 1, count))
+    for field, member in zip(values, configs):
+        field[0] = np.asarray(member.initial(grid.r), float)
+    u = values[:, 0].ravel()
     b = st.flux(u)
     ts = times.tolist()
     history = [(0.0, u)]  # the last three levels the predictor runs through
     newton_iters = []
     for k in range(1, steps + 1):
         if k == 1:  # backward Euler starts the two-step method
-            c_dt, B_dt = 1.0 / dt, b[:-1] / dt
+            c_dt, B_dt = 1.0 / dt, b / dt
         else:
-            c_dt, B_dt = 1.5 / dt, (2.0 * b[:-1] - 0.5 * b_prev[:-1]) / dt
+            c_dt, B_dt = 1.5 / dt, (2.0 * b - 0.5 * b_prev) / dt
         u_bc = float(config.boundary(times[k]))
         start = _extrapolate(history, ts[k])
         np.maximum(start, 0.0, out=start)
-        start[-1] = u_bc
-        u, iters, norm = _newton(
-            start,
-            lambda x: _direct_residual(x, c_dt, B_dt, st),
-            lambda cache: _direct_jacobian(cache, st, c_dt),
-            config.tolerance * c_dt * max(np.abs(b).max(), abs(st.flux(u_bc))), clip=np.inf)
-        if u is None:
-            raise SolverError(f"newton failed at t={times[k]:.6g} (level {k}), "
-                              f"residual {norm:.3e}")
-        values[k] = u
-        history = history[-2:] + [(ts[k], values[k])]
-        b_prev, b = b, st.flux(u)
+        start[st.edges] = u_bc
+        tol, b_bc = config.tolerance * c_dt, abs(st.flux(u_bc))
+        try:
+            u, cache, iters = _newton(
+                start,
+                lambda x: _direct_residual(x, c_dt, B_dt, st),
+                lambda cache: _direct_jacobian(cache, st, c_dt),
+                [tol * max(b_j, b_bc) for b_j in _maxima(b, members)], clip=np.inf)
+        except _Diverged as failure:
+            member, norm = failure.args
+            raise SolverError(f"newton failed at t={times[k]:.6g} (level {k}) for member "
+                              f"{member}, residual {norm:.3e}") from None
+        values[:, k] = u.reshape(members, count)
+        history = history[-2:] + [(ts[k], u)]
+        b_prev, b = b, cache[2]
         newton_iters.append(iters)
-    return SpaceTimeField(values, grid, times,
-                          metadata={**config.manifest(),
-                                    "newton_iterations_max": max(newton_iters),
-                                    "newton_iterations_total": sum(newton_iters)})
+    return [SpaceTimeField(field, grid, times,
+                           metadata={**member.manifest(),
+                                     "newton_iterations_max": max(counts),
+                                     "newton_iterations_total": sum(counts)})
+            for field, member, counts in zip(values, configs, zip(*newton_iters))]
 
 
 def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
@@ -449,16 +544,35 @@ def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
     }
 
 
-def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
-    """Advance the radial problem with the configured scheme.
+def solve_members(configs) -> tuple:
+    """Advance members, configs equal in every field but `initial`, through
+    one time loop and one Newton loop; one field per member, each equal bit
+    for bit to the member's lone solve.
 
-    Returns the full field with a manifest carrying the measured consistency
-    bounds (audit residual, residual-unit and solution-unit estimates).
+    Each field's manifest carries the member's Newton counts and its
+    measured consistency bounds (audit residual, residual-unit and
+    solution-unit estimates).  log-implicit takes one member: its dt halves
+    for the member's own failures.
     """
-    config.validate()
-    solve = _solve_log_implicit if config.scheme == LOG_IMPLICIT else _solve_direct_implicit
-    field = solve(config)
-    return replace(field, metadata={**field.metadata, **_consistency(field, config)})
+    configs = tuple(configs)
+    if not configs:
+        raise ConfigError("need at least one member")
+    head = configs[0]
+    if any(replace(c, initial=head.initial) != head for c in configs[1:]):
+        raise ConfigError("members must share every config field but initial")
+    if head.scheme == LOG_IMPLICIT and len(configs) > 1:
+        raise ConfigError("log-implicit solves one member at a time")
+    for config in configs:
+        config.validate()
+    solve = _solve_log_implicit if head.scheme == LOG_IMPLICIT else _solve_direct_implicit
+    return tuple(replace(field, metadata={**field.metadata, **_consistency(field, config)})
+                 for field, config in zip(solve(configs), configs))
+
+
+def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:
+    """Advance the radial problem with the configured scheme: the one member
+    of `solve_members`."""
+    return solve_members((config,))[0]
 
 
 def measure_decay_rate(field: SpaceTimeField, window: tuple) -> float:

@@ -494,6 +494,23 @@ class TestSeparatedSolution:
                           samples=2500, random_samples=200)
         assert rep.verdict == Verdict.SOLUTION
 
+    @pytest.mark.parametrize("pv", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_computed_profile_rounding_below_zero_at_R_accepted(self, eigen_cache, pv, n):
+        # the profile's zero at r = R rounds to a few ulps either side of 0
+        eig = eigen_cache(pv, n, 1.0)
+        s = separated_solution(eig.profile(), lam=eig.lam, mu=eig.lam,
+                               p=Exponent.finite(pv), n=n)
+        assert s.expected == Verdict.SOLUTION
+
+    def test_negative_profile_rejected(self):
+        dip = SpaceTimeFunction(lambda r, t: np.cos(np.pi * np.asarray(r, float)),
+                                lambda r, t: -np.pi * np.sin(np.pi * np.asarray(r, float)),
+                                lambda r, t: -np.pi ** 2 * np.cos(np.pi * np.asarray(r, float)),
+                                R=1.0)
+        with pytest.raises(ConstraintError, match="nonnegative"):
+            separated_solution(dip, lam=1.0, mu=1.0, p=Exponent.finite(3), n=2)
+
 
 class TestVerifySign:
     @pytest.mark.parametrize("p", P_SWEEP, ids=lambda p: p.label)

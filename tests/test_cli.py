@@ -332,6 +332,8 @@ class TestExitContract:
         ["verify", "--family", "flatten-upper", "--p", "3", "--R", "1e300"],
         # numpy-scalar arithmetic: K underflows to 0 and Kbar / K divides by it
         ["verify", "--family", "flatten-upper", "--p", "3", "--R", "1e150"],
+        # finite constants whose residual overflows: no RuntimeWarning first
+        ["verify", "--family", "flatten-lower", "--p", "inf", "--R", "1e150"],
         ["verify", "--family", "boundary", "--p", "3", "--R", "1e-300"],
         ["verify", "--family", "growth", "--p", "3", "--T", "1e300"],
         ["eigen", "--p", "3", "--R", "1e300"],

@@ -74,6 +74,10 @@ class TestDecay:
         data = heat_report.to_dict()
         assert data["name"] == "decay"
         assert set(data["passes"]) == {"eigen_rate_attained", "generic_rate_inequality"}
+        # the two members' Newton work, one solve for both
+        for member in ("eigen", "generic"):
+            total = data["measured"][f"{member}_newton_iterations_total"]
+            assert isinstance(total, int) and total >= 200  # 200 steps, one or more each
         for tgt in data["targets"].values():
             assert {"value", "tolerance", "kind", "source"} <= set(tgt)
 

@@ -321,25 +321,31 @@ class TestNewtonStep:
         dt, w = 2e-3, p.time_weight
 
         def residual(x):
-            return pde._log_residual(x, v_prev, w / dt, st)[0]
+            return pde._log_residual(x, v_prev, w / dt, st)[0][:-1]
 
         _, cache = pde._log_residual(v, v_prev, w / dt, st)
         self.assert_central_differences(
-            residual, v, pde._log_jacobian(cache, st, w / dt))
+            residual, v, self.lone(pde._log_jacobian(cache, st, w / dt)))
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
     def test_direct_jacobian_matches_central_differences(self, p):
         st, v_prev, v = self.state(p)
-        c_dt, B_dt = 1.5 / 2e-3, np.exp(v_prev[:-1]) / 2e-3
+        c_dt, B_dt = 1.5 / 2e-3, np.exp(v_prev) / 2e-3
 
         def residual(x):
-            return pde._direct_residual(x, c_dt, B_dt, st)[0]
+            return pde._direct_residual(x, c_dt, B_dt, st)[0][:-1]
 
         u = np.exp(v)
         _, cache = pde._direct_residual(u, c_dt, B_dt, st)
         self.assert_central_differences(
-            residual, u, pde._direct_jacobian(cache, st, c_dt))
+            residual, u, self.lone(pde._direct_jacobian(cache, st, c_dt)))
+
+    @staticmethod
+    def lone(diagonals):
+        """A one-member batch's diagonals without its boundary identity row."""
+        lower, diag, upper = diagonals
+        return lower[:-1], diag[:-1], upper[:-1]
 
     @staticmethod
     def assert_central_differences(residual, v, diagonals):
@@ -371,6 +377,67 @@ class TestNewtonStep:
                            initial=sinc_profile, tolerance=1e-300)
         with pytest.raises(SolverError, match=r"newton failed at t=0.00025 \(level 1\)"):
             solve_trudinger_radial(cfg)
+
+
+MEMBER_EXPONENTS = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
+                    Exponent.finite(4), INFINITY]
+
+
+class TestMembers:
+    """`solve_members`: one direct-implicit loop for several initial data."""
+
+    DATA = {
+        "zero": lambda r: 0.0 * np.asarray(r, float),  # converged at 0 iterations
+        "parabola": lambda r: 1.0 - np.asarray(r, float) ** 2,
+        "bump": lambda r: np.cos(0.5 * np.pi * np.asarray(r, float)) ** 4,
+        "hat": lambda r: np.minimum(1.0, 2.0 - 2.0 * np.asarray(r, float)),
+    }
+
+    @staticmethod
+    def members(p, n, names, **kw):
+        base = SolverConfig(p=p, n=n, R=1.0, nodes=41, t_end=0.1, dt=2e-3,
+                            scheme=DIRECT_IMPLICIT, boundary=lambda t: 0.0,
+                            initial=TestMembers.DATA[names[0]], **kw)
+        return [dataclasses.replace(base, initial=TestMembers.DATA[k]) for k in names]
+
+    @pytest.mark.parametrize("p", MEMBER_EXPONENTS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_member_is_its_lone_solve_in_either_order(self, p, n):
+        configs = self.members(p, n, ["parabola", "zero", "bump", "hat"])
+        batch = pde.solve_members(configs)
+        reverse = pde.solve_members(configs[::-1])[::-1]
+        # members converge at different iterations: the zero member at none,
+        # and beyond the linear p = 2 the others differ among themselves
+        totals = {f.metadata["newton_iterations_total"] for f in batch}
+        assert len(totals) >= (2 if p.g == 2.0 else 3), totals
+        for cfg, got, rev in zip(configs, batch, reverse):
+            lone = solve_trudinger_radial(cfg)
+            for field in (got, rev):
+                assert np.array_equal(field.values, lone.values)
+                assert np.array_equal(field.times, lone.times)
+                assert dict(field.metadata) == dict(lone.metadata)
+
+    @pytest.mark.parametrize("order", [["zero", "bump"], ["bump", "zero"]])
+    def test_failing_member_is_named_with_its_level(self, monkeypatch, order):
+        monkeypatch.setattr(pde, "MAX_NEWTON", 1)
+        configs = self.members(Exponent.finite(3), 2, order)
+        with pytest.raises(SolverError, match=rf"\(level 1\) for member {order.index('bump')},"):
+            pde.solve_members(configs)
+
+    def test_members_must_share_all_but_initial(self):
+        a, b = self.members(Exponent.finite(3), 2, ["parabola", "bump"])
+        for other in (dataclasses.replace(b, nodes=21), dataclasses.replace(b, t_end=0.2),
+                      dataclasses.replace(b, boundary=lambda t: 0.0)):
+            with pytest.raises(ConfigError, match="but initial"):
+                pde.solve_members([a, other])
+        with pytest.raises(ConfigError, match="at least one"):
+            pde.solve_members([])
+
+    def test_log_implicit_takes_one_member(self):
+        cfg = heat_config(nodes=21, t_end=0.01, dt=1e-3)
+        other = dataclasses.replace(cfg, initial=lambda r: heat_oracle(r, 0.0, 0.2))
+        with pytest.raises(ConfigError, match="one member"):
+            pde.solve_members([cfg, other])
 
 
 class TestPredictor:
