@@ -10,7 +10,7 @@ Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
   BDF2 on b(u), backward Euler first: each step solves L u - (c b(u) - B)/dt
   = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
 
-Both run one damped Newton loop (`_newton`) on the flux tridiagonal
+Both run one damped Newton iteration (`_newton`) on the flux tridiagonal
 (`_flux_jacobian`, its face weights over nodes h folded once into `_Stencil`)
 plus the scheme's own terms; LAPACK dgtsv solves.  Newton starts from the
 polynomial through the last one to three accepted levels (`_extrapolate`, the
@@ -20,17 +20,19 @@ zero on the direct scheme.  The log scheme restarts that history at a step
 that took more than 6 iterations (its dt regrowth bound): levels before a
 hard step predict nothing.  Field metadata counts the work:
 newton_iterations_max and _total over accepted steps, and log-implicit's
-rejected_steps (dt halvings).
+rejected_steps (dt halvings).  The log scheme exponentiates its levels once,
+after the loop; an accepted level with |v| >= 700 is checked at once.
 
 `solve_members` advances members, configs equal but for their initial data,
 through one time loop.  Their nodes are concatenated into one vector; each
 member's boundary node is an identity row (F = 0, diagonal 1, no coupling),
 so nothing couples across a seam and one dgtsv per Newton iteration solves
-every member with no pivot crossing a seam.  Newton keeps each member's
-norm, merit, line-search step and count, and a converged member's update is
-zero, so every member's field equals its lone solve bit for bit.  A lone
-solve is a batch of one; log-implicit, whose dt halves for one member's
-failure, runs one member per solve.
+every member with no pivot crossing a seam.  `_newton` picks its
+bookkeeping by member count: several members keep a norm, merit, line-search
+step and count each, and a converged member's update is zero; one member
+runs the same iteration on plain floats.  The two paths are bit-identical,
+so every member's field equals its lone solve.  log-implicit, whose dt
+halves for one member's failure, runs one member per solve.
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -103,7 +105,8 @@ class SolverConfig:
         if self.dt is not None and not 0 <= self.dt < math.inf:
             raise ConfigError("dt must be nonnegative and finite (0 means t_end/200)")
 
-    def validate(self) -> None:
+    def validate(self) -> np.ndarray:
+        """Rejects data the scheme cannot run; returns the sampled initial data."""
         grid = self.grid
         f = np.asarray(self.initial(grid.r), float)
         g0 = float(self.boundary(0.0))
@@ -121,6 +124,7 @@ class SolverConfig:
         else:
             if f.min() < 0 or g.min() < 0:
                 raise ConfigError("direct-implicit needs nonnegative data")
+        return f
 
     @property
     def grid(self) -> RadialGrid:
@@ -144,11 +148,12 @@ class _Stencil(NamedTuple):
     members' nodes concatenated into one vector of N nodes, count per member.
 
     The 1/k of the law sits in axis and faces, so flux(q) = |q|^{g-2} q and
-    flux_prime(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme;
-    at g = 2 the identity and the scalar 1, chosen once.  grad = (g-1)/k is the
-    coefficient of the log form's gradient term.  Weights are tiled per
-    member: faces and the Jacobian's left, right and upper weights over the
-    N - 1 faces (a face across a seam weighs 0), nodes over nodes 1..N-2.
+    flux'(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme, come
+    from flux_power(q) = (flux(q), |q|^{g-2}): one power for both, at g = 2
+    (q, the scalar 1), chosen once.  grad = (g-1)/k is the coefficient of
+    the log form's gradient term.  Weights are tiled per member: faces and
+    the Jacobian's left, right and upper weights over the N - 1 faces (a
+    face across a seam weighs 0), nodes over nodes 1..N-2.
     left and right are the faces at i -+ 1/2 over nodes h, the couplings of
     node i to i -+ 1 (axis/h on the axis's right); upper is right without a
     node's coupling to its boundary, and nothing couples to or from a
@@ -169,8 +174,7 @@ class _Stencil(NamedTuple):
     seams: slice
     axes: int | slice
     edges: int | slice
-    flux: Callable
-    flux_prime: Callable
+    flux_power: Callable
 
 
 @functools.lru_cache(maxsize=16)
@@ -204,17 +208,18 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
            tile([1.0], nodes, [1.0])[1:-1], tile(left, [0.0, 0.0])[:-1],
            tile([axis / h], right, [0.0])[:-1], tile([axis / h], right[:-1], [0.0, 0.0])[:-1],
            seams, axes, edges)
-    if g == 2.0:  # flux_prime 1 scales every weight exactly
-        return _Stencil(*law, lambda q: q, lambda q: 1.0)
-    return _Stencil(*law, lambda q: np.abs(q) ** (g - 2.0) * q,
-                    lambda q: (g - 1.0) * np.abs(q) ** (g - 2.0))
+    def flux_power(q):
+        power = np.abs(q) ** (g - 2.0)
+        return power * q, power
+
+    # at g = 2 the power 1 scales every weight exactly
+    return _Stencil(*law, (lambda q: (q, 1.0)) if g == 2.0 else flux_power)
 
 
-def _divergence(q: np.ndarray, st: _Stencil) -> np.ndarray:
-    """Discrete radial operator at every node from face slopes q; 0 at the
-    boundary nodes, whose rows are the identity."""
-    flux = st.flux(q)
-    out = np.empty(q.size + 1)
+def _divergence(flux: np.ndarray, st: _Stencil) -> np.ndarray:
+    """Discrete radial operator at every node from the face fluxes
+    flux(q); 0 at the boundary nodes, whose rows are the identity."""
+    out = np.empty(flux.size + 1)
     weighted = st.faces * flux
     np.divide(weighted[1:] - weighted[:-1], st.nodes, out=out[1:-1])
     out[st.axes] = st.axis * flux[st.axes]
@@ -228,29 +233,35 @@ def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
     nodes 1..m-1; the axis has no gradient term, the boundary row is 0.
     w_dt = w/dt is the step's constant.
 
-    Returns F and the cache (q = diff(v)/h, flux(c)).
+    Returns F and the cache (power(q), flux(c)) for q = diff(v)/h: power
+    runs once over q and c together.
     """
-    q = (v[1:] - v[:-1]) / st.h
-    F = _divergence(q, st)
-    c = 0.5 * (q[:-1] + q[1:])
-    flux_c = st.flux(c)
-    F[1:-1] += st.grad * c * flux_c
+    m = v.size - 1
+    qc = np.empty(2 * m - 1)  # the face slopes q, then the centred gradients c
+    q, c = qc[:m], qc[m:]
+    np.subtract(v[1:], v[:-1], out=q)
+    q /= st.h
+    np.add(q[:-1], q[1:], out=c)
+    c *= 0.5
+    flux, power = st.flux_power(qc)
+    F = _divergence(flux[:m], st)
+    F[1:-1] += st.grad * c * flux[m:]
     dv = v - v_prev
     dv *= w_dt
     F -= dv
     F[st.edges] = 0.0
-    return F, (q, flux_c)
+    return F, (power if st.g == 2.0 else power[:m], flux[m:])
 
 
-def _flux_jacobian(q: np.ndarray, st: _Stencil):
-    """d `_divergence` / du as (sub, diagonal, super) from the face slopes
-    q.  A boundary node's row is the identity (a scheme that adds to the
-    whole diagonal sets it again) and no entry couples across a seam, so
-    dgtsv's pivots stay inside each member."""
-    fp = st.flux_prime(q)
+def _flux_jacobian(power: np.ndarray, st: _Stencil):
+    """d `_divergence` / du as (sub, diagonal, super) from power(q) of the
+    face slopes q.  A boundary node's row is the identity (a scheme that
+    adds to the whole diagonal sets it again) and no entry couples across a
+    seam, so dgtsv's pivots stay inside each member."""
+    fp = (st.g - 1.0) * power
     lower = st.left * fp
     right = st.right * fp
-    diag = np.empty(q.size + 1)
+    diag = np.empty(lower.size + 1)
     diag[0] = -right[0]
     np.add(lower[:-1], right[1:], out=diag[1:-1])
     np.negative(diag[1:-1], out=diag[1:-1])
@@ -261,8 +272,8 @@ def _flux_jacobian(q: np.ndarray, st: _Stencil):
 def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float):
     """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
     w_dt = w/dt is the step's constant."""
-    q, flux_c = cache
-    lower, diag, upper = _flux_jacobian(q, st)
+    power, flux_c = cache
+    lower, diag, upper = _flux_jacobian(power, st)
     diag -= w_dt
     diag[st.edges] = 1.0
     # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
@@ -315,8 +326,11 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
     halved until its merit falls, and a converged member gets a zero update,
     so every member follows its lone iteration bit for bit.  Returns (x,
     cache, iterations per member); raises _Diverged for a member whose
-    search stalls or whose MAX_NEWTON iterations miss the tolerance."""
+    search stalls or whose MAX_NEWTON iterations miss the tolerance.  One
+    member runs the same iteration on plain floats (`_newton_lone`)."""
     members = len(tol_abs)
+    if members == 1:
+        return _newton_lone(x, residual, jacobian, tol_abs[0], clip)
     count = x.size // members
     rows = [slice(j * count, (j + 1) * count - 1) for j in range(members)]
     F, cache = residual(x)
@@ -375,24 +389,55 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
     return x, cache, iters
 
 
+def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
+                 tol: float, clip: float):
+    """`_newton` for one member on float state: the same iteration bit for bit."""
+    F, cache = residual(x)
+    norm = norm0 = np.abs(F).max()
+    merit = math.sqrt(F[:-1].dot(F[:-1]))  # without the boundary row, as a member's
+    for iters in range(MAX_NEWTON):
+        if norm <= tol:
+            return x, cache, [iters]
+        lower, diag, upper = jacobian(cache)
+        *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
+        if info != 0:
+            raise SolverError(f"newton linear solve failed: dgtsv info {info}")
+        big = np.abs(delta).max() if clip < math.inf else 0.0
+        if big > clip:
+            delta *= clip / big
+        trial, step = x + delta, 1.0
+        for _ in range(25):
+            F_try, cache_try = residual(trial)
+            now = math.sqrt(F_try[:-1].dot(F_try[:-1]))  # an inf or nan merit never falls
+            if now < merit:
+                break
+            step *= 0.5
+            trial = x + step * delta
+        else:
+            raise _Diverged(0, norm)
+        x, F, cache, merit = trial, F_try, cache_try, now
+        norm = np.abs(F).max()
+    if not norm <= max(tol, 1e-10 * norm0):
+        raise _Diverged(0, norm)
+    return x, cache, [MAX_NEWTON]
+
+
 def _maxima(a: np.ndarray, members: int) -> list:
     """max |a| over each member's nodes."""
-    if members == 1:
-        return [np.abs(a).max()]
     return np.abs(a).reshape(members, -1).max(axis=1).tolist()
 
 
-def _solve_log_implicit(configs: tuple) -> list:
-    (config,) = configs
+def _solve_log_implicit(configs: tuple, data: list) -> list:
+    (config,), (f,) = configs, data
     grid = config.grid
     w = config.p.time_weight
     st = _stencil(grid, config.n, config.p)
-    f = np.asarray(config.initial(grid.r), float)
     v = np.log(f)
+    size = np.abs(v).max()
     t = 0.0
     dt_target = config.dt if config.dt else config.t_end / 200.0
     dt = dt_target
-    values = [f.copy()]
+    levels = [v]  # log levels, exponentiated after the loop; level 0 stays f
     times = [0.0]
     history = [(t, v)]  # accepted (t, v) levels the predictor runs through
     newton_iters = []
@@ -408,7 +453,7 @@ def _solve_log_implicit(configs: tuple) -> list:
                 start,
                 lambda x: _log_residual(x, v, w_dt, st),
                 lambda cache: _log_jacobian(cache, st, w_dt),
-                [config.tolerance * w_dt * (1.0 + np.abs(v).max())], clip=2.0)
+                [config.tolerance * w_dt * (1.0 + size)], clip=2.0)
         except _Diverged as failure:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
@@ -419,18 +464,23 @@ def _solve_log_implicit(configs: tuple) -> list:
             continue
         v = v_new
         t += dt
+        size = np.abs(v).max()
+        if not size < 700.0:  # only there may exp(v) leave (0, inf): check exactly
+            with np.errstate(over="ignore"):  # an overflow is inf, which it rejects
+                u = np.exp(v)
+            if not (u.min() > 0.0 and u.max() < math.inf):
+                raise SolverError(f"positivity loss at t={t:.6g}")
         # a hard step is a transient: the levels before it predict nothing
         history = history[-2:] + [(t, v)] if iters <= 6 else [(t, v)]
-        u = np.exp(v)
-        if not (u.min() > 0.0 and u.max() < math.inf):
-            raise SolverError(f"positivity loss at t={t:.6g}")
-        values.append(u)
+        levels.append(v)
         times.append(t)
         newton_iters.append(iters)
         # regrow toward the target after transient halvings
         if iters <= 6:
             dt = min(dt * 1.3, dt_target)
-    return [SpaceTimeField(np.asarray(values), grid, np.asarray(times),
+    values = np.exp(levels)
+    values[0] = f  # the data themselves, not exp(log f)
+    return [SpaceTimeField(values, grid, np.asarray(times),
                            metadata={**config.manifest(),
                                      "newton_iterations_max": max(newton_iters or [0]),
                                      "newton_iterations_total": sum(newton_iters),
@@ -440,26 +490,28 @@ def _solve_log_implicit(configs: tuple) -> list:
 def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil):
     """BDF residual L u - c_dt b(u) + B_dt of the batch vector u, with b(u) =
     |u|^{g-2} u the stencil's flux law; 0 at the boundary nodes.  Returns F
-    and the cache (q, u, b(u)): the accepted level's b feeds the next step."""
+    and the cache (power(q), power(u), b(u)): the Jacobian's flux' comes from
+    the powers, and the accepted level's b feeds the next step."""
     q = (u[1:] - u[:-1]) / st.h
     q[st.seams] = 0.0  # no overflow from a slope across a seam
-    F = _divergence(q, st)
-    b = st.flux(u)
+    flux, power = st.flux_power(q)
+    F = _divergence(flux, st)
+    b, b_power = st.flux_power(u)
     F += B_dt - c_dt * b
     F[st.edges] = 0.0
-    return F, (q, u, b)
+    return F, (power, b_power, b)
 
 
 def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float):
     """dF/du of `_direct_residual`: the flux tridiagonal minus c_dt b'(u)."""
-    q, u, _ = cache
-    lower, diag, upper = _flux_jacobian(q, st)
-    diag -= c_dt * st.flux_prime(u)
+    power, b_power, _ = cache
+    lower, diag, upper = _flux_jacobian(power, st)
+    diag -= c_dt * ((st.g - 1.0) * b_power)
     diag[st.edges] = 1.0
     return lower, diag, upper
 
 
-def _solve_direct_implicit(configs: tuple) -> list:
+def _solve_direct_implicit(configs: tuple, data: list) -> list:
     config = configs[0]
     grid = config.grid
     members, count = len(configs), grid.count
@@ -468,10 +520,9 @@ def _solve_direct_implicit(configs: tuple) -> list:
     steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
     times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
     values = np.empty((members, steps + 1, count))
-    for field, member in zip(values, configs):
-        field[0] = np.asarray(member.initial(grid.r), float)
+    values[:, 0] = data
     u = values[:, 0].ravel()
-    b = st.flux(u)
+    b = st.flux_power(u)[0]
     ts = times.tolist()
     history = [(0.0, u)]  # the last three levels the predictor runs through
     newton_iters = []
@@ -484,7 +535,7 @@ def _solve_direct_implicit(configs: tuple) -> list:
         start = _extrapolate(history, ts[k])
         np.maximum(start, 0.0, out=start)
         start[st.edges] = u_bc
-        tol, b_bc = config.tolerance * c_dt, abs(st.flux(u_bc))
+        tol, b_bc = config.tolerance * c_dt, abs(st.flux_power(u_bc)[0])
         try:
             u, cache, iters = _newton(
                 start,
@@ -521,11 +572,12 @@ def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
     res_levels = np.abs(res, out=res).max(axis=1)
     audit_max = float(res_levels.max())
     u = field.values
-    dt_levels = np.diff(field.times)
+    dt_levels = field.times[1:] - field.times[:-1]
     # truncation invisible to the backward-difference audit: 0.5 dt |u_tt|
     utt_term = np.zeros_like(res_levels)
     if len(dt_levels) >= 2:
-        utt = np.diff(np.diff(u, axis=0), axis=0)
+        du = u[1:] - u[:-1]
+        utt = du[1:] - du[:-1]
         utt = np.abs(utt, out=utt).max(axis=1)
         dts = 0.5 * (dt_levels[1:] + dt_levels[:-1])
         rate = utt / dts ** 2
@@ -562,11 +614,10 @@ def solve_members(configs) -> tuple:
         raise ConfigError("members must share every config field but initial")
     if head.scheme == LOG_IMPLICIT and len(configs) > 1:
         raise ConfigError("log-implicit solves one member at a time")
-    for config in configs:
-        config.validate()
+    data = [config.validate() for config in configs]
     solve = _solve_log_implicit if head.scheme == LOG_IMPLICIT else _solve_direct_implicit
     return tuple(replace(field, metadata={**field.metadata, **_consistency(field, config)})
-                 for field, config in zip(solve(configs), configs))
+                 for field, config in zip(solve(configs, data), configs))
 
 
 def solve_trudinger_radial(config: SolverConfig) -> SpaceTimeField:

@@ -7,6 +7,7 @@ the separation-of-variables oracle throughout.
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,17 @@ class TestFieldProperties:
         cfg = heat_config(nodes=61, t_end=0.05, dt=5e-4)
         field = solve_trudinger_radial(cfg)
         assert field.values.min() > 0.0
+
+    def test_log_blowup_is_a_positivity_failure(self):
+        # a boundary falling to e^-700 drives log u past the largest double's
+        # log: the level's exp overflows, which is a SolverError, not a warning
+        cfg = SolverConfig(p=Exponent.finite(2), n=2, R=1.0, nodes=21, t_end=0.01,
+                           scheme=LOG_IMPLICIT, boundary=lambda t: np.exp(-700.0 * t / 0.01),
+                           initial=lambda r: np.ones_like(r), dt=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="positivity loss at t="):
+                solve_trudinger_radial(cfg)
 
     def test_boundedness_between_data(self):
         cfg = heat_config(nodes=61, t_end=0.2, dt=1e-3)
@@ -433,6 +445,26 @@ class TestMembers:
         with pytest.raises(ConfigError, match="at least one"):
             pde.solve_members([])
 
+    @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
+    def test_initial_data_are_sampled_once_per_member(self, scheme):
+        # the array the config validates is the array the solver advances
+        calls = []
+
+        def counting(name, shift):
+            def initial(r):
+                calls.append(name)
+                return 1.0 + shift * (1.0 - np.asarray(r, float) ** 2)
+            return initial
+
+        base = SolverConfig(p=Exponent.finite(3), n=2, R=1.0, nodes=21, t_end=0.01, dt=1e-3,
+                            scheme=scheme, boundary=lambda t: 1.0, initial=None)
+        names = ["a"] if scheme == LOG_IMPLICIT else ["a", "b", "c"]
+        configs = [dataclasses.replace(base, initial=counting(k, 0.1 * (j + 1)))
+                   for j, k in enumerate(names)]
+        for repeat in (1, 2):
+            pde.solve_members(configs)
+            assert sorted(calls) == sorted(names * repeat)
+
     def test_log_implicit_takes_one_member(self):
         cfg = heat_config(nodes=21, t_end=0.01, dt=1e-3)
         other = dataclasses.replace(cfg, initial=lambda r: heat_oracle(r, 0.0, 0.2))
@@ -520,6 +552,19 @@ class TestPredictor:
         assert field.grid.count == 201
         assert field.metadata["rejected_steps"] == 0
         assert field.metadata["newton_iterations_total"] <= 1.6 * (field.times.size - 1)
+
+    @pytest.mark.parametrize("p, nodes, total, most, rejected", [
+        (Exponent.finite(3), 201, 549, 26, 0),
+        (Exponent.finite(2), 201, 384, 3, 0),
+        (INFINITY, 41, 307, 44, 3),
+    ], ids=["p3", "p2", "inf"])
+    def test_flatten_newton_work_is_pinned(self, monkeypatch, p, nodes, total, most, rejected):
+        # a change to the clip, the line search, the stopping test or the dt
+        # halving of the lone log-implicit Newton loop shows up in these counts
+        field = self.flatten_field(monkeypatch, p, nodes=nodes)
+        md = field.metadata
+        assert (md["newton_iterations_total"], md["newton_iterations_max"],
+                md["rejected_steps"]) == (total, most, rejected)
 
     def test_rejected_steps_count_halvings(self, monkeypatch):
         # the p = inf straddle data fail the first full steps; the first
