@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -18,7 +19,8 @@ def read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform nodes on [0, R], endpoints included."""
+    """Uniform nodes on [0, R], endpoints included.  r is built once per grid,
+    read-only; grids compare and hash by (R, count) alone."""
 
     R: float
     count: int
@@ -33,9 +35,9 @@ class RadialGrid:
     def h(self) -> float:
         return self.R / (self.count - 1)
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.R, self.count)
+        return read_only(np.linspace(0.0, self.R, self.count))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ hard step predict nothing.  Field metadata counts the work:
 newton_iterations_max and _total over accepted steps, and log-implicit's
 rejected_steps (dt halvings).  The log scheme exponentiates its levels once,
 after the loop; an accepted level with |v| >= 700 is checked at once.
+A solve allocates its workspace once: the three Jacobian diagonals (dgtsv
+overwrites them) and, on the log scheme, the residual's scratch (slopes and
+centred gradients, weighted faces, update difference).  What outlives a
+call is allocated fresh: F, the powers its Jacobian reads, each trial
+level and the predictor start, which a 0-iteration step stores as its level.
 
 `solve_members` advances members, configs equal but for their initial data,
 through one time loop.  Their nodes are concatenated into one vector; each
@@ -53,13 +58,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exponent import Exponent
-from .grids import RadialGrid, SpaceTimeField
+from .grids import RadialGrid, SpaceTimeField, read_only
 from .operators import fd_residual_on_field
 
 
 LOG_IMPLICIT = "log-implicit"
 DIRECT_IMPLICIT = "direct-implicit"
 MAX_NEWTON = 50
+_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+_HALF = read_only(0.5)  # a 0-d array, as _Stencil's scalars
 
 
 def dgtsv(*args):
@@ -126,8 +133,8 @@ class SolverConfig:
                 raise ConfigError("direct-implicit needs nonnegative data")
         return f
 
-    @property
-    def grid(self) -> RadialGrid:
+    @functools.cached_property
+    def grid(self) -> RadialGrid:  # one grid, and so one r, per config
         return RadialGrid(self.R, self.nodes)
 
     def manifest(self) -> dict:
@@ -151,9 +158,12 @@ class _Stencil(NamedTuple):
     flux'(q) = (g-1)|q|^{g-2}, also b(u) and b'(u) of the direct scheme, come
     from flux_power(q) = (flux(q), |q|^{g-2}): one power for both, at g = 2
     (q, the scalar 1), chosen once.  grad = (g-1)/k is the coefficient of
-    the log form's gradient term.  Weights are tiled per member: faces and
-    the Jacobian's left, right and upper weights over the N - 1 faces (a
-    face across a seam weighs 0), nodes over nodes 1..N-2.
+    the log form's gradient term, slope = g grad/(2h) its Jacobian's weight
+    and g1 = g - 1.  h, grad, g1 and slope are read-only 0-d arrays: numpy
+    takes an array operand through its array path, a Python float through a
+    slower scalar one, with the same arithmetic.  Weights are tiled per
+    member: faces and the Jacobian's left, right and upper weights over the
+    N - 1 faces (a face across a seam weighs 0), nodes over nodes 1..N-2.
     left and right are the faces at i -+ 1/2 over nodes h, the couplings of
     node i to i -+ 1 (axis/h on the axis's right); upper is right without a
     node's coupling to its boundary, and nothing couples to or from a
@@ -162,9 +172,11 @@ class _Stencil(NamedTuple):
     boundary nodes (an int for one member, a strided slice for several).
     """
 
-    h: float
     g: float
-    grad: float
+    h: np.ndarray
+    grad: np.ndarray
+    g1: np.ndarray
+    slope: np.ndarray
     axis: float
     faces: np.ndarray
     nodes: np.ndarray
@@ -204,7 +216,9 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
     seams = slice(count - 1, None, count)  # the faces across seams (none for one member)
     # one member's axis and boundary are single nodes: scalar indexing
     axes, edges = (0, -1) if members == 1 else (slice(0, None, count), seams)
-    law = (h, g, (g - 1.0) / k, axis, tile(faces, [0.0])[:-1],
+    grad = (g - 1.0) / k
+    scalars = map(read_only, (h, grad, g - 1.0, 0.5 * grad * g / h))  # h, grad, g1, slope
+    law = (g, *scalars, axis, tile(faces, [0.0])[:-1],
            tile([1.0], nodes, [1.0])[1:-1], tile(left, [0.0, 0.0])[:-1],
            tile([axis / h], right, [0.0])[:-1], tile([axis / h], right[:-1], [0.0, 0.0])[:-1],
            seams, axes, edges)
@@ -216,71 +230,89 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
     return _Stencil(*law, (lambda q: (q, 1.0)) if g == 2.0 else flux_power)
 
 
-def _divergence(flux: np.ndarray, st: _Stencil) -> np.ndarray:
-    """Discrete radial operator at every node from the face fluxes
-    flux(q); 0 at the boundary nodes, whose rows are the identity."""
-    out = np.empty(flux.size + 1)
-    weighted = st.faces * flux
-    np.divide(weighted[1:] - weighted[:-1], st.nodes, out=out[1:-1])
+def _divergence(flux: np.ndarray, st: _Stencil, out: np.ndarray,
+                weighted: np.ndarray) -> np.ndarray:
+    """Discrete radial operator at every node from the face fluxes flux(q),
+    written into out; 0 at the boundary nodes, whose rows are the identity.
+    weighted, of flux's size, receives the weighted face fluxes."""
+    np.multiply(st.faces, flux, weighted)
+    np.divide(weighted[1:] - weighted[:-1], st.nodes, out[1:-1])
     out[st.axes] = st.axis * flux[st.axes]
     out[st.edges] = 0.0
     return out
 
 
-def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil):
+def _log_scratch(size: int) -> tuple:
+    """`_log_residual`'s scratch for size nodes, allocated once per solve: q
+    and c in one array, its views q, c, q[:-1] and q[1:], the weighted
+    faces and the update difference."""
+    m = size - 1
+    qc = np.empty(2 * m - 1)
+    q = qc[:m]
+    return qc, q, qc[m:], q[:-1], q[1:], np.empty(m), np.empty(size)
+
+
+def _diagonals(size: int) -> tuple:
+    """A Jacobian's three diagonals for size nodes, allocated once per solve:
+    each Jacobian call writes every entry, and dgtsv overwrites them."""
+    return np.empty(size - 1), np.empty(size), np.empty(size - 1)
+
+
+def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil,
+                  scratch: tuple):
     """Backward-Euler residual F = div flux(v_r) + ((g-1)/k) c flux(c) - w (v - v_prev)/dt
     of one member, where c flux(c) = |c|^g for the centered gradient c at
     nodes 1..m-1; the axis has no gradient term, the boundary row is 0.
-    w_dt = w/dt is the step's constant.
+    w_dt = w/dt is the step's constant (0-d); scratch is the solve's `_log_scratch`.
 
-    Returns F and the cache (power(q), flux(c)) for q = diff(v)/h: power
-    runs once over q and c together.
+    Returns F and the cache (power(q), flux(c)) for q = diff(v)/h, both in
+    memory of their own: power runs once over q and c together.
     """
-    m = v.size - 1
-    qc = np.empty(2 * m - 1)  # the face slopes q, then the centred gradients c
-    q, c = qc[:m], qc[m:]
-    np.subtract(v[1:], v[:-1], out=q)
+    qc, q, c, q_lo, q_hi, weighted, dv = scratch
+    m = q.size
+    np.subtract(v[1:], v[:-1], q)
     q /= st.h
-    np.add(q[:-1], q[1:], out=c)
-    c *= 0.5
+    np.add(q_lo, q_hi, c)
+    np.multiply(c, _HALF, c)
     flux, power = st.flux_power(qc)
-    F = _divergence(flux[:m], st)
-    F[1:-1] += st.grad * c * flux[m:]
-    dv = v - v_prev
-    dv *= w_dt
-    F -= dv
+    flux_c = flux[m:]
+    F = _divergence(flux[:m], st, np.empty(m + 1), weighted)
+    F[1:-1] += st.grad * c * flux_c
+    F -= np.multiply(np.subtract(v, v_prev, dv), w_dt, dv)
     F[st.edges] = 0.0
-    return F, (power if st.g == 2.0 else power[:m], flux[m:])
+    # at g = 2 flux is the scratch itself, so flux(c) = c is copied out of it
+    return F, (1.0, c.copy()) if st.g == 2.0 else (power[:m], flux_c)
 
 
-def _flux_jacobian(power: np.ndarray, st: _Stencil):
+def _flux_jacobian(power: np.ndarray, st: _Stencil, out: tuple):
     """d `_divergence` / du as (sub, diagonal, super) from power(q) of the
-    face slopes q.  A boundary node's row is the identity (a scheme that
-    adds to the whole diagonal sets it again) and no entry couples across a
-    seam, so dgtsv's pivots stay inside each member."""
-    fp = (st.g - 1.0) * power
-    lower = st.left * fp
-    right = st.right * fp
-    diag = np.empty(lower.size + 1)
-    diag[0] = -right[0]
-    np.add(lower[:-1], right[1:], out=diag[1:-1])
-    np.negative(diag[1:-1], out=diag[1:-1])
+    face slopes q, written into out, the solve's `_diagonals`.  A boundary
+    node's row is the identity (a scheme that adds to the whole diagonal
+    sets it again) and no entry couples across a seam, so dgtsv's pivots
+    stay inside each member."""
+    lower, diag, upper = out
+    fp = np.multiply(power, st.g1, upper)  # flux'(q) until upper is scaled last
+    np.multiply(st.left, fp, lower)
+    head = np.multiply(st.right, fp, diag[:-1])  # diag_i = -(right_i + lower_{i-1})
+    diag[1:-1] += lower[:-1]
+    np.negative(head, head)
     diag[st.edges] = 1.0
-    return lower, diag, st.upper * fp
+    upper *= st.upper
+    return out
 
 
-def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float):
-    """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache;
-    w_dt = w/dt is the step's constant."""
+def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, out: tuple):
+    """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache,
+    written into out; w_dt = w/dt is the step's constant (0-d)."""
     power, flux_c = cache
-    lower, diag, upper = _flux_jacobian(power, st)
+    lower, diag, upper = _flux_jacobian(power, st, out)
     diag -= w_dt
     diag[st.edges] = 1.0
     # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
-    hi = (0.5 * st.grad * st.g / st.h) * flux_c
+    hi = st.slope * flux_c
     upper[1:-1] += hi[:-1]
     lower[:-1] -= hi
-    return lower, diag, upper
+    return out
 
 
 def _extrapolate(history: list, t: float) -> np.ndarray:
@@ -393,7 +425,7 @@ def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
                  tol: float, clip: float):
     """`_newton` for one member on float state: the same iteration bit for bit."""
     F, cache = residual(x)
-    norm = norm0 = np.abs(F).max()
+    norm = norm0 = _amax(np.abs(F))
     merit = math.sqrt(F[:-1].dot(F[:-1]))  # without the boundary row, as a member's
     for iters in range(MAX_NEWTON):
         if norm <= tol:
@@ -402,7 +434,7 @@ def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
         *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
         if info != 0:
             raise SolverError(f"newton linear solve failed: dgtsv info {info}")
-        big = np.abs(delta).max() if clip < math.inf else 0.0
+        big = _amax(np.abs(delta)) if clip < math.inf else 0.0
         if big > clip:
             delta *= clip / big
         trial, step = x + delta, 1.0
@@ -416,7 +448,7 @@ def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
         else:
             raise _Diverged(0, norm)
         x, F, cache, merit = trial, F_try, cache_try, now
-        norm = np.abs(F).max()
+        norm = _amax(np.abs(F))
     if not norm <= max(tol, 1e-10 * norm0):
         raise _Diverged(0, norm)
     return x, cache, [MAX_NEWTON]
@@ -432,8 +464,10 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
     grid = config.grid
     w = config.p.time_weight
     st = _stencil(grid, config.n, config.p)
+    # this solve's own arrays: st is cached and shared between solves
+    scratch, diagonals = _log_scratch(grid.count), _diagonals(grid.count)
     v = np.log(f)
-    size = np.abs(v).max()
+    size = _amax(np.abs(v))
     t = 0.0
     dt_target = config.dt if config.dt else config.t_end / 200.0
     dt = dt_target
@@ -444,15 +478,15 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
     rejected = 0
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
-        w_dt = w / dt
+        w_dt = read_only(w / dt)  # 0-d, as _Stencil's scalars
         start = _extrapolate(history, t + dt)
         start[-1] = np.log(float(config.boundary(t + dt)))
         # log-space updates beyond 2 invite blowups, so Newton clips there
         try:
             v_new, _, (iters,) = _newton(
                 start,
-                lambda x: _log_residual(x, v, w_dt, st),
-                lambda cache: _log_jacobian(cache, st, w_dt),
+                lambda x: _log_residual(x, v, w_dt, st, scratch),
+                lambda cache: _log_jacobian(cache, st, w_dt, diagonals),
                 [config.tolerance * w_dt * (1.0 + size)], clip=2.0)
         except _Diverged as failure:
             if dt <= dt_target * 2.0 ** -30:
@@ -464,7 +498,7 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
             continue
         v = v_new
         t += dt
-        size = np.abs(v).max()
+        size = _amax(np.abs(v))
         if not size < 700.0:  # only there may exp(v) leave (0, inf): check exactly
             with np.errstate(over="ignore"):  # an overflow is inf, which it rejects
                 u = np.exp(v)
@@ -495,20 +529,21 @@ def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil)
     q = (u[1:] - u[:-1]) / st.h
     q[st.seams] = 0.0  # no overflow from a slope across a seam
     flux, power = st.flux_power(q)
-    F = _divergence(flux, st)
+    F = _divergence(flux, st, np.empty(u.size), np.empty(q.size))
     b, b_power = st.flux_power(u)
     F += B_dt - c_dt * b
     F[st.edges] = 0.0
     return F, (power, b_power, b)
 
 
-def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float):
-    """dF/du of `_direct_residual`: the flux tridiagonal minus c_dt b'(u)."""
+def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float, out: tuple):
+    """dF/du of `_direct_residual`, written into out: the flux tridiagonal
+    minus c_dt b'(u)."""
     power, b_power, _ = cache
-    lower, diag, upper = _flux_jacobian(power, st)
-    diag -= c_dt * ((st.g - 1.0) * b_power)
+    _, diag, _ = _flux_jacobian(power, st, out)
+    diag -= c_dt * (st.g1 * b_power)
     diag[st.edges] = 1.0
-    return lower, diag, upper
+    return out
 
 
 def _solve_direct_implicit(configs: tuple, data: list) -> list:
@@ -516,6 +551,7 @@ def _solve_direct_implicit(configs: tuple, data: list) -> list:
     grid = config.grid
     members, count = len(configs), grid.count
     st = _stencil(grid, config.n, config.p, members)
+    diagonals = _diagonals(members * count)
     dt_target = config.dt if config.dt else config.t_end / 200.0
     steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
     times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
@@ -540,7 +576,7 @@ def _solve_direct_implicit(configs: tuple, data: list) -> list:
             u, cache, iters = _newton(
                 start,
                 lambda x: _direct_residual(x, c_dt, B_dt, st),
-                lambda cache: _direct_jacobian(cache, st, c_dt),
+                lambda cache: _direct_jacobian(cache, st, c_dt, diagonals),
                 [tol * max(b_j, b_bc) for b_j in _maxima(b, members)], clip=np.inf)
         except _Diverged as failure:
             member, norm = failure.args

@@ -111,6 +111,31 @@ class TestExactCases:
         rel = np.abs(field.values[-1] - exact).max() / exact.max()
         assert rel < 1e-3
 
+    @staticmethod
+    def kernel(g, k, d):
+        """t^-m exp(-c r^beta t^-s), an exact positive solution of the law (g, k, d)."""
+        m, beta, s = d / (g * (g - 1.0)), g / (g - 1.0), 1.0 / (g - 1.0)
+        c = (g - 1.0) * k ** (1.0 / (g - 1.0)) / g ** beta
+        return lambda r, t: t ** -m * np.exp(-c * np.asarray(r, float) ** beta * t ** -s)
+
+    @pytest.mark.parametrize("p, n, law, bound", [
+        (Exponent.finite(2.5), 2, (2.5, 1.0, 2.0), 8.4e-5),
+        (Exponent.finite(3), 2, (3.0, 1.0, 2.0), 1.16e-4),
+        (Exponent.finite(4), 3, (4.0, 1.0, 3.0), 1.88e-4),
+        (INFINITY, 2, (4.0, 3.0, 1.0), 2.16e-4),
+    ], ids=["p2.5", "p3", "p4", "inf"])
+    def test_kernel_oracle_log_implicit(self, p, n, law, bound):
+        # the kernel from t = 0.2, its own trace on r = 1; the bounds are 1.5x
+        # the errors measured at 101 nodes and dt = 1e-4
+        kernel = self.kernel(*law)
+        cfg = SolverConfig(p=p, n=n, R=1.0, nodes=101, t_end=0.1, scheme=LOG_IMPLICIT,
+                           boundary=lambda t: kernel(1.0, t + 0.2),
+                           initial=lambda r: kernel(r, 0.2), dt=1e-4)
+        field = solve_trudinger_radial(cfg)
+        assert field.times[-1] == pytest.approx(0.1, abs=1e-12)
+        exact = kernel(field.grid.r, 0.1 + 0.2)
+        assert np.abs(field.values[-1] - exact).max() / exact.max() < bound
+
     def test_infinity_branch_constant_and_positive(self):
         cfg = SolverConfig(p=INFINITY, n=2, R=1.0, nodes=41, t_end=0.1,
                            scheme=LOG_IMPLICIT, boundary=lambda t: 1.0,
@@ -333,11 +358,11 @@ class TestNewtonStep:
         dt, w = 2e-3, p.time_weight
 
         def residual(x):
-            return pde._log_residual(x, v_prev, w / dt, st)[0][:-1]
+            return pde._log_residual(x, v_prev, w / dt, st, pde._log_scratch(v.size))[0][:-1]
 
-        _, cache = pde._log_residual(v, v_prev, w / dt, st)
+        _, cache = pde._log_residual(v, v_prev, w / dt, st, pde._log_scratch(v.size))
         self.assert_central_differences(
-            residual, v, self.lone(pde._log_jacobian(cache, st, w / dt)))
+            residual, v, self.lone(pde._log_jacobian(cache, st, w / dt, pde._diagonals(v.size))))
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
@@ -351,7 +376,7 @@ class TestNewtonStep:
         u = np.exp(v)
         _, cache = pde._direct_residual(u, c_dt, B_dt, st)
         self.assert_central_differences(
-            residual, u, self.lone(pde._direct_jacobian(cache, st, c_dt)))
+            residual, u, self.lone(pde._direct_jacobian(cache, st, c_dt, pde._diagonals(u.size))))
 
     @staticmethod
     def lone(diagonals):
@@ -389,6 +414,63 @@ class TestNewtonStep:
                            initial=sinc_profile, tolerance=1e-300)
         with pytest.raises(SolverError, match=r"newton failed at t=0.00025 \(level 1\)"):
             solve_trudinger_radial(cfg)
+
+
+class TestWorkspace:
+    """A solve reuses its scratch and diagonals; what outlives a call does not."""
+
+    @staticmethod
+    def bump(p, amplitude=0.4):
+        return SolverConfig(p=p, n=2, R=1.0, nodes=41, t_end=0.08, scheme=LOG_IMPLICIT,
+                            boundary=lambda t: 1.0,
+                            initial=lambda r: 1.0 + amplitude * (1.0 - np.asarray(r, float) ** 2),
+                            dt=4e-3)
+
+    @pytest.mark.parametrize("amplitude", [0.4, 0.0], ids=["bump", "constant"])
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
+                             ids=["p2", "p3", "inf"])
+    def test_field_survives_later_solves(self, monkeypatch, p, amplitude):
+        # the stencil is cached and shared, so scratch kept on it would leak
+        # into every later solve on the same grid, n and p; constant data
+        # converge at 0 iterations, so each level is its predictor start
+        levels = []
+        newton = pde._newton
+
+        def recording(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            levels.append(out[0])
+            return out
+
+        monkeypatch.setattr(pde, "_newton", recording)
+        field = solve_trudinger_radial(self.bump(p, amplitude))
+        saved = (field.values.copy(), field.times.copy(), dict(field.metadata))
+        accepted = list(levels)
+        assert len(accepted) == field.times.size - 1
+        for amplitude in (0.1, 0.7):
+            solve_trudinger_radial(self.bump(p, amplitude))
+        assert np.array_equal(field.values, saved[0])
+        assert np.array_equal(field.times, saved[1])
+        assert dict(field.metadata) == saved[2]
+        for i, a in enumerate(accepted):
+            assert not any(np.shares_memory(a, b) for b in accepted[i + 1:])
+        values = field.values
+        for i in range(values.shape[0]):
+            assert not any(np.shares_memory(values[i], values[j])
+                           for j in range(i + 1, values.shape[0]))
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3)], ids=["p2", "p3"])
+    def test_residual_outputs_own_their_memory(self, p):
+        # F and the cache the Jacobian reads outlive the call; at g = 2 the
+        # flux of the centred gradients is the scratch itself
+        st, v_prev, v = TestNewtonStep.state(p)
+        scratch = pde._log_scratch(v.size)
+        F, cache = pde._log_residual(v, v_prev, 250.0, st, scratch)
+        kept = [F.copy(), *(np.array(a, copy=True) for a in cache)]
+        pde._log_residual(v_prev, v, 125.0, st, scratch)
+        for got, want in zip([F, *cache], kept):
+            assert np.array_equal(got, want)
+        for out in [F, *cache]:
+            assert not any(np.shares_memory(out, a) for a in scratch)
 
 
 MEMBER_EXPONENTS = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
