@@ -15,11 +15,15 @@ on the law only; `_axis_series` gives the start values at the handover h (the
 largest r where the series' 12th term is at most 1e-2 ATOL, capped at 0.1 R),
 the solution below h and, through a_1, the origin_coefficient of the
 eigenfunction profile.  Above h the 8th-order Dormand-Prince pair DOP853 takes
-over, on plain floats with scipy's tables, read on the first shot (`_tableau`),
-and its step control (`_dop853`), so it never steps through the non-integer
-powers of r at the axis; one integration is one frozen `Shot` holding its
-7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  No parameter is searched
-for: the equation is invariant under r -> s r, lam -> lam s^g (the lam_R R^g
+over, on plain floats with scipy's step control (`_dop853`), so it never steps
+through the non-integer powers of r at the axis.  Its step and its dense stages
+are straight-line code that `_tableau` writes from scipy's tables and compiles
+once, on the first shot (about 2.4 ms): each stage, update and error sum is
+written over the tables' nonzero coefficients in their order, so the 96 of the
+292 products per step that multiply an exact zero are gone and every sum adds
+the same terms in the same order as a loop over the full rows.  One
+integration is one frozen `Shot` holding its 7th-order dense solution
+sol(r) -> (psi, W) on [0, r_end].  No parameter is searched for: the equation is invariant under r -> s r, lam -> lam s^g (the lam_R R^g
 law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a single shot yields
 the eigenvalue (from where its first zero falls) or the center value (from its
 boundary trace).
@@ -30,8 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,14 +52,59 @@ class ShootingError(RuntimeError):
     """Integration failure, or a shot that contradicts a certified bound."""
 
 
+def _dot(coefficients, k: str) -> str:
+    """sum(map(mul, coefficients, k_j)) as source: the products of the nonzero
+    coefficients, each written by repr, added left to right.  For finite k a
+    dropped term is an exact +-0, so the value is sum()'s; only an all-zero
+    sum may come out -0.0 where sum(), which starts from 0, gives +0.0."""
+    return " + ".join(f"{a!r} * {k}{j}" for j, a in enumerate(coefficients) if a)
+
+
+def _stages(rows, first: int) -> str:
+    """The lines kp_s, kw_s = rhs(...) of the stages (c_s, a_s) in rows, s from first."""
+    return "".join(f"    kp{s}, kw{s} = rhs(r + {c!r} * h, psi + ({_dot(a, 'kp')}) * h, "
+                   f"w + ({_dot(a, 'kw')}) * h)\n" for s, (c, a) in enumerate(rows, first))
+
+
+def _step_source(stages, extra, B, E3, E5) -> str:
+    """Straight-line source of `step` and `dense`: one DOP853 step (stages 1..11,
+    the B update, f_new and the E5/E3 sums) and the dense stages 13..15."""
+    m, end = len(B), len(B) + 1 + len(extra)  # f_new is stage m, the dense stages follow
+
+    def names(k, start, stop):
+        return ", ".join(f"{k}{j}" for j in range(start, stop))
+
+    sums = ", ".join(_dot(e, k) for e in (E5, E3) for k in ("kp", "kw"))
+    return (f"def step(rhs, r, h, psi, w, f):\n    kp0, kw0 = f\n{_stages(stages, 1)}"
+            f"    psi_new, w_new = psi + h * ({_dot(B, 'kp')}), w + h * ({_dot(B, 'kw')})\n"
+            f"    kp{m}, kw{m} = f_new = rhs(r + h, psi_new, w_new)\n"
+            f"    return (psi_new, w_new, f_new, ({names('kp', 0, m + 1)}), "
+            f"({names('kw', 0, m + 1)}), {sums})\n"
+            f"def dense(rhs, r, h, psi, w, kp, kw):\n"
+            f"    {names('kp', 0, m + 1)} = kp\n    {names('kw', 0, m + 1)} = kw\n"
+            f"{_stages(extra, m + 1)}"
+            f"    return kp + ({names('kp', m + 1, end)}), kw + ({names('kw', m + 1, end)})\n")
+
+
+class _Tableau(NamedTuple):
+    stages: list  # (c_s, a_s) of the stages 1..11 of a step
+    extra: list  # (c_s, a_s) of the dense-output stages 13..15
+    B: list
+    E3: list
+    E5: list
+    D: np.ndarray
+    brentq: Callable
+    step: Callable  # (rhs, r, h, psi, w, f) -> (psi_new, w_new, f_new, kp, kw, E5 and E3 sums)
+    dense: Callable  # (rhs, r, h, psi, w, kp, kw) -> kp, kw with the dense stages
+
+
 @functools.cache
-def _tableau():
+def _tableau() -> _Tableau:
     """DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) as scipy ships it, as
-    plain floats, and brentq: (stages, extra, B, E3, E5, D, brentq), with
-    (c_s, a_s) for the stages 1..11 of a step and for the three extra
-    dense-output stages 13..15.  scipy.integrate and scipy.optimize are
-    imported here, on the first shot, so a process that never shoots never
-    loads them."""
+    plain floats, with brentq and the straight-line `step` and `dense` written
+    from its tables (`_step_source`) and compiled once.  scipy.integrate and
+    scipy.optimize are imported here, on the first shot, so a process that
+    never shoots never loads them."""
     from scipy.integrate import DOP853
     from scipy.optimize import brentq
 
@@ -64,8 +112,10 @@ def _tableau():
         zip(DOP853.C.tolist(), DOP853.A.tolist())) if s]
     extra = [(c, a[:s]) for s, (c, a) in enumerate(
         zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA.tolist()), start=DOP853.n_stages + 1)]
-    return (stages, extra, DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist(),
-            DOP853.D, brentq)
+    tables = stages, extra, DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist()
+    code = {}
+    exec(compile(_step_source(*tables), "<dop853>", "exec"), code)
+    return _Tableau(*tables, DOP853.D, brentq, code["step"], code["dense"])
 
 
 _EPS4 = 4.0 * np.finfo(float).eps
@@ -96,7 +146,8 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     step], so sol's one take along the step axis gathers unit-stride rows and
     each Horner term is one pass over them, not len(r) passes over two values.
     """
-    stages, extra, B, E3, E5, D, brentq = _tableau()
+    tab = _tableau()
+    step, dense = tab.step, tab.dense
     psi, w = y
     f = rhs(r, psi, w)
     sp, sw = atol + abs(psi) * rtol, atol + abs(w) * rtol
@@ -117,19 +168,10 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
                 raise ShootingError(f"integration failed at r={r:.6g}: step size too small")
             r_new = min(r + h_abs, r_bound)
             h = r_new - r
-            kp, kw = [f[0]], [f[1]]
-            for c, a in stages:
-                k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
-                kp.append(k[0])
-                kw.append(k[1])
-            psi_new, w_new = psi + h * sum(map(mul, B, kp)), w + h * sum(map(mul, B, kw))
-            f_new = rhs(r + h, psi_new, w_new)
-            kp.append(f_new[0])
-            kw.append(f_new[1])
+            psi_new, w_new, f_new, kp, kw, e5p, e5w, e3p, e3w = step(rhs, r, h, psi, w, f)
             sp = atol + max(abs(psi), abs(psi_new)) * rtol
             sw = atol + max(abs(w), abs(w_new)) * rtol
-            e5 = (sum(map(mul, E5, kp)) / sp) ** 2 + (sum(map(mul, E5, kw)) / sw) ** 2
-            e3 = (sum(map(mul, E3, kp)) / sp) ** 2 + (sum(map(mul, E3, kw)) / sw) ** 2
+            e5, e3 = (e5p / sp) ** 2 + (e5w / sw) ** 2, (e3p / sp) ** 2 + (e3w / sw) ** 2
             err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
             if err < 1.0:
                 factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
@@ -137,10 +179,7 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
-        for c, a in extra:
-            k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
-            kp.append(k[0])
-            kw.append(k[1])
+        kp, kw = dense(rhs, r, h, psi, w, kp, kw)
         steps.append((r, h, psi, w, psi_new, w_new, kp, kw))
         crossed = psi >= 0.0 and psi_new <= 0.0  # solve_ivp's direction = -1 event
         r, psi, w, f = r_new, psi_new, w_new, f_new
@@ -151,12 +190,12 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
     y_old, K = np.stack([psi_old, w_old], -1), np.stack([kp, kw], -1)
     dy, h = np.stack([psi_new, w_new], -1) - y_old, hs[:, None]
     F = np.concatenate([[dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 12] + K[:, 0])],
-                        h * np.einsum("jk,mkc->jmc", D, K)]).transpose(0, 2, 1).copy()
+                        h * np.einsum("jk,mkc->jmc", tab.D, K)]).transpose(0, 2, 1).copy()
     y_old = y_old.T.copy()
     if crossed:  # the zero of the last step's polynomial
         Fp, (r0, h, psi0) = F[:, 0, -1].tolist(), steps[-1][:3]
-        r = first_zero = brentq(lambda t: _interp(Fp, (t - r0) / h) + psi0, r0, r,
-                                xtol=_EPS4, rtol=_EPS4)
+        r = first_zero = tab.brentq(lambda t: _interp(Fp, (t - r0) / h) + psi0, r0, r,
+                                    xtol=_EPS4, rtol=_EPS4)
 
     def sol(t):
         seg = np.searchsorted(r_old[1:], t)  # a breakpoint takes the step that ends there

@@ -222,8 +222,13 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
            tile([1.0], nodes, [1.0])[1:-1], tile(left, [0.0, 0.0])[:-1],
            tile([axis / h], right, [0.0])[:-1], tile([axis / h], right[:-1], [0.0, 0.0])[:-1],
            seams, axes, edges)
+    # |q|^{g-2} by the ufunc numpy's ** runs for that float exponent, chosen once:
+    # the same bits without **'s scalar dispatch on every call
+    of_abs = {0.5: np.sqrt, 1.0: lambda a: a, 2.0: np.square}.get(
+        g - 2.0, lambda a, e=read_only(g - 2.0): np.power(a, e))
+
     def flux_power(q):
-        power = np.abs(q) ** (g - 2.0)
+        power = of_abs(np.abs(q))
         return power * q, power
 
     # at g = 2 the power 1 scales every weight exactly
@@ -329,15 +334,15 @@ def _extrapolate(history: list, t: float) -> np.ndarray:
         return x0.copy()
     t1, x1 = history[-2]
     out = x0 - x1
-    w1 = (t - t0) / (t0 - t1)
+    w1 = (t - t0) / (t0 - t1)  # the weights scale as 0-d arrays, as _Stencil's scalars
     if len(history) == 2:
-        out *= w1
+        out *= np.array(w1)
     else:
         t2, x2 = history[-3]
         c = w1 * (t - t1) / (t0 - t2)
-        out *= w1 + c
+        out *= np.array(w1 + c)
         older = x1 - x2
-        older *= -c * (t0 - t1) / (t1 - t2)
+        older *= np.array(-c * (t0 - t1) / (t1 - t2))
         out += older
     out += x0
     return out
@@ -571,7 +576,8 @@ def _solve_direct_implicit(configs: tuple, data: list) -> list:
         start = _extrapolate(history, ts[k])
         np.maximum(start, 0.0, out=start)
         start[st.edges] = u_bc
-        tol, b_bc = config.tolerance * c_dt, abs(st.flux_power(u_bc)[0])
+        # |b(u_bc)| on numpy's scalar path: flux_power's ufuncs are for arrays
+        tol, b_bc = config.tolerance * c_dt, abs(u_bc) * np.abs(u_bc) ** (st.g - 2.0)
         try:
             u, cache, iters = _newton(
                 start,

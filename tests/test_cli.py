@@ -464,7 +464,7 @@ class TestImportFootprint:
     def test_tableau_is_scipys(self):
         from scipy.integrate import DOP853
 
-        stages, extra, B, E3, E5, D, _ = eigensolver._tableau()
+        stages, extra, B, E3, E5, D = eigensolver._tableau()[:6]
 
         def full(rows, width):
             return np.array([[*a, *[0.0] * (width - len(a))] for a in rows])

@@ -5,7 +5,9 @@ dimensions; the first Bessel J0 zero in two), and the infinity branch, a 1-D
 p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p;
 all are built here independently of the solver before asserting against it.  For every p the shot is also checked
 against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
-own right-hand side, and the stepper against cos r.  The zero-order gain of
+own right-hand side, and the stepper against cos r; its generated step is
+checked bit for bit against the generic stage loop, kept here as the
+reference.  The zero-order gain of
 shifted profiles and the quotient comparison, two lemmas of the paper, are
 written here as helpers and checked on the solver's delta-boundary profiles.
 """
@@ -13,6 +15,7 @@ written here as helpers and checked on the solver's delta-boundary profiles.
 import csv
 import math
 from dataclasses import FrozenInstanceError
+from operator import mul
 
 import numpy as np
 import pytest
@@ -335,6 +338,15 @@ class TestHandover:
             assert abs(prof.drr(r, 0.0) - fd) <= 1e-6 * abs(fd)
 
 
+def bits(values) -> bytes:
+    """The bytes of a nested tuple of floats: equal only if every float is the
+    same, down to the sign of a zero."""
+    def flat(v):
+        return [u for e in v for u in flat(e)] if isinstance(v, tuple) else [v]
+
+    return np.array(flat(values), dtype=float).tobytes()
+
+
 class TestStepper:
     """The DOP853 stepper on its own."""
 
@@ -371,6 +383,79 @@ class TestStepper:
         assert len(calls) > 2 + 15 * (len(ts) - 1)  # some steps were rejected
         assert abs(len(ts) - len(ref.t)) <= 1 and abs(len(calls) - ref.nfev) <= 27
         assert zero == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0)
+
+    @staticmethod
+    def shot_rhs(monkeypatch, p, n, lam):
+        """The right-hand side shoot_radial hands the stepper."""
+        seen, real = [], eigensolver._dop853
+
+        def capture(rhs, *args):
+            seen.append(rhs)
+            return real(rhs, *args)
+
+        monkeypatch.setattr(eigensolver, "_dop853", capture)
+        shoot_radial(p, n, 1.0, lam)
+        monkeypatch.undo()
+        return seen[0]
+
+    @pytest.mark.parametrize("problem", ["cosine", "p3"])
+    def test_generated_step_is_the_stage_loop(self, monkeypatch, problem):
+        # the reference is the generic loop over the full tableau rows,
+        # sum(map(mul, a, k)); the generated step and dense stages drop the
+        # zero terms, and must give the same bits and the same rhs calls
+        tab, p = eigensolver._tableau(), Exponent.finite(3)
+        problem_rhs = ((lambda r, psi, w: (w, -psi)) if problem == "cosine" else
+                       self.shot_rhs(monkeypatch, p, 2, eigensolver.bracket_rate(p, 2, 1.0)))
+        calls = []
+
+        def rhs(*args):
+            calls.append(args)
+            return problem_rhs(*args)
+
+        def stage(kp, kw, args, c, a):
+            r, h, psi, w = args
+            k = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
+            kp.append(k[0])
+            kw.append(k[1])
+
+        def reference(args, f):
+            r, h, psi, w = args
+            kp, kw = [f[0]], [f[1]]
+            for c, a in tab.stages:
+                stage(kp, kw, args, c, a)
+            psi_new, w_new = psi + h * sum(map(mul, tab.B, kp)), w + h * sum(map(mul, tab.B, kw))
+            f_new = rhs(r + h, psi_new, w_new)
+            kp.append(f_new[0])
+            kw.append(f_new[1])
+            sums = [sum(map(mul, e, k)) for e in (tab.E5, tab.E3) for k in (kp, kw)]
+            step = (psi_new, w_new, f_new, tuple(kp), tuple(kw), *sums)
+            for c, a in tab.extra:
+                stage(kp, kw, args, c, a)
+            return step, (tuple(kp), tuple(kw))
+
+        rng = np.random.default_rng(24)
+        draws = rng.uniform([0.05, 1e-4, -1.0, -2.0], [1.0, 0.1, 1.0, 2.0], (64, 4))
+        draws[0, 3], draws[1, 3] = 0.0, -abs(draws[1, 3])  # a zero and a negative w
+        for args in map(tuple, draws.tolist()):
+            f = problem_rhs(args[0], *args[2:])
+            calls.clear()
+            want_step, want_dense = reference(args, f)
+            want_calls = bits(tuple(calls))
+            calls.clear()
+            got_step = tab.step(rhs, *args, f)
+            got_dense = tab.dense(rhs, *args, *got_step[3:5])
+            assert bits(got_step) == bits(want_step) and bits(got_dense) == bits(want_dense)
+            assert bits(tuple(calls)) == want_calls
+
+    def test_generated_constants_are_the_nonzero_tableau(self):
+        from scipy.integrate import DOP853
+
+        tables = (DOP853.A, DOP853.A_EXTRA, DOP853.C, DOP853.C_EXTRA, DOP853.B, DOP853.E3,
+                  DOP853.E5)
+        nonzero = {x for table in tables for x in table.ravel().tolist() if x}
+        tab = eigensolver._tableau()
+        consts = {c for f in (tab.step, tab.dense) for c in f.__code__.co_consts} - {None}
+        assert consts and all(type(c) is float and c in nonzero for c in consts)
 
     @pytest.mark.parametrize("bad_from", [0.0, 0.5])
     def test_nan_right_hand_side_raises(self, bad_from):

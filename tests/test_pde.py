@@ -397,6 +397,22 @@ class TestNewtonStep:
         scale = np.abs(jac).max()
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * scale)
 
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 3.5, 4.0])
+    def test_flux_power_is_the_float_power_bit_for_bit(self, pv):
+        # flux_power picks its ufunc once per g; on an array it gives the bits
+        # of |q| ** (g - 2.0) (q and the scalar 1 at g = 2), down to signed
+        # zeros, subnormals and overflow to inf
+        st = pde._stencil(RadialGrid(1.0, 11), 2, Exponent.finite(pv))
+        q = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, np.inf, -np.inf,
+                      0.3, -1.7, 2.5e-8, 41.0])
+        with np.errstate(over="ignore"):
+            flux, power = st.flux_power(q)
+            want_power = 1.0 if pv == 2.0 else np.abs(q) ** (pv - 2.0)
+            want_flux = q if pv == 2.0 else want_power * q
+        assert type(power) is type(want_power)
+        assert np.asarray(power).tobytes() == np.asarray(want_power).tobytes()
+        assert flux.dtype == want_flux.dtype and flux.tobytes() == want_flux.tobytes()
+
     @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
     def test_singular_linear_solve_raises(self, monkeypatch, scheme):
         def singular(dl, d, du, b, *flags):
