@@ -296,8 +296,19 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float, psi0: float = 1.0) -
     x_h = (1e-2 * ATOL / (psi0 * abs(_axis_coefficients(g, d)[0][-1]))) ** (1.0 / (_TERMS - 1))
     h = 0.1 * R if klam == 0.0 else min(0.1 * R, x_h ** ((g - 1.0) / g) / klam ** (1.0 / g))
 
-    def rhs(r, psi, w):  # plain floats: the arithmetic of _dpsi_from_flux
-        return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
+    # plain floats: the arithmetic of _dpsi_from_flux, chosen once per g.  The
+    # powers |w|^1 and |psi|^0 at g = 2 and |psi|^1 at g = 3 are exact, so
+    # they are dropped; pow(x, 0.5) and pow(x, 2.0) need not round as sqrt
+    # and x * x do, so every other g keeps them.
+    if g == 2.0:
+        def rhs(r, psi, w):
+            return w, -klam * psi - c * w / r
+    elif g == 3.0:
+        def rhs(r, psi, w):
+            return math.copysign(abs(w) ** e, w), -klam * abs(psi) * psi - c * w / r
+    else:
+        def rhs(r, psi, w):
+            return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
 
     ts, dense, first_zero = _dop853(rhs, h, _axis_series(g, d, klam, psi0, h), R, RTOL, ATOL)
     r_end = float(ts[-1])

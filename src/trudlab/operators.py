@@ -237,7 +237,9 @@ def fd_laplacian_grid(values: np.ndarray, grid, p: Exponent, n: int) -> np.ndarr
     # interior nodes 1 .. count-2, central differences
     ur = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
     urr = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / h ** 2
-    if p.is_finite:
+    if p.is_finite and p.p == 2.0:  # |u_r|^0 (p - 1) = 1
+        out[:, 1:] = urr + (n - 1.0) * ur / r[1:-1]
+    elif p.is_finite:
         pf = p.p
         out[:, 1:] = grad_factor(ur, pf) * ((pf - 1.0) * urr + (n - 1.0) * ur / r[1:-1])
     else:
@@ -260,7 +262,7 @@ def fd_residual_on_field(field: SpaceTimeField, p: Exponent, n: int) -> np.ndarr
     if field.grid.count < 3 or field.times.size < 2:
         raise DomainError("field needs at least 3 spatial nodes and 2 time levels")
     u = field.values
-    dt = np.diff(field.times)[:, None]
+    dt = (field.times[1:] - field.times[:-1])[:, None]
     out = np.empty((u.shape[0] - 1, u.shape[1] - 1))
     block = max(1, AUDIT_BLOCK_BYTES // u[0].nbytes)
     for a in range(0, out.shape[0], block):
@@ -269,7 +271,9 @@ def fd_residual_on_field(field: SpaceTimeField, p: Exponent, n: int) -> np.ndarr
         spatial = fd_laplacian_grid(level, field.grid, p, n)
         uval = level[:, :-1]
         ut = (uval - u[a:b, :-1]) / dt[a:b]
-        if p.is_finite:
+        if p.is_finite and p.p == 2.0:  # (p - 1)|u|^0 = 1
+            time_term = ut
+        elif p.is_finite:
             time_term = (p.p - 1.0) * grad_factor(uval, p.p) * ut
         else:
             time_term = 3.0 * uval ** 2 * ut

@@ -22,10 +22,20 @@ hard step predict nothing.  Field metadata counts the work:
 newton_iterations_max and _total over accepted steps, and log-implicit's
 rejected_steps (dt halvings).  The log scheme exponentiates its levels once,
 after the loop; an accepted level with |v| >= 700 is checked at once.
-A solve allocates its workspace once: the three Jacobian diagonals (dgtsv
+
+A solve computes each quantity at the rate it changes, with the same
+arithmetic.  Per stencil (cached by grid, n, p and member count): the
+weights and, at g = 2, where flux'(q) = 1, the flux Jacobian itself.  Per
+solve: the workspace, that is the three Jacobian diagonals (dgtsv
 overwrites them) and, on the log scheme, the residual's scratch (slopes and
-centred gradients, weighted faces, update difference).  What outlives a
-call is allocated fresh: F, the powers its Jacobian reads, each trial
+centred gradients, weighted faces, update difference), and the log
+scheme's residual and Jacobian closures, which read the step's level and
+w/dt when called.  Per dt, which changes on the last step's
+min(dt, t_end - t), a halving and a regrowth: w/dt as a 0-d array and the
+tolerance's tol w/dt as a float.  Per step: the predictor start and the
+tolerance's factor 1 + max|v|.  Per Newton iteration: the residual, its
+Jacobian (at g = 2 a copy of the stencil's) and one dgtsv.  What outlives
+a call is allocated fresh: F, the powers its Jacobian reads, each trial
 level and the predictor start, which a 0-iteration step stores as its level.
 
 `solve_members` advances members, configs equal but for their initial data,
@@ -65,7 +75,8 @@ from .operators import fd_residual_on_field
 LOG_IMPLICIT = "log-implicit"
 DIRECT_IMPLICIT = "direct-implicit"
 MAX_NEWTON = 50
-_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+_amax = np.maximum.reduce  # ndarray.max and .min without their Python-level wrappers
+_amin = np.minimum.reduce
 _HALF = read_only(0.5)  # a 0-d array, as _Stencil's scalars
 
 
@@ -170,6 +181,13 @@ class _Stencil(NamedTuple):
     boundary node, so its row of the batch is the identity.  seams slices
     the faces across seams; axes and edges index the members' axis and
     boundary nodes (an int for one member, a strided slice for several).
+
+    jacobian is None but at g = 2, where flux'(q) = 1 makes the flux
+    Jacobian a property of the stencil: there it holds `_flux_jacobian`'s
+    (sub, diagonal, super) at power 1, built once by the general formula,
+    read-only and tiled like the weights (boundary rows the identity, zero
+    couplings across seams).  `_flux_jacobian` copies it into a solve's
+    own diagonals, which dgtsv overwrites.
     """
 
     g: float
@@ -187,6 +205,7 @@ class _Stencil(NamedTuple):
     axes: int | slice
     edges: int | slice
     flux_power: Callable
+    jacobian: tuple | None
 
 
 @functools.lru_cache(maxsize=16)
@@ -231,8 +250,14 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
         power = of_abs(np.abs(q))
         return power * q, power
 
-    # at g = 2 the power 1 scales every weight exactly
-    return _Stencil(*law, (lambda q: (q, 1.0)) if g == 2.0 else flux_power)
+    if g != 2.0:
+        return _Stencil(*law, flux_power, None)
+    # at g = 2 the power 1 scales every weight exactly, the Jacobian's too
+    st = _Stencil(*law, lambda q: (q, 1.0), None)
+    jacobian = _flux_jacobian(1.0, st, _diagonals(members * count))
+    for diagonal in jacobian:
+        diagonal.flags.writeable = False
+    return st._replace(jacobian=jacobian)
 
 
 def _divergence(flux: np.ndarray, st: _Stencil, out: np.ndarray,
@@ -294,7 +319,12 @@ def _flux_jacobian(power: np.ndarray, st: _Stencil, out: tuple):
     face slopes q, written into out, the solve's `_diagonals`.  A boundary
     node's row is the identity (a scheme that adds to the whole diagonal
     sets it again) and no entry couples across a seam, so dgtsv's pivots
-    stay inside each member."""
+    stay inside each member.  At g = 2 the stencil's own Jacobian is
+    copied into out: dgtsv overwrites what it is handed."""
+    if st.jacobian is not None:
+        for diagonal, cached in zip(out, st.jacobian):
+            diagonal[...] = cached
+        return out
     lower, diag, upper = out
     fp = np.multiply(power, st.g1, upper)  # flux'(q) until upper is scaled last
     np.multiply(st.left, fp, lower)
@@ -461,7 +491,7 @@ def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
 
 def _maxima(a: np.ndarray, members: int) -> list:
     """max |a| over each member's nodes."""
-    return np.abs(a).reshape(members, -1).max(axis=1).tolist()
+    return _amax(np.abs(a).reshape(members, -1), axis=1).tolist()
 
 
 def _solve_log_implicit(configs: tuple, data: list) -> list:
@@ -472,27 +502,36 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
     # this solve's own arrays: st is cached and shared between solves
     scratch, diagonals = _log_scratch(grid.count), _diagonals(grid.count)
     v = np.log(f)
-    size = _amax(np.abs(v))
+    size = float(_amax(np.abs(v)))
     t = 0.0
     dt_target = config.dt if config.dt else config.t_end / 200.0
     dt = dt_target
+    dt_of = None  # the dt that w_dt and tol_dt belong to
     levels = [v]  # log levels, exponentiated after the loop; level 0 stays f
     times = [0.0]
     history = [(t, v)]  # accepted (t, v) levels the predictor runs through
     newton_iters = []
     rejected = 0
+
+    # built once: they read the step's v and w_dt when called
+    def residual(x):
+        return _log_residual(x, v, w_dt, st, scratch)
+
+    def jacobian(cache):
+        return _log_jacobian(cache, st, w_dt, diagonals)
+
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
-        w_dt = read_only(w / dt)  # 0-d, as _Stencil's scalars
+        if dt != dt_of:  # the last step, a halving or a regrowth
+            dt_of = dt
+            w_dt = read_only(w / dt)  # 0-d, as _Stencil's scalars
+            tol_dt = config.tolerance * (w / dt)
         start = _extrapolate(history, t + dt)
         start[-1] = np.log(float(config.boundary(t + dt)))
         # log-space updates beyond 2 invite blowups, so Newton clips there
         try:
-            v_new, _, (iters,) = _newton(
-                start,
-                lambda x: _log_residual(x, v, w_dt, st, scratch),
-                lambda cache: _log_jacobian(cache, st, w_dt, diagonals),
-                [config.tolerance * w_dt * (1.0 + size)], clip=2.0)
+            v_new, _, (iters,) = _newton(start, residual, jacobian,
+                                         [tol_dt * (1.0 + size)], clip=2.0)
         except _Diverged as failure:
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
@@ -503,7 +542,7 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
             continue
         v = v_new
         t += dt
-        size = _amax(np.abs(v))
+        size = float(_amax(np.abs(v)))
         if not size < 700.0:  # only there may exp(v) leave (0, inf): check exactly
             with np.errstate(over="ignore"):  # an overflow is inf, which it rejects
                 u = np.exp(v)
@@ -611,8 +650,8 @@ def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
     """
     p, n = config.p, config.n
     res = fd_residual_on_field(field, p, n)
-    res_levels = np.abs(res, out=res).max(axis=1)
-    audit_max = float(res_levels.max())
+    res_levels = _amax(np.abs(res, out=res), axis=1)
+    audit_max = float(_amax(res_levels))
     u = field.values
     dt_levels = field.times[1:] - field.times[:-1]
     # truncation invisible to the backward-difference audit: 0.5 dt |u_tt|
@@ -620,15 +659,15 @@ def _consistency(field: SpaceTimeField, config: SolverConfig) -> dict:
     if len(dt_levels) >= 2:
         du = u[1:] - u[:-1]
         utt = du[1:] - du[:-1]
-        utt = np.abs(utt, out=utt).max(axis=1)
+        utt = _amax(np.abs(utt, out=utt), axis=1)
         dts = 0.5 * (dt_levels[1:] + dt_levels[:-1])
         rate = utt / dts ** 2
         utt_term[1:] = 0.5 * dt_levels[1:] * rate
         utt_term[0] = utt_term[1]
     w, g = p.time_weight, p.g
-    w_max = w * np.abs(u).max() ** (g - 2.0)
-    w_min_levels = w * np.maximum(u[1:, :-1].min(axis=1), 1e-30) ** (g - 2.0)
-    bound_resid = float(audit_max + (utt_term * w_max).max())
+    w_max = w * _amax(np.abs(u), axis=None) ** (g - 2.0)
+    w_min_levels = w * np.maximum(_amin(u[1:, :-1], axis=1), 1e-30) ** (g - 2.0)
+    bound_resid = float(audit_max + _amax(utt_term * w_max))
     # integrate the per-level u_t error estimate over the run
     bound_u = float(np.sum(dt_levels * (res_levels + utt_term * w_max) / w_min_levels))
     return {

@@ -489,6 +489,46 @@ class TestWorkspace:
             assert not any(np.shares_memory(out, a) for a in scratch)
 
 
+class TestStencilJacobian:
+    """At g = 2 flux'(q) = 1, so the flux Jacobian is built once per stencil."""
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_is_the_general_formula_at_power_one(self, members):
+        grid = RadialGrid(1.0, 41)
+        st = pde._stencil(grid, 2, Exponent.finite(2), members)
+        size = members * grid.count
+        general = pde._flux_jacobian(1.0, st._replace(jacobian=None), pde._diagonals(size))
+        for got, want in zip(st.jacobian, general):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        lower, diag, upper = st.jacobian
+        assert lower.size == upper.size == size - 1 and diag.size == size
+        assert np.all(lower[st.seams] == 0.0) and np.all(upper[st.seams] == 0.0)
+        assert lower[st.seams].size == upper[st.seams].size == members - 1
+        # each member's boundary row is the identity
+        assert np.all(diag[st.edges] == 1.0)
+        assert np.all(lower[grid.count - 2::grid.count] == 0.0)
+        assert pde._stencil(grid, 2, Exponent.finite(3), members).jacobian is None
+
+    def test_solves_leave_it_unchanged(self):
+        # dgtsv overwrites the diagonals it is handed, so a solve that handed
+        # it the stencil's own arrays would corrupt every later solve
+        log = TestWorkspace.bump(Exponent.finite(2))
+        direct = dataclasses.replace(log, scheme=DIRECT_IMPLICIT)
+        sts = [pde._stencil(log.grid, 2, log.p, members) for members in (1, 3)]
+        saved = [[a.copy() for a in st.jacobian] for st in sts]
+        lone = solve_trudinger_radial(log)
+        assert lone.metadata["newton_iterations_total"] > 0
+        batch = pde.solve_members([dataclasses.replace(direct, initial=f) for f in (
+            lambda r: 1.0 + 0.0 * r, lambda r: 1.0 + 0.3 * (1.0 - r ** 2), log.initial)])
+        assert batch[2].metadata["newton_iterations_total"] > 0
+        for members, st, kept in zip((1, 3), sts, saved):
+            assert pde._stencil(log.grid, 2, log.p, members) is st
+            for got, want in zip(st.jacobian, kept):
+                assert got.tobytes() == want.tobytes()
+        assert np.array_equal(solve_trudinger_radial(log).values, lone.values)
+
+
 MEMBER_EXPONENTS = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
                     Exponent.finite(4), INFINITY]
 
@@ -663,6 +703,19 @@ class TestPredictor:
         md = field.metadata
         assert (md["newton_iterations_total"], md["newton_iterations_max"],
                 md["rejected_steps"]) == (total, most, rejected)
+
+    def test_halving_run_newton_work_is_pinned(self):
+        # a finite-p log-implicit run through every change of dt: a full
+        # first step, three halvings, a regrowth and a shortened last step
+        cfg = SolverConfig(p=Exponent.finite(3), n=2, R=1.0, nodes=41, t_end=1.0,
+                           scheme=LOG_IMPLICIT, boundary=lambda t: 1.0, dt=0.5,
+                           initial=lambda r: 1.0 + 1000.0 * np.cos(0.5 * np.pi * r) ** 2)
+        field = solve_trudinger_radial(cfg)
+        md = field.metadata
+        assert (md["rejected_steps"], md["newton_iterations_total"],
+                md["newton_iterations_max"], field.times.size) == (3, 81, 20, 10)
+        np.testing.assert_allclose(np.diff(field.times),
+                                   [0.5] + [0.0625] * 6 + [0.08125, 0.04375], rtol=1e-12)
 
     def test_rejected_steps_count_halvings(self, monkeypatch):
         # the p = inf straddle data fail the first full steps; the first
