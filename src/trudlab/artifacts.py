@@ -30,7 +30,10 @@ def write_artifacts(out_dir, stem: str, config, payload, writers=None) -> list:
     `_strict`); writers maps each further suffix to a callable that writes
     the file at <base><suffix>.  Every file is created exclusively, so runs
     that finish in the same second never overwrite one another; on a clash
-    the next free index k is taken.  Returns the paths, the JSON first.
+    the next free index k is taken.  A set is all or nothing: if a writer
+    raises, every file of the set is removed and the error re-raised, so no
+    manifest is left beside a truncated file.  Returns the paths, the JSON
+    first.
     """
     writers = writers or {}
     text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
@@ -51,6 +54,11 @@ def write_artifacts(out_dir, stem: str, config, payload, writers=None) -> list:
             for path in paths:
                 os.remove(path)
             continue
-        for path, write in zip(paths[1:], writers.values()):
-            write(path)
+        try:
+            for path, write in zip(paths[1:], writers.values()):
+                write(path)
+        except BaseException:
+            for path in paths:
+                os.remove(path)
+            raise
         return paths

@@ -40,7 +40,7 @@ import numpy as np
 
 from .barriers import make_eigen_barrier
 from .exponent import Exponent
-from .grids import RadialGrid, read_only
+from .grids import RadialGrid, format_17g, read_only
 from .operators import SpaceTimeFunction, fd_laplacian_grid
 
 GRID_COUNT = 2001  # nodes of the grid the shot profiles are sampled on
@@ -334,10 +334,10 @@ class _ProfileResult:
 
     def to_csv(self, path) -> None:
         """r,<column> rows as csv.writer writes them (%.17g, CRLF), one write."""
-        rows = np.column_stack([self.grid.r, getattr(self, self.column)])
-        with open(path, "w", newline="") as fh:
-            fh.write(f"r,{self.column}\r\n")
-            fh.write("%.17g,%.17g\r\n" * self.grid.count % tuple(rows.ravel().tolist()))
+        cells = format_17g(np.column_stack([self.grid.r, getattr(self, self.column)]))
+        with open(path, "wb") as fh:
+            fh.write(b"r,%s\r\n" % self.column.encode())
+            fh.write(b"%s,%s\r\n" * self.grid.count % tuple(cells))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from trudlab import artifacts
 from trudlab.artifacts import write_artifacts
@@ -60,3 +61,24 @@ def test_writers_fill_their_suffixes_in_order(tmp_path, monkeypatch):
     # the files set 0 had created before the clash are gone again
     assert sorted(os.listdir(tmp_path)) == sorted(
         os.path.basename(p) for p in [base + "-b.csv", *paths])
+
+
+def test_failing_writer_leaves_no_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(artifacts.time, "strftime", lambda fmt: "20240101T000000")
+
+    def good(path):
+        with open(path, "w") as fh:
+            fh.write("complete")
+
+    def failing(path):
+        with open(path, "w") as fh:
+            fh.write("t,r,u\r\n0,0,")  # a few bytes, then the disk fills
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_artifacts(tmp_path, "unit", {}, {"x": 1}, {".csv": good, "-b.csv": failing})
+    assert os.listdir(tmp_path) == []
+    # the names are free again: the next run takes index 0
+    paths = write_artifacts(tmp_path, "unit", {}, {"x": 2}, {".csv": good})
+    assert re.fullmatch(r"unit-20240101T000000-[0-9a-f]{8}\.json", os.path.basename(paths[0]))
+    assert strict_load(paths[0]) == {"x": 2} and open(paths[1]).read() == "complete"
