@@ -23,10 +23,17 @@ written over the tables' nonzero coefficients in their order, so the 96 of the
 292 products per step that multiply an exact zero are gone and every sum adds
 the same terms in the same order as a loop over the full rows.  One
 integration is one frozen `Shot` holding its 7th-order dense solution
-sol(r) -> (psi, W) on [0, r_end].  No parameter is searched for: the equation is invariant under r -> s r, lam -> lam s^g (the lam_R R^g
-law, `Shot.stretched`) and (g-1)-homogeneous in psi, so a single shot yields
-the eigenvalue (from where its first zero falls) or the center value (from its
-boundary trace).
+sol(r) -> (psi, W) on [0, r_end].
+
+No parameter is searched for: the equation is invariant under r -> s r,
+lam -> lam s^g (the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in
+psi, so a single shot yields the eigenvalue (from where its first zero falls)
+or the center value (from its boundary trace).  The barrier rate scales as
+R^{-g} too, so the eigen shot on B_R is the unit-ball shot stretched by 1/R:
+the eigenfunction takes the same values at node i of every radius' grid.  One
+integration per (p, n) per process (`_unit_eigen`) therefore serves every
+radius; each radius keeps its own certificate check and its own FD audit, and
+a one-radius run costs what it did.
 """
 
 from __future__ import annotations
@@ -391,30 +398,56 @@ def bracket_rate(p: Exponent, n: int, R: float) -> float:
     return make_eigen_barrier(p, n, R).derived["rate"]
 
 
-def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
-    """First Dirichlet eigenvalue on B_R from one shot and the scaling law.
-
-    The eigen barrier certifies lam_R <= rate, so the profile shot at
-    lam = rate vanishes first at some r_z <= R.  The equation is invariant
-    under r -> s r, lam -> lam s^g, hence lam_R = rate (r_z / R)^g and the
-    eigenfunction is that shot stretched by R / r_z.  A shot that stays
-    positive on [0, R] breaks the certificate and raises ShootingError.  The
-    profile is audited by an independent finite-difference residual.
-    """
+def _eigen_shot(p: Exponent, n: int, R: float) -> Shot:
+    """The profile shot on B_R at the barrier rate, which must vanish by R."""
     rate = bracket_rate(p, n, R)
     shot = shoot_radial(p, n, R, rate)
     if shot.first_zero is None:
         raise ShootingError(
             f"the barrier rate {rate:g} is not an upper bound for the first "
             f"eigenvalue: the profile shot at that rate stays positive on [0, {R:g}]")
-    shot = shot.stretched(shot.first_zero / R, R)
-    grid = RadialGrid(R, GRID_COUNT)
-    psi, dpsi = shot.profile_on(grid)
+    return shot
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_eigen(p: Exponent, n: int) -> tuple:
+    """(shot, psi, psi'): the one eigen shot of (p, n), on the unit ball and
+    ending at its first zero, and the normalized eigenfunction on
+    RadialGrid(1, GRID_COUNT).  The arrays are frozen at their base, so no
+    view of them can be made writeable."""
+    shot = _eigen_shot(p, n, 1.0)
+    psi, dpsi = shot.stretched(shot.first_zero, 1.0).profile_on(RadialGrid(1.0, GRID_COUNT))
     psi = np.maximum(psi, 0.0)
+    psi, dpsi = psi / psi[0], dpsi / psi[0]
+    psi.flags.writeable = dpsi.flags.writeable = False
+    return shot, psi, dpsi
+
+
+def first_eigenvalue(p: Exponent, n: int, R: float) -> EigenResult:
+    """First Dirichlet eigenvalue on B_R from the unit-ball shot and the scaling law.
+
+    The eigen barrier certifies lam_1 <= rate_1, so the profile shot at
+    lam = rate_1 vanishes first at some z <= 1.  The equation is invariant
+    under r -> s r, lam -> lam s^g, hence lam_R = rate_1 (z / R)^g and the
+    eigenfunction is that shot stretched by R / z: psi is the same array at
+    every radius, and psi' is the unit one over R.  The shot is made once per
+    (p, n) per process; every call checks lam_R against its own barrier rate
+    rate_R (a failure, or a unit shot that stays positive on [0, 1], raises
+    ShootingError) and audits the profile on its own grid by an independent
+    finite-difference residual.
+    """
+    rate = bracket_rate(p, n, R)
+    unit, psi, dpsi = _unit_eigen(p, n)
+    shot = unit.stretched(unit.first_zero / R, R)
+    if not shot.lam <= rate:
+        raise ShootingError(
+            f"the barrier rate {rate:g} is not an upper bound for the first "
+            f"eigenvalue {shot.lam:g} of the ball of radius {R:g}")
+    grid = RadialGrid(R, GRID_COUNT)
     audit = np.abs(elliptic_residual_grid(psi, grid, p, n, shot.lam))
     # audit[i] is node i + 1, and node (count - 1)/20 is r = 0.05 R
     interior = audit[(GRID_COUNT - 1) // 20 - 1:]
-    return EigenResult(lam=shot.lam, grid=grid, psi=psi / psi[0], dpsi=dpsi / psi[0],
+    return EigenResult(lam=shot.lam, grid=grid, psi=psi, dpsi=dpsi / R,
                        rate_bound=rate, residual_norm=float(audit.max()),
                        residual_norm_interior=float(interior.max()), p=p, n=n, shot=shot)
 
@@ -427,11 +460,15 @@ def elliptic_residual_grid(psi: np.ndarray, grid: RadialGrid, p: Exponent,
 
 
 def scaling_check(p: Exponent, n: int, radii) -> float:
-    """Max relative spread of lam_R * R^g across radii (0 for a single radius)."""
+    """Max relative spread of lam_R * R^g across radii (0 for a single radius).
+
+    Each lam_R comes from its own shot on B_R, never from the unit shot that
+    `first_eigenvalue` stretches, so the spread checks the law it relies on."""
     radii = list(radii)
     if not radii:
         raise ValueError("need at least one radius")
-    vals = np.array([first_eigenvalue(p, n, R).lam * R ** p.g for R in radii])
+    shots = [_eigen_shot(p, n, R) for R in radii]
+    vals = np.array([s.lam * (s.first_zero / R) ** p.g * R ** p.g for s, R in zip(shots, radii)])
     med = float(np.median(vals))
     return float(np.max(np.abs(vals - med)) / med)
 

@@ -81,6 +81,33 @@ def infinity_eigenvalue(R):
 J01 = bessel_j0_first_zero()
 
 
+def eigen_at_radius(p, n, R):
+    """The eigenpair on B_R from a shot on B_R itself, never through the unit
+    shot: shoot at the barrier rate, stretch the shot to its first zero,
+    resample.  Returns lam_R = rate (z_R / R)^g, psi, psi' and both audit norms."""
+    rate = eigensolver.bracket_rate(p, n, R)
+    shot = shoot_radial(p, n, R, rate)
+    shot = shot.stretched(shot.first_zero / R, R)
+    grid = RadialGrid(R, eigensolver.GRID_COUNT)
+    psi, dpsi = shot.profile_on(grid)
+    psi = np.maximum(psi, 0.0)
+    audit = np.abs(elliptic_residual_grid(psi, grid, p, n, shot.lam))
+    return shot.lam, psi / psi[0], dpsi / psi[0], audit.max(), audit[grid.r[1:-1] >= 0.05 * R].max()
+
+
+@pytest.fixture
+def shot_radii(monkeypatch):
+    """The radius of every shoot_radial call the eigensolver makes from here on."""
+    radii, real = [], eigensolver.shoot_radial
+
+    def counting(p, n, R, *args, **kw):
+        radii.append(R)
+        return real(p, n, R, *args, **kw)
+
+    monkeypatch.setattr(eigensolver, "shoot_radial", counting)
+    return radii
+
+
 def epsilon_gain(result: BvpResult, t: float, slack: float = 1e-8) -> float:
     """Largest zero-order gain for the shifted profile u - t*delta.
 
@@ -495,32 +522,39 @@ class TestFirstEigenvalue:
             lam2 = eigen_cache(pv, 2, 2.0).lam
             assert lam1 > lam2
 
-    def test_one_shot_per_call(self, monkeypatch):
-        # the scaling law and the homogeneity replace any search: at most two
-        # integrations per eigenvalue and exactly one per delta-BVP
-        calls = []
-        real = eigensolver.shoot_radial
-
-        def counting(*args, **kw):
-            calls.append(args)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(eigensolver, "shoot_radial", counting)
+    def test_one_shot_per_call(self, shot_radii):
+        # the scaling law and the homogeneity replace any search: one
+        # integration per (p, n) per process serves every radius, and a
+        # delta-BVP is exactly one
         for pv, n in ((2.0, 3), (3.0, 2), (4.0, 3)):
-            calls.clear()
+            eigensolver._unit_eigen.cache_clear()
+            shot_radii.clear()
             res = first_eigenvalue(Exponent.finite(pv), n, 1.0)
-            assert 1 <= len(calls) <= 2
+            assert shot_radii == [1.0]
             assert res.lam <= res.rate_bound
-            calls.clear()
+            shot_radii.clear()
+            for R in (0.5, 1.0, 1.7):
+                res = first_eigenvalue(Exponent.finite(pv), n, R)
+                assert res.lam <= res.rate_bound
+            assert not shot_radii
             solve_delta_bvp(Exponent.finite(pv), n, 1.0, 0.5 * res.lam, 1.0)
-            assert len(calls) == 1
+            assert shot_radii == [1.0]
 
     def test_broken_certificate_raises(self, monkeypatch):
-        # a planted "bound" at half the true eigenvalue (pi^2 for p = 2,
-        # n = 3) leaves the shot positive on [0, R]: no silent fallback
-        monkeypatch.setattr(eigensolver, "bracket_rate", lambda p, n, R: 0.5 * PI2)
+        # a planted "bound" at half the true eigenvalue (pi^2/R^2 for p = 2,
+        # n = 3): with the unit shot memoized, the check against each
+        # radius' own rate fails; without it the shot stays positive on
+        # [0, 1].  No silent fallback either way
+        p = Exponent.finite(2)
+        first_eigenvalue(p, 3, 1.0)
+        monkeypatch.setattr(eigensolver, "bracket_rate", lambda p, n, R: 0.5 * PI2 / R ** 2)
+        for R in (1.0, 1.7):
+            with pytest.raises(ShootingError, match="not an upper bound"):
+                first_eigenvalue(p, 3, R)
+        eigensolver._unit_eigen.cache_clear()
         with pytest.raises(ShootingError, match="not an upper bound"):
-            first_eigenvalue(Exponent.finite(2), 3, 1.0)
+            first_eigenvalue(p, 3, 1.0)
+        assert eigensolver._unit_eigen.cache_info().currsize == 0
 
     def test_profile_normalized_decreasing(self, eigen_cache):
         res = eigen_cache(3.0, 2, 1.0)
@@ -571,6 +605,37 @@ class TestFirstEigenvalue:
             assert res.residual_norm_interior == pytest.approx(res.residual_norm, rel=0.1)
         else:
             assert res.residual_norm_interior < 1e-3 * res.residual_norm
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0, "inf"])
+    def test_unit_shot_stretched_is_the_shot_at_R(self, pv, n, R):
+        # the memoized unit eigenpair, stretched, against a shot on B_R
+        p = Exponent.parse(pv)
+        res = first_eigenvalue(p, n, R)
+        lam, psi, dpsi, norm, norm_interior = eigen_at_radius(p, n, R)
+        if R == 1.0:  # the same shot, stretched by the same factor
+            assert res.lam == lam
+            assert res.psi.tobytes() == psi.tobytes() and res.dpsi.tobytes() == dpsi.tobytes()
+            assert (res.residual_norm, res.residual_norm_interior) == (norm, norm_interior)
+        assert abs(res.lam - lam) <= 1e-9 * lam
+        assert np.abs(res.psi - psi).max() <= 1e-9
+        assert np.abs(res.dpsi - dpsi).max() <= 1e-9 * np.abs(dpsi).max()
+
+    def test_shared_profile_stays_intact(self):
+        p = Exponent.finite(3)
+        a, b, c = (first_eigenvalue(p, 2, R) for R in (0.5, 1.0, 1.7))
+        for res in (a, b, c):
+            assert np.shares_memory(res.psi, a.psi)
+            with pytest.raises(ValueError):
+                res.psi[0] = res.psi[0]
+            with pytest.raises(ValueError):  # frozen at its base, not only in the view
+                res.psi.flags.writeable = True
+        before = c.dpsi.copy()
+        a.dpsi.flags.writeable = True  # a view of a's own array may be thawed
+        a.dpsi[:] = 1.0
+        assert np.array_equal(c.dpsi, before)
+        assert np.array_equal(first_eigenvalue(p, 2, 0.5).dpsi, b.dpsi / 0.5)
 
     def test_result_frozen(self, eigen_cache):
         res = eigen_cache(2.0, 3, 1.0)
@@ -633,10 +698,20 @@ class TestScalingLaw:
     @settings(max_examples=12, deadline=None)
     @given(pv=st.sampled_from([2.0, 2.5, 3.0, 4.0]), n=st.sampled_from([2, 3]),
            R=st.floats(0.5, 2.0))
-    def test_scaling_law_property(self, eigen_cache, pv, n, R):
-        unit = eigen_cache(pv, n, 1.0).lam
-        lam = first_eigenvalue(Exponent.finite(pv), n, R).lam
-        assert lam * R ** pv == pytest.approx(unit, rel=1e-9)
+    def test_scaling_law_property(self, pv, n, R):
+        # both sides from their own shots: the unit shot stretched would only
+        # compare the law with itself
+        p = Exponent.finite(pv)
+        assert eigen_at_radius(p, n, R)[0] * R ** pv == pytest.approx(
+            eigen_at_radius(p, n, 1.0)[0], rel=1e-9)
+
+    def test_check_shoots_once_per_radius(self, shot_radii):
+        p, radii = Exponent.finite(3), [0.5, 1.0, 2.0]
+        for R in radii:
+            first_eigenvalue(p, 2, R)
+        shot_radii.clear()
+        assert scaling_check(p, 2, radii) < 1e-5
+        assert shot_radii == radii
 
     def test_linear_case_constant_is_pi2(self, eigen_cache):
         for R in (0.5, 2.0):
