@@ -1,8 +1,10 @@
 """Command-line front end: barrier verification, eigenvalues, solver runs,
 experiments.
 
-Exit codes: 0 success, 1 assertion/verdict failure, 2 usage or config error.
-Any other exception is an internal bug and propagates with its traceback.
+Exit codes: 0 success, 1 assertion/verdict failure, 2 usage or config error,
+141 (128 + SIGPIPE) when standard output was closed before the report was
+printed; the artifacts are written by then.  Any other exception is an
+internal bug and propagates with its traceback.
 Output directory: --out flag, else the TRUDLAB_OUT environment variable, else
 the current directory.  JSON for configs/reports, CSV for fields and tables.
 """
@@ -29,6 +31,7 @@ from .pde import (DIRECT_IMPLICIT, LOG_IMPLICIT, ConfigError, SolverConfig, Solv
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader is gone
 
 
 class UsageError(Exception):
@@ -313,7 +316,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a reader that is gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # drop what is still buffered for the reader, so that the exit flush
+        # does not fail again; no file descriptor is touched
+        sys.stdout = None
+        return EXIT_PIPE
     except (UsageError, ConstraintError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

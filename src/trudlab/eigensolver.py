@@ -28,12 +28,14 @@ sol(r) -> (psi, W) on [0, r_end].
 No parameter is searched for: the equation is invariant under r -> s r,
 lam -> lam s^g (the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in
 psi, so a single shot yields the eigenvalue (from where its first zero falls)
-or the center value (from its boundary trace).  The barrier rate scales as
-R^{-g} too, so the eigen shot on B_R is the unit-ball shot stretched by 1/R:
-the eigenfunction takes the same values at node i of every radius' grid.  One
-integration per (p, n) per process (`_unit_eigen`) therefore serves every
-radius; each radius keeps its own certificate check and its own FD audit, and
-a one-radius run costs what it did.
+and every center value (from its trace at the dilated boundary).  The barrier
+rate scales as R^{-g} too, so the eigen shot on B_R is the unit-ball shot
+stretched by 1/R: the eigenfunction takes the same values at node i of every
+radius' grid.  One integration per (p, n) per process (`_unit_eigen`)
+therefore serves every radius and every delta-boundary problem; each call
+keeps its own certificate check (its radius' barrier rate, or the dilated
+first zero beyond R) and each eigenvalue its own FD audit, and a one-radius
+run costs what it did.
 """
 
 from __future__ import annotations
@@ -492,29 +494,35 @@ class BvpResult(_ProfileResult):
 
 
 def solve_delta_bvp(p: Exponent, n: int, R: float, lam: float, delta: float) -> BvpResult:
-    """Positive radial solution of the delta-boundary problem on B_R from one shot.
+    """Positive radial solution of the delta-boundary problem on B_R, dilated
+    from the unit eigen shot.
 
-    The equation is (g-1)-homogeneous in u, so with psi_1 the profile shot
-    from psi_1(0) = 1, the solution is u = M psi_1 with center value
+    The unit shot Psi (`_unit_eigen`, psi0 = 1, made at lam_1* = rate_1 and
+    ending at its first zero z_1) solves the equation at rate lam after the
+    dilation r -> s r, s = (lam / lam_1*)^{1/g}: psi_1(r) = Psi(s r), with W
+    scaled by s^{g-1} (`Shot.stretched`).  The equation is (g-1)-homogeneous
+    in u, so the solution is u = M psi_1 with center value
     M_lambda = delta / psi_1(R).  Requires 0 < lam < lam_R, certified by
-    psi_1 staying positive on [0, R]; at or above the eigenvalue the center
-    value blows up and no bounded positive solution exists.
+    z_1 / s > R (psi_1 positive on [0, R]); at or above the eigenvalue the
+    center value blows up and no bounded positive solution exists.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if lam <= 0:
         raise ValueError("lam must be positive (lam -> 0 gives the constant delta)")
 
-    probe = shoot_radial(p, n, R, lam, psi0=1.0)
+    unit = _unit_eigen(p, n)[0]
+    s = (lam / unit.lam) ** (1.0 / p.g)
+    zero = unit.first_zero / s  # where psi_1 first vanishes
     grid = RadialGrid(R, GRID_COUNT)
-    psi, dpsi = probe.profile_on(grid)
-    trace = float(psi[-1])  # grid.r[-1] == R == r_end unless the shot crossed zero
-    if probe.first_zero is not None or trace <= 0.0:
+    if zero > R:
+        psi, dpsi = unit.stretched(s, R).profile_on(grid)
+    if not zero > R or psi[-1] <= 0.0:
         raise ShootingError(
             f"lam={lam:g} is at or above the first eigenvalue of the ball: the "
-            f"normalized profile vanishes at r={probe.r_end:.6g} <= R, and the "
+            f"normalized profile vanishes at r={min(zero, R):.6g} <= R, and the "
             "center value M_lambda blows up as lam approaches the eigenvalue; "
             "no bounded positive solution exists")
-    M = delta / trace
+    M = delta / float(psi[-1])
     return BvpResult(lam=lam, delta=delta, grid=grid, u=M * psi, du=M * dpsi,
                      M_lambda=M, p=p, n=n)

@@ -132,11 +132,12 @@ class TestAcceptance:
         ok = all(s < 1e-4 for s in spreads.values())
         report("4 scaling-law", ok, f"spreads {spreads}")
 
-    def test_05_blow_up_bound(self, eigen_cache):
-        """Center values dominate the closed-form blow-up bound."""
+    def test_05_blow_up_bound(self):
+        """Center values dominate the closed-form blow-up bound, with lam_R from
+        a shot of its own rather than the unit shot that M_lambda comes from."""
         checks = []
         for pv in (2.0, 3.0):
-            lam_R = eigen_cache(pv, 2, 1.0).lam
+            lam_R = eigen_at_radius(Exponent.finite(pv), 2, 1.0)[0]
             expo = 1.0 / (pv - 1.0)
             for frac in (0.5, 0.9, 0.99):
                 b = solve_delta_bvp(Exponent.finite(pv), 2, 1.0, frac * lam_R, 1.0)

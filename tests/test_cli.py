@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, file outputs, config round trips."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from trudlab import cli, eigensolver, pde
 from trudlab.barriers import CATALOG_FAMILIES, default_catalog, make_family
-from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from trudlab.cli import EXIT_FAIL, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from trudlab.exponent import Exponent
 
 
@@ -394,7 +395,39 @@ class TestExitContract:
         assert run(["solve", "--config", str(cfg)], tmp_path / "out") == EXIT_USAGE
 
     def test_codes_are_stable(self):
-        assert EXIT_OK == 0 and EXIT_FAIL == 1 and EXIT_USAGE == 2
+        assert EXIT_OK == 0 and EXIT_FAIL == 1 and EXIT_USAGE == 2 and EXIT_PIPE == 141
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141(self, tmp_path, unbuffered):
+        # the reader is gone before the child prints: unbuffered, print
+        # raises; buffered, main's own flush does.  Either way no traceback,
+        # no "Exception ignored" at exit, and the artifacts are on disk
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "trudlab", "eigen", "--p", "2.5", "--n", "3",
+                 "--R", "1.7", "--out", str(tmp_path)],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**child_env(), "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_PIPE, proc.stderr
+        assert proc.stderr == ""
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+    def test_closed_stdout_in_process(self, tmp_path, monkeypatch):
+        # an in-process caller keeps its file descriptors; main only drops the
+        # dead stream, and a later call runs on without it
+        class Gone(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        assert run(["eigen", "--p", "3", "--n", "2"], tmp_path / "a") == EXIT_PIPE
+        assert sys.stdout is None
+        assert run(["eigen", "--p", "3", "--n", "2"], tmp_path / "b") == EXIT_OK
+        assert len(list((tmp_path / "b").iterdir())) == 2
 
     def test_parser_built_once(self, monkeypatch):
         # two main calls share one argparse tree (its subparsers are named
@@ -424,14 +457,18 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def scipy_footprint(out_dir, *runs) -> set:
-    """The scipy modules a fresh process has loaded after the runs, with this
-    process's trudlab (the sources, or the installed package) first on its path."""
+def child_env() -> dict:
+    """This environment with this process's trudlab (the sources, or the
+    installed package) first on the path."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = filter(None, [root, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def scipy_footprint(out_dir, *runs) -> set:
+    """The scipy modules a fresh process has loaded after the runs."""
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, str(out_dir), json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 

@@ -7,7 +7,8 @@ all are built here independently of the solver before asserting against it.  For
 against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
 own right-hand side, and the stepper against cos r; its generated step is
 checked bit for bit against the generic stage loop, kept here as the
-reference.  The zero-order gain of
+reference.  The delta-boundary profile, which the solver dilates from the unit
+eigen shot, is checked against a shot of its own at lam.  The zero-order gain of
 shifted profiles and the quotient comparison, two lemmas of the paper, are
 written here as helpers and checked on the solver's delta-boundary profiles.
 """
@@ -93,6 +94,17 @@ def eigen_at_radius(p, n, R):
     psi = np.maximum(psi, 0.0)
     audit = np.abs(elliptic_residual_grid(psi, grid, p, n, shot.lam))
     return shot.lam, psi / psi[0], dpsi / psi[0], audit.max(), audit[grid.r[1:-1] >= 0.05 * R].max()
+
+
+def delta_bvp_at_radius(p, n, R, lam, delta):
+    """(M_lambda, u, u') of the delta-BVP from a shot on B_R at lam itself,
+    never through the unit eigen shot: psi_1 from the axis with psi_1(0) = 1,
+    resampled, and M_lambda = delta / psi_1(R)."""
+    shot = shoot_radial(p, n, R, lam)
+    assert shot.first_zero is None
+    psi, dpsi = shot.profile_on(RadialGrid(R, eigensolver.GRID_COUNT))
+    M = delta / psi[-1]
+    return M, M * psi, M * dpsi
 
 
 @pytest.fixture
@@ -524,21 +536,28 @@ class TestFirstEigenvalue:
 
     def test_one_shot_per_call(self, shot_radii):
         # the scaling law and the homogeneity replace any search: one
-        # integration per (p, n) per process serves every radius, and a
-        # delta-BVP is exactly one
+        # integration per (p, n) per process serves every radius and every
+        # delta-BVP, whichever of the two asks first
         for pv, n in ((2.0, 3), (3.0, 2), (4.0, 3)):
+            p = Exponent.finite(pv)
             eigensolver._unit_eigen.cache_clear()
             shot_radii.clear()
-            res = first_eigenvalue(Exponent.finite(pv), n, 1.0)
+            res = first_eigenvalue(p, n, 1.0)
             assert shot_radii == [1.0]
             assert res.lam <= res.rate_bound
             shot_radii.clear()
             for R in (0.5, 1.0, 1.7):
-                res = first_eigenvalue(Exponent.finite(pv), n, R)
+                res = first_eigenvalue(p, n, R)
                 assert res.lam <= res.rate_bound
+                solve_delta_bvp(p, n, R, 0.5 * res.lam, 1.0)
             assert not shot_radii
-            solve_delta_bvp(Exponent.finite(pv), n, 1.0, 0.5 * res.lam, 1.0)
+            eigensolver._unit_eigen.cache_clear()
+            solve_delta_bvp(p, n, 1.7, 0.5 * res.lam, 1.0)
             assert shot_radii == [1.0]
+            shot_radii.clear()
+            for R in (0.5, 1.7):
+                first_eigenvalue(p, n, R)
+            assert not shot_radii
 
     def test_broken_certificate_raises(self, monkeypatch):
         # a planted "bound" at half the true eigenvalue (pi^2/R^2 for p = 2,
@@ -737,8 +756,10 @@ class TestDeltaBvp:
         assert np.abs(approx - exact).max() < 1e-6
 
     @pytest.mark.parametrize("pv", [2.0, 3.0])
-    def test_blow_up_bound(self, pv, eigen_cache):
-        lam_R = eigen_cache(pv, 2, 1.0).lam
+    def test_blow_up_bound(self, pv):
+        # lam_R from a shot of its own: M_lambda comes from the memoized unit
+        # eigen shot, so the eigen_cache value would share it
+        lam_R = eigen_at_radius(Exponent.finite(pv), 2, 1.0)[0]
         delta = 1.0
         expo = 1.0 / (pv - 1.0)
         prev_M = 0.0
@@ -771,6 +792,31 @@ class TestDeltaBvp:
         assert scaled.M_lambda == pytest.approx(c * base.M_lambda, rel=1e-9)
         for b in (base, scaled):
             assert b.u[-1] == pytest.approx(b.delta, rel=1e-10)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0, "inf"])
+    def test_dilated_unit_shot_is_the_shot_at_lam(self, pv, n, R):
+        # the unit eigen shot dilated to rate lam against a shot at lam on B_R.
+        # M = delta / psi_1(R) magnifies a shot's error by 1/(1 - frac) as lam
+        # nears lam_R; u and u' are compared over M, the profile's maximum
+        p = Exponent.parse(pv)
+        lam_R = eigen_at_radius(p, n, R)[0]
+        for frac in (1e-4, 0.1, 0.5, 0.9, 0.99):
+            b = solve_delta_bvp(p, n, R, frac * lam_R, 2.0)
+            M, u, du = delta_bvp_at_radius(p, n, R, frac * lam_R, 2.0)
+            tol = 5e-11 / (1.0 - frac)
+            assert abs(b.M_lambda - M) <= tol * M
+            assert np.abs(b.u - u).max() <= tol * M
+            assert np.abs(b.du - du).max() <= tol * M
+        # above lam_R by more than the 1e-9 its two shots agree to, with the
+        # unit shot memoized and without it
+        for cold in (False, True):
+            for factor in (1.0 + 1e-8, 1.05):
+                if cold:
+                    eigensolver._unit_eigen.cache_clear()
+                with pytest.raises(ShootingError, match="blows up"):
+                    solve_delta_bvp(p, n, R, factor * lam_R, 1.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
