@@ -135,8 +135,8 @@ class RadialGrid:
     count: int
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError("radius must be positive and finite")
         if self.count < 3:
             raise ValueError("grid needs at least 3 nodes")
 
