@@ -257,16 +257,9 @@ def power_solution_coefficients(p: Exponent, n: int) -> tuple:
 # family constructors
 
 
-def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
-    """Separable barrier (1 - (r/R)^2)^alpha e^{-lambda t/(g-1)} on the ball.
-
-    Subsolution on B_R x (0, inf); vanishes on r = R, equals 1 at (0, 0).
-    The stored decay rate lambda = K theta^{g-2} (2 alpha/(1 - theta^2))^{g-1}
-    / (k R^g), K = g + d - 2, is a certified upper bound for the first
-    eigenvalue of the ball; the eigensolver shoots at it.  Finite p takes
-    alpha = (2g + K - 1)/(2(g-1)) and theta^2 = K/(K+1); infinity takes
-    alpha = 2 and theta^2 = 1/2.
-    """
+def eigen_barrier_constants(p: Exponent, n: int, R: float) -> tuple:
+    """(K, alpha, theta2, lambda) of `make_eigen_barrier` on B_R, lambda its decay
+    rate and the certified upper bound for the first eigenvalue of the ball."""
     if not 0 < R < np.inf:
         raise ConstraintError("R must be positive and finite")
     g, k, d = p.g, p.k, p.d(n)
@@ -277,9 +270,25 @@ def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
         alpha, theta2 = 2.0, 0.5
     with _derivation() as check:
         lam = (K * theta2 ** ((g - 2.0) / 2.0) / (k * R ** g)) * (2.0 * alpha / (1.0 - theta2)) ** (g - 1.0)
+        check(rate=lam)
+    return K, alpha, theta2, lam
+
+
+def make_eigen_barrier(p: Exponent, n: int, R: float = 1.0) -> BarrierSpec:
+    """Separable barrier (1 - (r/R)^2)^alpha e^{-lambda t/(g-1)} on the ball.
+
+    Subsolution on B_R x (0, inf); vanishes on r = R, equals 1 at (0, 0).
+    The stored decay rate lambda = K theta^{g-2} (2 alpha/(1 - theta^2))^{g-1}
+    / (k R^g), K = g + d - 2, is a certified upper bound for the first
+    eigenvalue of the ball; the eigensolver shoots at it.  Finite p takes
+    alpha = (2g + K - 1)/(2(g-1)) and theta^2 = K/(K+1); infinity takes
+    alpha = 2 and theta^2 = 1/2.
+    """
+    K, alpha, theta2, lam = eigen_barrier_constants(p, n, R)
+    g, k = p.g, p.k
+    with _derivation():
         c1 = 2.0 * alpha / R ** 2
         flux_c1 = c1 ** (g - 1.0) / k
-        check(rate=lam)
     h_exp = (alpha - 1.0) * (g - 1.0) - 1.0
 
     def h(r):

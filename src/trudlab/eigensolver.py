@@ -20,7 +20,10 @@ through the non-integer powers of r at the axis.  Its stages, update and error
 sums are plain loops over scipy's tables: the eigenvalue and the delta-boundary
 problem shoot once per (p, n) per process (below), so a faster step would save
 a few ms per process at most.  One integration is one frozen `Shot` holding
-its 7th-order dense solution sol(r) -> (psi, W) on [0, r_end].
+its 7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  sol evaluates
+each point once, by the method that owns it: the series below h, the dense
+polynomial from h on.  A sorted grid, as every profile grid is, holds its
+points below h as a prefix, so it is split by two slices and not by a mask.
 
 No parameter is searched for: the equation is invariant under r -> s r,
 lam -> lam s^g (the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in
@@ -45,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .barriers import make_eigen_barrier
+from .barriers import eigen_barrier_constants
 from .exponent import Exponent
 from .grids import RadialGrid, format_17g, read_only
 from .operators import SpaceTimeFunction, fd_laplacian_grid
@@ -93,10 +96,13 @@ def _rms(a: float, b: float) -> float:
 
 
 def _interp(F, x):
-    """DOP853's 7th-order dense polynomial in x = (r - r_old)/h, without y_old."""
-    y = 0.0
-    for i, f in enumerate(reversed(F)):
-        y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+    """DOP853's 7th-order dense polynomial in x = (r - r_old)/h, without y_old:
+    one Horner in x and 1 - x, in place on a fresh array (or on floats)."""
+    y, omx = F[-1] + 0.0, 1.0 - x
+    y *= x
+    for i, f in enumerate(reversed(F[:-1])):
+        y += f
+        y *= omx if i % 2 == 0 else x
     return y
 
 
@@ -171,8 +177,9 @@ def _dop853(rhs, r, y, r_bound, rtol, atol):
 
     def sol(t):
         seg = np.searchsorted(r_old[1:], t)  # a breakpoint takes the step that ends there
-        x = (t - r_old[seg]) / hs[seg]
-        return _interp(F.take(seg, -1), x) + y_old.take(seg, -1)
+        y = _interp(F.take(seg, -1), (t - r_old[seg]) / hs[seg])
+        y += y_old.take(seg, -1)
+        return y
 
     return np.append(r_old, r), sol, first_zero
 
@@ -189,8 +196,9 @@ def _next_power_coefficient(a, b, alpha: float) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _axis_coefficients(g: float, d: float) -> tuple:
-    """The _TERMS coefficients (a_j, s_j) of the axis series in x = (mu r)^sigma.
+def _axis_coefficients(g: float, d: float) -> np.ndarray:
+    """The _TERMS coefficients (a_j, s_j) of the axis series in x = (mu r)^sigma,
+    as a read-only (_TERMS, 2, 1) array: row j is the column (a_j, s_j).
 
     With sigma = g/(g-1), psi = A(x) and W = -k lam (r/d) S(x)
     solve the shot's system iff (r^{d-1} W)' = -k lam r^{d-1} psi^{g-1} and
@@ -205,18 +213,20 @@ def _axis_coefficients(g: float, d: float) -> tuple:
         s.append(b[j] * d / (d + sigma * j))
         c.append(_next_power_coefficient(s, c, e))
         a.append(-d ** -e * c[j] / (sigma * (j + 1)))
-    return tuple(a[:_TERMS]), tuple(s)
+    return read_only(np.array([a[:_TERMS], s]).T[:, :, None])
 
 
-def _axis_series(g: float, d: float, klam: float, r):
-    """(psi, W) of the axis series from psi(0) = 1 at r (a float or an array),
-    for klam = k lam."""
-    a, s = _axis_coefficients(g, d)
+def _axis_series(g: float, d: float, klam: float, r) -> np.ndarray:
+    """(psi, W) of the axis series from psi(0) = 1 at r, for klam = k lam: shape
+    (2, m) for m points r, (2, 1) for a float r."""
+    c = _axis_coefficients(g, d)
     x = (klam ** (1.0 / g) * r) ** (g / (g - 1.0))
-    A = S = 0.0
-    for aj, sj in zip(reversed(a), reversed(s)):  # Horner in x
-        A, S = A * x + aj, S * x + sj
-    return A, -klam * r / d * S
+    y = c[-1] + 0.0 * x  # one Horner in x for A and S
+    for cj in c[-2::-1]:
+        y *= x
+        y += cj
+    y[1] *= -klam * r / d
+    return y
 
 
 @dataclass(frozen=True)
@@ -240,8 +250,9 @@ class Shot:
         """r -> psi(s r) on [0, R]: the shot at rate lam s^g, with W scaled by s^{g-1}."""
 
         def sol(r):
-            psi, w = self.sol(s * np.asarray(r, float))
-            return np.stack([psi, s ** (self.p.g - 1.0) * w])
+            vals = self.sol(s * np.asarray(r, float))
+            vals[1] *= s ** (self.p.g - 1.0)
+            return vals
 
         return Shot(self.p, self.n, self.lam * s ** self.p.g, R, R, self.handover / s, sol)
 
@@ -263,7 +274,7 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float) -> Shot:
     g, d = p.g, p.d(n)
     klam, R = p.k * float(lam), float(R)  # no numpy scalars in the loop
     e, q, c = 1.0 / (g - 1.0), g - 2.0, d - 1.0
-    x_h = (1e-2 * ATOL / abs(_axis_coefficients(g, d)[0][-1])) ** (1.0 / (_TERMS - 1))
+    x_h = (1e-2 * ATOL / abs(_axis_coefficients(g, d)[-1, 0, 0])) ** (1.0 / (_TERMS - 1))
     h = 0.1 * R if klam == 0.0 else min(0.1 * R, x_h ** ((g - 1.0) / g) / klam ** (1.0 / g))
 
     # plain floats: the arithmetic of _dpsi_from_flux.  pow(x, 1.0) = x and
@@ -272,14 +283,21 @@ def shoot_radial(p: Exponent, n: int, R: float, lam: float) -> Shot:
     def rhs(r, psi, w):
         return math.copysign(abs(w) ** e, w), -klam * abs(psi) ** q * psi - c * w / r
 
-    ts, dense, first_zero = _dop853(rhs, h, _axis_series(g, d, klam, h), R, RTOL, ATOL)
+    ts, dense, first_zero = _dop853(rhs, h, _axis_series(g, d, klam, h)[:, 0].tolist(),
+                                    R, RTOL, ATOL)
     r_end = float(ts[-1])
 
     def sol(r):
         r = np.asarray(r, dtype=float)
-        vals = dense(np.clip(r, h, r_end))
         small = r < h  # below the handover the series is the solution
-        if np.any(small):
+        k = np.count_nonzero(small)
+        if r.ndim == 1 and small[:k].all():  # sorted points: the series ones lead
+            vals = np.empty((2, r.size))
+            vals[:, :k] = _axis_series(g, d, klam, r[:k])
+            vals[:, k:] = dense(np.minimum(r[k:], r_end))
+            return vals
+        vals = dense(np.clip(r, h, r_end))
+        if k:
             vals[:, small] = _axis_series(g, d, klam, r[small])
         return vals
 
@@ -341,7 +359,7 @@ class EigenResult(_ProfileResult):
             return (dr(hi, t) - dr(lo, t)) / (hi - lo)
 
         # psi = 1 + a_1 (mu r)^{g/(g-1)} + ... with mu^g = k lam
-        a1 = _axis_coefficients(g, self.p.d(self.n))[0][1]
+        a1 = _axis_coefficients(g, self.p.d(self.n))[1, 0, 0]
         C = a1 * (self.p.k * shot.lam) ** (1.0 / (g - 1.0))
         return SpaceTimeFunction(lambda r, t: shot.sol(r)[0], dr, drr, R=min(R, shot.r_end),
                                  origin_exponent=self.p.power_exponent,
@@ -349,8 +367,9 @@ class EigenResult(_ProfileResult):
 
 
 def bracket_rate(p: Exponent, n: int, R: float) -> float:
-    """Certified upper bound for the first eigenvalue from the eigen barrier."""
-    return make_eigen_barrier(p, n, R).derived["rate"]
+    """Certified upper bound for the first eigenvalue from the eigen barrier:
+    its decay rate, the one formula `make_eigen_barrier` stores."""
+    return eigen_barrier_constants(p, n, R)[3]
 
 
 def _eigen_shot(p: Exponent, n: int, R: float) -> Shot:

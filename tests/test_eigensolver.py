@@ -2,7 +2,8 @@
 
 Oracles: the linear case p = 2 has closed forms (sin(pi r)/(pi r) in three
 dimensions; the first Bessel J0 zero in two), and the infinity branch, a 1-D
-p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p;
+p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p, as
+has the 1-D law (g, 1, 1) at every g, (g-1)(pi_g/(2R))^g;
 all are built here independently of the solver before asserting against it.  For every p the shot is also checked
 against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
 own right-hand side, and the stepper against cos r; its generated step is
@@ -14,17 +15,19 @@ written here as helpers and checked on the solver's delta-boundary profiles.
 """
 
 import csv
+import itertools
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.special import j0
+from scipy.special import j0, j1, spherical_jn
 
 from trudlab import eigensolver
+from trudlab.barriers import ConstraintError, make_eigen_barrier
 from trudlab.eigensolver import (
     BvpResult,
     ShootingError,
@@ -79,6 +82,18 @@ def infinity_eigenvalue(R):
 
 
 J01 = bessel_j0_first_zero()
+
+
+@dataclass(frozen=True)
+class IntervalLaw:
+    """The exponent law (g, k = 1, d = 1) in every dimension n, for any g > 1:
+    the shot's equation is then (|psi'|^{g-2} psi')' + lam |psi|^{g-2} psi = 0."""
+
+    g: float
+    k: float = 1.0
+
+    def d(self, n):
+        return 1.0
 
 
 def eigen_at_radius(p, n, R):
@@ -191,6 +206,18 @@ class TestShootRadial:
         assert shots[0].first_zero == pytest.approx(1.0, rel=1e-9)
         assert shots[1].first_zero == shots[0].first_zero
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("g", [1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+    def test_interval_law_matches_pi_p(self, g, R):
+        # the law (g, 1, 1) is the 1-D g-Laplacian, symmetric on (-R, R): shot
+        # at 3x its closed-form eigenvalue and stretched to its first zero
+        # (brentq on the float dense polynomial) it lands on (g-1)(pi_g/(2R))^g
+        lam = interval_eigenvalue(g, 2.0 * R)
+        shot = shoot_radial(IntervalLaw(g), 2, R, 3.0 * lam)
+        assert 0.0 < shot.first_zero < R
+        stretched = shot.stretched(shot.first_zero / R, R)
+        assert abs(stretched.lam - lam) <= 1e-10 * lam
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_dimension_below_two_rejected(self, n):
         with pytest.raises(ValueError, match="dimension"):
@@ -218,6 +245,24 @@ class TestShootRadial:
             out = shot.sol(grid[k])
             assert out.shape == (2,)
             assert np.array_equal(out, full[:, k])
+        # sorted points split into a series prefix and a dense rest; a 2-D
+        # row takes the mask path, which must give the same bits at the edges
+        h = shot.handover
+        for pts in (grid[grid < h], grid[grid >= h], np.array([h]),
+                    np.array([0.0, h, h, shot.r_end]), np.empty(0)):
+            out = shot.sol(pts)
+            assert out.shape == (2, pts.size)
+            assert np.array_equal(out, shot.sol(pts[None, :])[:, 0])
+        assert grid[0] < h < grid[-1]
+
+    def test_dense_polynomial_float_and_array_agree(self):
+        # brentq evaluates the polynomial on floats, sol on arrays: one Horner
+        F = np.random.default_rng(3).standard_normal(7)
+        for x in (0.0, 0.3, 0.71, 1.0):
+            on_floats = eigensolver._interp(F.tolist(), x)
+            on_arrays = eigensolver._interp(F, np.array(x))
+            assert isinstance(on_floats, float) and on_arrays.shape == ()
+            assert on_floats.hex() == float(on_arrays).hex()
 
 
 RTOL, ATOL = 1e-11, 1e-13  # shoot_radial's tolerances
@@ -492,6 +537,20 @@ class TestFirstEigenvalue:
             first_eigenvalue(p, 3, 1.0)
         assert eigensolver._unit_eigen.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", ["2", "2.5", "3", "4", "inf"])
+    def test_bracket_rate_is_the_barrier_rate(self, pv, n):
+        # one formula: the rate shot at is the one the eigen barrier stores
+        p = Exponent.parse(pv)
+        for R in (0.5, 1.0, 1.7):
+            rate = eigensolver.bracket_rate(p, n, R)
+            assert rate.hex() == make_eigen_barrier(p, n, R).derived["rate"].hex()
+        for R in (0.0, -1.0, math.nan, math.inf, 1e300):
+            with pytest.raises(ConstraintError):
+                eigensolver.bracket_rate(p, n, R)
+            with pytest.raises(ConstraintError):
+                make_eigen_barrier(p, n, R)
+
     def test_profile_normalized_decreasing(self, eigen_cache):
         res = eigen_cache(3.0, 2, 1.0)
         assert res.psi[0] == pytest.approx(1.0)
@@ -662,15 +721,22 @@ class TestDeltaBvp:
         assert np.all(b.u >= 1.0 - 1e-9)
 
     def test_linear_closed_form(self):
-        # u = c sin(sqrt(lam) r)/(sqrt(lam) r) fitted to u(1) = delta
-        lam = 0.5 * PI2
-        b = solve_delta_bvp(Exponent.finite(2), 3, 1.0, lam, 1.0)
-        s = math.sqrt(lam)
-        c = 1.0 / (math.sin(s) / s)
-        rr = np.linspace(0.01, 1.0, 41)
-        exact = c * np.sin(s * rr) / (s * rr)
-        approx = np.interp(rr, b.grid.r, b.u)
-        assert np.abs(approx - exact).max() < 1e-6
+        # p = 2: u = c J0(s r), u' = -c s J1(s r) (n = 2) and u = c j0(s r),
+        # u' = -c s j1(s r) with the spherical Bessel functions (n = 3),
+        # s = sqrt(lam) and c = M_lambda fitted to u(R) = delta, at every node:
+        # the series prefix and the dense rest of the resampled shot
+        for n, R, frac in itertools.product((2, 3), (0.5, 1.7), (0.1, 0.5, 0.99)):
+            lam = frac * ((J01 / R) ** 2 if n == 2 else PI2 / R ** 2)
+            b = solve_delta_bvp(Exponent.finite(2), n, R, lam, 2.0)
+            s, r = math.sqrt(lam), b.grid.r
+            if n == 2:
+                psi, dpsi = j0(s * r), -s * j1(s * r)
+            else:
+                psi, dpsi = spherical_jn(0, s * r), -s * spherical_jn(1, s * r)
+            c = 2.0 / psi[-1]
+            assert abs(b.M_lambda - c) <= 1e-9 * c, (n, R, frac)
+            for got, want in ((b.u, c * psi), (b.du, c * dpsi)):
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), (n, R, frac)
 
     @pytest.mark.parametrize("pv", [2.0, 3.0])
     def test_blow_up_bound(self, pv):
