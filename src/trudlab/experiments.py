@@ -28,11 +28,10 @@ from .artifacts import write_artifacts
 from .barriers import (
     ConstraintError,
     growth_barrier_max_b,
-    make_eigen_barrier,
     make_flattening_lower,
     make_flattening_upper,
 )
-from .eigensolver import first_eigenvalue
+from .eigensolver import bracket_rate, first_eigenvalue
 from .exponent import Exponent
 from .pde import (
     DIRECT_IMPLICIT,
@@ -248,7 +247,7 @@ def phragmen_lindelof_study(p: Exponent, n: int, m: float, M: float,
     rows_lower = [("R", "rate", "lower_bound", "log_gap")]
     log_gaps_R = []
     for R in R_list:
-        rate = make_eigen_barrier(p, n, R).derived["rate"]
+        rate = bracket_rate(p, n, R)
         gap = rate * t_probe / w
         log_gaps_R.append(gap)
         rows_lower.append((R, rate, m * np.exp(-gap), gap))

@@ -10,44 +10,41 @@ Trudinger's equation is b(u)_t = L u with b(u) = |u|^{g-2} u.  Two schemes:
   BDF2 on b(u), backward Euler first: each step solves L u - (c b(u) - B)/dt
   = 0 with (c, B) = (1, b_k), then (3/2, 2 b_k - b_{k-1}/2).
 
-Both run one damped Newton iteration (`_newton`) on the flux tridiagonal
-(`_flux_jacobian`, its face weights over nodes h folded once into `_Stencil`)
-plus the scheme's own terms; LAPACK dgtsv solves.  Newton starts from the
-polynomial through the last one to three accepted levels (`_extrapolate`, the
-predictor of BDF codes, x0 + A (x0 - x1) + B (x1 - x2) with weights from the
-times alone: A = 2, B = -1 on the direct scheme's uniform steps), clipped at
-zero on the direct scheme.  The log scheme restarts that history at a step
-that took more than 6 iterations (its dt regrowth bound): levels before a
-hard step predict nothing.  Field metadata counts the work:
-newton_iterations_max and _total over accepted steps, and log-implicit's
-rejected_steps (dt halvings).  The log scheme exponentiates its levels once,
-after the loop; an accepted level with |v| >= 700 is checked at once.
+Both run one damped Newton iteration (inline in the log scheme's time loop,
+`_newton` on the direct scheme's batch) on the flux tridiagonal (face weights
+over nodes h folded once into `_Stencil`) plus the scheme's own terms; LAPACK
+dgtsv solves.  Newton starts from the polynomial through the last one to three
+accepted levels (`_extrapolate`, the predictor of BDF codes, x0 + A (x0 - x1)
++ B (x1 - x2) with weights from the times alone: A = 2, B = -1 on the direct
+scheme's uniform steps), clipped at zero on the direct scheme.  The log scheme
+restarts that history at a step that took more than 6 iterations (its dt
+regrowth bound): levels before a hard step predict nothing.  Field metadata
+counts the work: newton_iterations_max and _total over accepted steps, and
+log-implicit's rejected_steps (dt halvings).  The log scheme exponentiates its
+levels after the loop and checks an accepted level with |v| >= 700 at once.
 
 A solve computes each quantity at the rate it changes, with the same
 arithmetic.  Per stencil (cached by grid, n, p and member count): the
 weights and, at g = 2, where flux'(q) = 1, the flux Jacobian itself.  Per
-solve: the workspace, that is the three Jacobian diagonals (dgtsv
-overwrites them) and, on the log scheme, the residual's scratch (slopes and
-centred gradients, weighted faces, update difference), and the log
-scheme's residual and Jacobian closures, which read the step's level and
-w/dt when called.  Per dt, which changes on the last step's
-min(dt, t_end - t), a halving and a regrowth: w/dt as a 0-d array and the
-tolerance's tol w/dt as a float.  Per step: the predictor start and the
-tolerance's factor 1 + max|v|.  Per Newton iteration: the residual, its
-Jacobian (at g = 2 a copy of the stencil's) and one dgtsv.  What outlives
-a call is allocated fresh: F, the powers its Jacobian reads, each trial
-level and the predictor start, which a 0-iteration step stores as its level.
+solve: the residual and Jacobian, closures over their scratch and its views
+(slopes, centred gradients, weighted faces, update difference, the diagonals
+dgtsv overwrites), and on the log scheme one array for |F|, |delta| and |v|.
+Per dt (the last step, a halving, a regrowth): w/dt as a 0-d array and tol
+w/dt.  Per step: the predictor start and 1 + max|v|.  Per Newton iteration:
+the residual, its Jacobian (at g = 2 a copy of the stencil's) and one dgtsv.
+What outlives a call is allocated fresh: F, the powers its Jacobian reads,
+each trial level and the predictor start, which a 0-iteration step stores as
+its level.
 
 `solve_members` advances members, configs equal but for their initial data,
 through one time loop.  Their nodes are concatenated into one vector; each
 member's boundary node is an identity row (F = 0, diagonal 1, no coupling),
 so nothing couples across a seam and one dgtsv per Newton iteration solves
-every member with no pivot crossing a seam.  `_newton` picks its
-bookkeeping by member count: several members keep a norm, merit, line-search
-step and count each, and a converged member's update is zero; one member
-runs the same iteration on plain floats.  The two paths are bit-identical,
-so every member's field equals its lone solve.  log-implicit, whose dt
-halves for one member's failure, runs one member per solve.
+every member with no pivot crossing a seam.  `_newton` keeps a norm, merit,
+line-search step and count per member, a converged member's update is zero,
+so every member's field equals its lone solve (a lone direct solve is its
+one-member case).  log-implicit, whose dt halves for one member's failure,
+runs one member per solve.
 
 Every weight comes from the exponent law (g, k, d) of `exponent.Exponent`
 ((p, 1, n) for finite p, (4, 3, 1) for infinity), so the infinity branch is
@@ -182,12 +179,10 @@ class _Stencil(NamedTuple):
     the faces across seams; axes and edges index the members' axis and
     boundary nodes (an int for one member, a strided slice for several).
 
-    jacobian is None but at g = 2, where flux'(q) = 1 makes the flux
-    Jacobian a property of the stencil: there it holds `_flux_jacobian`'s
-    (sub, diagonal, super) at power 1, built once by the general formula,
-    read-only and tiled like the weights (boundary rows the identity, zero
-    couplings across seams).  `_flux_jacobian` copies it into a solve's
-    own diagonals, which dgtsv overwrites.
+    jacobian is None but at g = 2, where flux'(q) = 1 makes the flux Jacobian
+    a property of the stencil: there it holds `_flux_jacobian`'s (sub,
+    diagonal, super) at power 1, read-only and tiled like the weights
+    (boundary rows the identity, zero couplings across seams).
     """
 
     g: float
@@ -254,100 +249,111 @@ def _stencil(grid: RadialGrid, n: int, p: Exponent, members: int = 1) -> _Stenci
         return _Stencil(*law, flux_power, None)
     # at g = 2 the power 1 scales every weight exactly, the Jacobian's too
     st = _Stencil(*law, lambda q: (q, 1.0), None)
-    jacobian = _flux_jacobian(1.0, st, _diagonals(members * count))
+    fill, jacobian = _flux_jacobian(st, members * count)
+    fill(1.0)
     for diagonal in jacobian:
         diagonal.flags.writeable = False
     return st._replace(jacobian=jacobian)
 
 
-def _divergence(flux: np.ndarray, st: _Stencil, out: np.ndarray,
-                weighted: np.ndarray) -> np.ndarray:
-    """Discrete radial operator at every node from the face fluxes flux(q),
-    written into out; 0 at the boundary nodes, whose rows are the identity.
-    weighted, of flux's size, receives the weighted face fluxes."""
-    np.multiply(st.faces, flux, weighted)
-    np.divide(weighted[1:] - weighted[:-1], st.nodes, out[1:-1])
-    out[st.axes] = st.axis * flux[st.axes]
-    out[st.edges] = 0.0
-    return out
+def _divergence(st: _Stencil, size: int) -> Callable:
+    """The radial operator on size nodes, built once per solve: divergence(flux)
+    gives it from the face fluxes flux(q) as a new array, 0 in the boundary
+    rows (identities), and that array's view of nodes 1..size-2."""
+    weighted = np.empty(size - 1)
+    lo, hi = weighted[:-1], weighted[1:]
+    faces, nodes, axis, axes, edges = st.faces, st.nodes, st.axis, st.axes, st.edges
+
+    def divergence(flux):
+        out = np.empty(size)
+        inner = out[1:-1]
+        np.multiply(faces, flux, weighted)
+        np.divide(hi - lo, nodes, inner)
+        out[axes] = axis * flux[axes]
+        out[edges] = 0.0
+        return out, inner
+
+    return divergence
 
 
-def _log_scratch(size: int) -> tuple:
-    """`_log_residual`'s scratch for size nodes, allocated once per solve: q
-    and c in one array, its views q, c, q[:-1] and q[1:], the weighted
-    faces and the update difference."""
+def _log_residual(st: _Stencil, size: int) -> Callable:
+    """The backward-Euler residual of one member of size nodes, built once per
+    solve: residual(v, v_prev, w_dt) gives F = div flux(v_r) + ((g-1)/k) c flux(c)
+    - w (v - v_prev)/dt, c flux(c) = |c|^g for the centered gradient c at nodes
+    1..m-1 (none at the axis), 0 in the boundary row, w_dt = w/dt (0-d); and the
+    cache (power(q), flux(c)) for q = diff(v)/h.  Both have memory of their own;
+    q and c share one scratch array, so power runs once over both."""
     m = size - 1
     qc = np.empty(2 * m - 1)
-    q = qc[:m]
-    return qc, q, qc[m:], q[:-1], q[1:], np.empty(m), np.empty(size)
+    q, c = qc[:m], qc[m:]
+    q_lo, q_hi = q[:-1], q[1:]
+    dv, divergence = np.empty(size), _divergence(st, size)
+    h, grad, flux_power, g2 = st.h, st.grad, st.flux_power, st.g == 2.0
+
+    def residual(v, v_prev, w_dt):
+        np.subtract(v[1:], v[:-1], q)
+        np.divide(q, h, q)
+        np.add(q_lo, q_hi, c)
+        np.multiply(c, _HALF, c)
+        flux, power = flux_power(qc)
+        flux_c = flux[m:]
+        F, inner = divergence(flux[:m])
+        inner += grad * c * flux_c
+        F -= np.multiply(np.subtract(v, v_prev, dv), w_dt, dv)
+        F[-1] = 0.0
+        # at g = 2 flux is the scratch itself, so flux(c) = c is copied out of it
+        return F, (1.0, c.copy()) if g2 else (power[:m], flux_c)
+
+    return residual
 
 
-def _diagonals(size: int) -> tuple:
-    """A Jacobian's three diagonals for size nodes, allocated once per solve:
-    each Jacobian call writes every entry, and dgtsv overwrites them."""
-    return np.empty(size - 1), np.empty(size), np.empty(size - 1)
-
-
-def _log_residual(v: np.ndarray, v_prev: np.ndarray, w_dt: float, st: _Stencil,
-                  scratch: tuple):
-    """Backward-Euler residual F = div flux(v_r) + ((g-1)/k) c flux(c) - w (v - v_prev)/dt
-    of one member, where c flux(c) = |c|^g for the centered gradient c at
-    nodes 1..m-1; the axis has no gradient term, the boundary row is 0.
-    w_dt = w/dt is the step's constant (0-d); scratch is the solve's `_log_scratch`.
-
-    Returns F and the cache (power(q), flux(c)) for q = diff(v)/h, both in
-    memory of their own: power runs once over q and c together.
-    """
-    qc, q, c, q_lo, q_hi, weighted, dv = scratch
-    m = q.size
-    np.subtract(v[1:], v[:-1], q)
-    q /= st.h
-    np.add(q_lo, q_hi, c)
-    np.multiply(c, _HALF, c)
-    flux, power = st.flux_power(qc)
-    flux_c = flux[m:]
-    F = _divergence(flux[:m], st, np.empty(m + 1), weighted)
-    F[1:-1] += st.grad * c * flux_c
-    F -= np.multiply(np.subtract(v, v_prev, dv), w_dt, dv)
-    F[st.edges] = 0.0
-    # at g = 2 flux is the scratch itself, so flux(c) = c is copied out of it
-    return F, (1.0, c.copy()) if st.g == 2.0 else (power[:m], flux_c)
-
-
-def _flux_jacobian(power: np.ndarray, st: _Stencil, out: tuple):
-    """d `_divergence` / du as (sub, diagonal, super) from power(q) of the
-    face slopes q, written into out, the solve's `_diagonals`.  A boundary
-    node's row is the identity (a scheme that adds to the whole diagonal
-    sets it again) and no entry couples across a seam, so dgtsv's pivots
-    stay inside each member.  At g = 2 the stencil's own Jacobian is
-    copied into out: dgtsv overwrites what it is handed."""
+def _flux_jacobian(st: _Stencil, size: int) -> tuple:
+    """d divergence / du on size nodes, built once per solve: (fill, out), fill(power)
+    writing every entry of the three diagonals out (dgtsv overwrites them) from
+    power(q) of the face slopes q; at g = 2 it copies the stencil's own.  A
+    boundary node's row is the identity (a scheme that adds to the whole
+    diagonal sets it again) and nothing couples across a seam."""
+    out = lower, diag, upper = np.empty(size - 1), np.empty(size), np.empty(size - 1)
     if st.jacobian is not None:
-        for diagonal, cached in zip(out, st.jacobian):
-            diagonal[...] = cached
+        pairs = tuple(zip(out, st.jacobian))
+        def copy(power):
+            for diagonal, cached in pairs:
+                diagonal[...] = cached
+        return copy, out
+    head, middle, below = diag[:-1], diag[1:-1], lower[:-1]
+    g1, left, right, weights, edges = st.g1, st.left, st.right, st.upper, st.edges
+
+    def fill(power):
+        fp = np.multiply(power, g1, upper)  # flux'(q) until upper is scaled last
+        np.multiply(left, fp, lower)
+        np.multiply(right, fp, head)  # diag_i = -(right_i + lower_{i-1})
+        np.add(middle, below, middle)
+        np.negative(head, head)
+        diag[edges] = 1.0
+        np.multiply(upper, weights, upper)
+
+    return fill, out
+
+
+def _log_jacobian(st: _Stencil, size: int) -> Callable:
+    """dF/dv of a `_log_residual` on size nodes, built once per solve:
+    jacobian(cache, w_dt) writes (sub, diagonal, super) from the residual's
+    cache into the solve's diagonals and returns them; w_dt = w/dt (0-d)."""
+    fill, out = _flux_jacobian(st, size)
+    above, diag, below, slope = out[2][1:-1], out[1], out[0][:-1], st.slope
+
+    def jacobian(cache, w_dt):
+        power, flux_c = cache
+        fill(power)
+        np.subtract(diag, w_dt, diag)
+        diag[-1] = 1.0
+        # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
+        hi = slope * flux_c
+        np.add(above, hi[:-1], above)
+        np.subtract(below, hi, below)
         return out
-    lower, diag, upper = out
-    fp = np.multiply(power, st.g1, upper)  # flux'(q) until upper is scaled last
-    np.multiply(st.left, fp, lower)
-    head = np.multiply(st.right, fp, diag[:-1])  # diag_i = -(right_i + lower_{i-1})
-    diag[1:-1] += lower[:-1]
-    np.negative(head, head)
-    diag[st.edges] = 1.0
-    upper *= st.upper
-    return out
 
-
-def _log_jacobian(cache: tuple, st: _Stencil, w_dt: float, out: tuple):
-    """dF/dv of `_log_residual` as (sub, diagonal, super) from its cache,
-    written into out; w_dt = w/dt is the step's constant (0-d)."""
-    power, flux_c = cache
-    lower, diag, upper = _flux_jacobian(power, st, out)
-    diag -= w_dt
-    diag[st.edges] = 1.0
-    # gradient term: d(c flux(c))/dc = g flux(c), and dc/dv_{i+-1} = +-1/(2h)
-    hi = st.slope * flux_c
-    upper[1:-1] += hi[:-1]
-    lower[:-1] -= hi
-    return out
+    return jacobian
 
 
 def _extrapolate(history: list, t: float) -> np.ndarray:
@@ -382,23 +388,17 @@ class _Diverged(Exception):
     """args (member, max|F|): its Newton iteration stalled or missed the tolerance."""
 
 
-def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
-            tol_abs: list, clip: float):
+def _newton(x: np.ndarray, residual: Callable, jacobian: Callable, tol_abs: list):
     """Damped Newton for residual(x) = (F, cache) = 0 on a batch vector of
     len(tol_abs) members, each count = x.size / members nodes with its last
     node boundary data (F = 0 there, an identity row); jacobian(cache) gives
     dF/dx's three diagonals, and one dgtsv solves every member at once.
     Each member keeps its own max-norm, tolerance tol_abs[j], merit |F_j|_2,
-    step and iteration count: its update is clipped to max-norm clip, then
-    halved until its merit falls, and a converged member gets a zero update,
-    so every member follows its lone iteration bit for bit.  Returns (x,
-    cache, iterations per member); raises _Diverged for a member whose
-    search stalls or whose MAX_NEWTON iterations miss the tolerance.  One
-    member runs the same iteration on plain floats (`_newton_lone`)."""
-    members = len(tol_abs)
-    if members == 1:
-        return _newton_lone(x, residual, jacobian, tol_abs[0], clip)
-    count = x.size // members
+    step and iteration count: its update is halved until its merit falls, a
+    converged member's is zero.  Returns (x, cache, iterations per member);
+    raises _Diverged for a member whose search stalls or misses the tolerance
+    in MAX_NEWTON iterations."""
+    members, count = len(tol_abs), x.size // len(tol_abs)
     rows = [slice(j * count, (j + 1) * count - 1) for j in range(members)]
     F, cache = residual(x)
     norm = norm0 = _maxima(F, members)
@@ -421,10 +421,6 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
                               f"{(info - 1) // count}: dgtsv info {info}")
         for block in idle:  # 0 * inf = nan from a neighbour must not reach it
             delta[block] = 0.0
-        if clip < math.inf:
-            for j, big in enumerate(_maxima(delta, members)):
-                if big > clip:
-                    delta[j * count:(j + 1) * count] *= clip / big
         trial, step, pending = x + delta, None, live
         for _ in range(25):
             F_try, cache_try = residual(trial)
@@ -456,39 +452,6 @@ def _newton(x: np.ndarray, residual: Callable, jacobian: Callable,
     return x, cache, iters
 
 
-def _newton_lone(x: np.ndarray, residual: Callable, jacobian: Callable,
-                 tol: float, clip: float):
-    """`_newton` for one member on float state: the same iteration bit for bit."""
-    F, cache = residual(x)
-    norm = norm0 = _amax(np.abs(F))
-    merit = math.sqrt(F[:-1].dot(F[:-1]))  # without the boundary row, as a member's
-    for iters in range(MAX_NEWTON):
-        if norm <= tol:
-            return x, cache, [iters]
-        lower, diag, upper = jacobian(cache)
-        *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
-        if info != 0:
-            raise SolverError(f"newton linear solve failed: dgtsv info {info}")
-        big = _amax(np.abs(delta)) if clip < math.inf else 0.0
-        if big > clip:
-            delta *= clip / big
-        trial, step = x + delta, 1.0
-        for _ in range(25):
-            F_try, cache_try = residual(trial)
-            now = math.sqrt(F_try[:-1].dot(F_try[:-1]))  # an inf or nan merit never falls
-            if now < merit:
-                break
-            step *= 0.5
-            trial = x + step * delta
-        else:
-            raise _Diverged(0, norm)
-        x, F, cache, merit = trial, F_try, cache_try, now
-        norm = _amax(np.abs(F))
-    if not norm <= max(tol, 1e-10 * norm0):
-        raise _Diverged(0, norm)
-    return x, cache, [MAX_NEWTON]
-
-
 def _maxima(a: np.ndarray, members: int) -> list:
     """max |a| over each member's nodes."""
     return _amax(np.abs(a).reshape(members, -1), axis=1).tolist()
@@ -496,13 +459,18 @@ def _maxima(a: np.ndarray, members: int) -> list:
 
 def _solve_log_implicit(configs: tuple, data: list) -> list:
     (config,), (f,) = configs, data
-    grid = config.grid
-    w = config.p.time_weight
+    grid, w = config.grid, config.p.time_weight
     st = _stencil(grid, config.n, config.p)
-    # this solve's own arrays: st is cached and shared between solves
-    scratch, diagonals = _log_scratch(grid.count), _diagonals(grid.count)
+    # this solve's own workspace: st is cached and shared between solves
+    residual, jacobian = _log_residual(st, grid.count), _log_jacobian(st, grid.count)
+    magnitude = np.empty(grid.count)
+
+    def max_abs(a):  # the entry at argmax: nan if any is, at a third of _amax's cost
+        np.abs(a, magnitude)
+        return magnitude[magnitude.argmax()]
+
     v = np.log(f)
-    size = float(_amax(np.abs(v)))
+    size = float(max_abs(v))
     t = 0.0
     dt_target = config.dt if config.dt else config.t_end / 200.0
     dt = dt_target
@@ -512,50 +480,68 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
     history = [(t, v)]  # accepted (t, v) levels the predictor runs through
     newton_iters = []
     rejected = 0
-
-    # built once: they read the step's v and w_dt when called
-    def residual(x):
-        return _log_residual(x, v, w_dt, st, scratch)
-
-    def jacobian(cache):
-        return _log_jacobian(cache, st, w_dt, diagonals)
-
     while t < config.t_end - 1e-12 * config.t_end:
         dt = min(dt, config.t_end - t)
         if dt != dt_of:  # the last step, a halving or a regrowth
             dt_of = dt
             w_dt = read_only(w / dt)  # 0-d, as _Stencil's scalars
             tol_dt = config.tolerance * (w / dt)
-        start = _extrapolate(history, t + dt)
-        start[-1] = np.log(float(config.boundary(t + dt)))
-        # log-space updates beyond 2 invite blowups, so Newton clips there
-        try:
-            v_new, _, (iters,) = _newton(start, residual, jacobian,
-                                         [tol_dt * (1.0 + size)], clip=2.0)
-        except _Diverged as failure:
+        x = _extrapolate(history, t + dt)
+        x[-1] = np.log(float(config.boundary(t + dt)))
+        tol = tol_dt * (1.0 + size)
+        # damped Newton: the merit |F|_2 leaves out the boundary row, and a
+        # search that halves 25 times without lowering it has stalled
+        F, cache = residual(x, v, w_dt)
+        norm = norm0 = max_abs(F)
+        merit = math.sqrt(F[:-1].dot(F[:-1]))
+        iters, stalled = 0, False
+        while not norm <= tol and iters < MAX_NEWTON:
+            lower, diag, upper = jacobian(cache, w_dt)
+            *_, delta, info = dgtsv(lower, diag, upper, -F, True, True, True, True)
+            if info != 0:
+                raise SolverError(f"newton linear solve failed: dgtsv info {info}")
+            # log-space updates beyond 2 invite blowups, so Newton clips there
+            big = max_abs(delta)
+            if big > 2.0:
+                delta *= 2.0 / big
+            trial, step = x + delta, 1.0
+            for _ in range(25):
+                F_try, cache_try = residual(trial, v, w_dt)
+                inner = F_try[:-1]
+                now = math.sqrt(inner.dot(inner))  # an inf or nan merit never falls
+                if now < merit:
+                    break
+                step *= 0.5
+                trial = x + step * delta
+            else:
+                stalled = True
+                break
+            x, F, cache, merit = trial, F_try, cache_try, now
+            norm = max_abs(F)
+            iters += 1
+        if stalled or not norm <= max(tol, 1e-10 * norm0):
             if dt <= dt_target * 2.0 ** -30:
                 raise SolverError(
                     f"inner iteration diverged at t={t:.6g} (level {len(times)}), "
-                    f"residual {failure.args[1]:.3e}") from None
+                    f"residual {norm:.3e}")
             dt *= 0.5
             rejected += 1
             continue
-        v = v_new
+        v = x
         t += dt
-        size = float(_amax(np.abs(v)))
+        size = float(max_abs(v))
         if not size < 700.0:  # only there may exp(v) leave (0, inf): check exactly
             with np.errstate(over="ignore"):  # an overflow is inf, which it rejects
                 u = np.exp(v)
             if not (u.min() > 0.0 and u.max() < math.inf):
                 raise SolverError(f"positivity loss at t={t:.6g}")
-        # a hard step is a transient: the levels before it predict nothing
-        history = history[-2:] + [(t, v)] if iters <= 6 else [(t, v)]
         levels.append(v)
         times.append(t)
         newton_iters.append(iters)
-        # regrow toward the target after transient halvings
-        if iters <= 6:
-            dt = min(dt * 1.3, dt_target)
+        if iters <= 6:  # regrow toward the target after transient halvings
+            history, dt = history[-2:] + [(t, v)], min(dt * 1.3, dt_target)
+        else:  # a hard step is a transient: the levels before it predict nothing
+            history = [(t, v)]
     values = np.exp(levels)
     values[0] = f  # the data themselves, not exp(log f)
     return [SpaceTimeField(values, grid, np.asarray(times),
@@ -565,37 +551,52 @@ def _solve_log_implicit(configs: tuple, data: list) -> list:
                                      "rejected_steps": rejected})]
 
 
-def _direct_residual(u: np.ndarray, c_dt: float, B_dt: np.ndarray, st: _Stencil):
-    """BDF residual L u - c_dt b(u) + B_dt of the batch vector u, with b(u) =
-    |u|^{g-2} u the stencil's flux law; 0 at the boundary nodes.  Returns F
-    and the cache (power(q), power(u), b(u)): the Jacobian's flux' comes from
-    the powers, and the accepted level's b feeds the next step."""
-    q = (u[1:] - u[:-1]) / st.h
-    q[st.seams] = 0.0  # no overflow from a slope across a seam
-    flux, power = st.flux_power(q)
-    F = _divergence(flux, st, np.empty(u.size), np.empty(q.size))
-    b, b_power = st.flux_power(u)
-    F += B_dt - c_dt * b
-    F[st.edges] = 0.0
-    return F, (power, b_power, b)
+def _direct_residual(st: _Stencil, size: int) -> Callable:
+    """The BDF residual of a batch vector of size nodes, built once per solve:
+    residual(u, c_dt, B_dt) gives F = L u - c_dt b(u) + B_dt (b(u) = |u|^{g-2} u,
+    0 at the boundary nodes) and the cache (power(q), power(u), b(u)), both in
+    memory of their own: the Jacobian reads the powers, the next step b."""
+    q = np.empty(size - 1)
+    divergence = _divergence(st, size)
+    h, seams, edges, flux_power = st.h, st.seams, st.edges, st.flux_power
+
+    def residual(u, c_dt, B_dt):
+        np.subtract(u[1:], u[:-1], q)
+        np.divide(q, h, q)
+        q[seams] = 0.0  # no overflow from a slope across a seam
+        flux, power = flux_power(q)
+        F, _ = divergence(flux)
+        b, b_power = flux_power(u)
+        F += B_dt - c_dt * b
+        F[edges] = 0.0
+        return F, (power, b_power, b)
+
+    return residual
 
 
-def _direct_jacobian(cache: tuple, st: _Stencil, c_dt: float, out: tuple):
-    """dF/du of `_direct_residual`, written into out: the flux tridiagonal
-    minus c_dt b'(u)."""
-    power, b_power, _ = cache
-    _, diag, _ = _flux_jacobian(power, st, out)
-    diag -= c_dt * (st.g1 * b_power)
-    diag[st.edges] = 1.0
-    return out
+def _direct_jacobian(st: _Stencil, size: int) -> Callable:
+    """dF/du of a `_direct_residual` on size nodes, built once per solve:
+    jacobian(cache, c_dt) writes the flux tridiagonal minus c_dt b'(u) into
+    the solve's diagonals and returns them."""
+    (fill, out), g1, edges = _flux_jacobian(st, size), st.g1, st.edges
+    diag = out[1]
+
+    def jacobian(cache, c_dt):
+        power, b_power, _ = cache
+        fill(power)
+        np.subtract(diag, c_dt * (g1 * b_power), diag)
+        diag[edges] = 1.0
+        return out
+
+    return jacobian
 
 
 def _solve_direct_implicit(configs: tuple, data: list) -> list:
     config = configs[0]
     grid = config.grid
     members, count = len(configs), grid.count
-    st = _stencil(grid, config.n, config.p, members)
-    diagonals = _diagonals(members * count)
+    st, size = _stencil(grid, config.n, config.p, members), members * count
+    residual, jacobian = _direct_residual(st, size), _direct_jacobian(st, size)
     dt_target = config.dt if config.dt else config.t_end / 200.0
     steps = max(1, math.ceil(config.t_end / dt_target * (1.0 - 1e-12)))
     times, dt = np.linspace(0.0, config.t_end, steps + 1, retstep=True)
@@ -618,11 +619,9 @@ def _solve_direct_implicit(configs: tuple, data: list) -> list:
         # |b(u_bc)| on numpy's scalar path: flux_power's ufuncs are for arrays
         tol, b_bc = config.tolerance * c_dt, abs(u_bc) * np.abs(u_bc) ** (st.g - 2.0)
         try:
-            u, cache, iters = _newton(
-                start,
-                lambda x: _direct_residual(x, c_dt, B_dt, st),
-                lambda cache: _direct_jacobian(cache, st, c_dt, diagonals),
-                [tol * max(b_j, b_bc) for b_j in _maxima(b, members)], clip=np.inf)
+            u, cache, iters = _newton(start, lambda x: residual(x, c_dt, B_dt),
+                                      lambda cache: jacobian(cache, c_dt),
+                                      [tol * max(b_j, b_bc) for b_j in _maxima(b, members)])
         except _Diverged as failure:
             member, norm = failure.args
             raise SolverError(f"newton failed at t={times[k]:.6g} (level {k}) for member "

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.special import j0, j1, spherical_jn
 
 from trudlab import eigensolver
@@ -616,6 +616,31 @@ class TestFirstEigenvalue:
         assert abs(res.lam - lam) <= 1e-9 * lam
         assert np.abs(res.psi - psi).max() <= 1e-9
         assert np.abs(res.dpsi - dpsi).max() <= 1e-9 * np.abs(dpsi).max()
+
+    @pytest.mark.parametrize("R", [0.5, 1.7])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("pv", [2.5, 3.0, 3.5, 4.0])
+    def test_rayleigh_quotient_is_the_eigenvalue(self, pv, n, R):
+        # k lam = int |psi'|^g r^{d-1} / int |psi|^g r^{d-1} over [0, R] for the
+        # eigenfunction: quadrature of a shot on B_R itself, split at the handover
+        p = Exponent.finite(pv)
+        g, d = p.g, p.d(n)
+        rate = eigensolver.bracket_rate(p, n, R)
+        shot = shoot_radial(p, n, R, rate)
+        shot = shot.stretched(shot.first_zero / R, R)
+
+        def integral(of_psi_and_dpsi):
+            def integrand(r):
+                psi, w = (float(a) for a in shot.sol(r))
+                dpsi = math.copysign(abs(w) ** (1.0 / (g - 1.0)), w)
+                return of_psi_and_dpsi(psi, dpsi) * r ** (d - 1.0)
+
+            return quad(integrand, 0.0, R, epsrel=1e-13, epsabs=0.0, limit=500,
+                        points=[shot.handover])[0]
+
+        quotient = integral(lambda psi, dpsi: abs(dpsi) ** g) / integral(lambda psi, dpsi: abs(psi) ** g)
+        lam = first_eigenvalue(p, n, R).lam
+        assert abs(quotient / p.k - lam) <= 1e-10 * lam
 
     def test_shared_profile_stays_intact(self):
         p = Exponent.finite(3)

@@ -9,7 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from trudlab.barriers import default_flatten_alpha
+from trudlab import experiments
+from trudlab.barriers import default_flatten_alpha, make_eigen_barrier
 from trudlab.exponent import INFINITY, Exponent
 from trudlab.experiments import (
     decay_experiment,
@@ -195,6 +196,25 @@ class TestPhragmenLindelof:
             phragmen_lindelof_study(Exponent.finite(3), 2, 0.5, 2.0,
                                     eps_list=[1.0], R_list=[1.0], t_probe=1.0)
         assert "need 3*eps <" in str(err.value)
+
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
+                             ids=["p2", "p3", "inf"])
+    def test_lower_rates_are_the_barrier_formula_alone(self, monkeypatch, p):
+        # the study reads one float per radius: no barrier is built for it
+        R_list = [0.5, 1.0, 2.0, 4.0]
+        want = [make_eigen_barrier(p, 2, R).derived["rate"] for R in R_list]
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("the study built an eigen barrier")
+
+        monkeypatch.setattr(experiments, "make_eigen_barrier", unbuilt, raising=False)
+        rep = phragmen_lindelof_study(p, 2, m=0.5, M=2.0, eps_list=[0.001, 0.002],
+                                      R_list=R_list, t_probe=1.0)
+        header, *rows = rep.tables["lower"]
+        assert header[:2] == ("R", "rate")
+        assert [row[0] for row in rows] == R_list
+        got = [row[1] for row in rows]
+        assert [float(r).hex() for r in got] == [float(r).hex() for r in want]
 
     def test_tables_and_save(self, study_p3, tmp_path):
         paths = study_p3.save(tmp_path)

@@ -191,6 +191,29 @@ class TestConvergenceOrders:
         assert diff <= 3.0 * bound, (diff, bound)
 
 
+class TestScalingLaw:
+    """u_R(r, t) = u_1(r/R, t/R^g) solves the problem on B_R: the weights
+    scale by powers of 2 on B_2, so the two solves agree bit for bit."""
+
+    @pytest.mark.parametrize("scheme", [LOG_IMPLICIT, DIRECT_IMPLICIT])
+    @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), Exponent.finite(4),
+                                   INFINITY], ids=["p2", "p3", "p4", "inf"])
+    def test_ball_of_radius_two_is_the_unit_ball_rescaled(self, p, scheme):
+        stretch = 2.0 ** p.g  # exact: g is an integer here
+
+        def config(R, t_end, dt):
+            return SolverConfig(
+                p=p, n=2, R=R, nodes=41, t_end=t_end, scheme=scheme, boundary=lambda t: 1.0,
+                initial=lambda r: 1.0 + 0.4 * np.cos(0.5 * np.pi * np.asarray(r, float) / R) ** 2,
+                dt=dt)
+
+        unit = solve_trudinger_radial(config(1.0, 0.05, 1e-3))
+        wide = solve_trudinger_radial(config(2.0, 0.05 * stretch, 1e-3 * stretch))
+        assert unit.times.size > 10
+        assert wide.values.tobytes() == unit.values.tobytes()
+        assert wide.times.tobytes() == (unit.times * stretch).tobytes()
+
+
 class TestFieldProperties:
     def test_audit_below_reported_bound(self):
         cfg = heat_config(nodes=101, t_end=0.05, dt=1e-4)
@@ -357,12 +380,14 @@ class TestNewtonStep:
         st, v_prev, v = self.state(p)
         dt, w = 2e-3, p.time_weight
 
-        def residual(x):
-            return pde._log_residual(x, v_prev, w / dt, st, pde._log_scratch(v.size))[0][:-1]
+        log_residual = pde._log_residual(st, v.size)
 
-        _, cache = pde._log_residual(v, v_prev, w / dt, st, pde._log_scratch(v.size))
+        def residual(x):
+            return log_residual(x, v_prev, w / dt)[0][:-1]
+
+        _, cache = log_residual(v, v_prev, w / dt)
         self.assert_central_differences(
-            residual, v, self.lone(pde._log_jacobian(cache, st, w / dt, pde._diagonals(v.size))))
+            residual, v, self.lone(pde._log_jacobian(st, v.size)(cache, w / dt)))
 
     @pytest.mark.parametrize("p", [Exponent.finite(2), Exponent.finite(3), INFINITY],
                              ids=["p2", "p3", "inf"])
@@ -370,13 +395,15 @@ class TestNewtonStep:
         st, v_prev, v = self.state(p)
         c_dt, B_dt = 1.5 / 2e-3, np.exp(v_prev) / 2e-3
 
-        def residual(x):
-            return pde._direct_residual(x, c_dt, B_dt, st)[0][:-1]
-
         u = np.exp(v)
-        _, cache = pde._direct_residual(u, c_dt, B_dt, st)
+        direct_residual = pde._direct_residual(st, u.size)
+
+        def residual(x):
+            return direct_residual(x, c_dt, B_dt)[0][:-1]
+
+        _, cache = direct_residual(u, c_dt, B_dt)
         self.assert_central_differences(
-            residual, u, self.lone(pde._direct_jacobian(cache, st, c_dt, pde._diagonals(u.size))))
+            residual, u, self.lone(pde._direct_jacobian(st, u.size)(cache, c_dt)))
 
     @staticmethod
     def lone(diagonals):
@@ -449,18 +476,19 @@ class TestWorkspace:
         # the stencil is cached and shared, so scratch kept on it would leak
         # into every later solve on the same grid, n and p; constant data
         # converge at 0 iterations, so each level is its predictor start
-        levels = []
-        newton = pde._newton
+        levels = {}
+        extrapolate = pde._extrapolate
 
-        def recording(*args, **kwargs):
-            out = newton(*args, **kwargs)
-            levels.append(out[0])
-            return out
+        def recording(history, t):
+            for _, level in history:  # the log data, then each accepted log level
+                levels.setdefault(id(level), level)
+            return extrapolate(history, t)
 
-        monkeypatch.setattr(pde, "_newton", recording)
+        monkeypatch.setattr(pde, "_extrapolate", recording)
         field = solve_trudinger_radial(self.bump(p, amplitude))
         saved = (field.values.copy(), field.times.copy(), dict(field.metadata))
-        accepted = list(levels)
+        accepted = list(levels.values())
+        # every level but the last predicts a later one
         assert len(accepted) == field.times.size - 1
         for amplitude in (0.1, 0.7):
             solve_trudinger_radial(self.bump(p, amplitude))
@@ -479,14 +507,26 @@ class TestWorkspace:
         # F and the cache the Jacobian reads outlive the call; at g = 2 the
         # flux of the centred gradients is the scratch itself
         st, v_prev, v = TestNewtonStep.state(p)
-        scratch = pde._log_scratch(v.size)
-        F, cache = pde._log_residual(v, v_prev, 250.0, st, scratch)
+        residual = pde._log_residual(st, v.size)
+        F, cache = residual(v, v_prev, 250.0)
         kept = [F.copy(), *(np.array(a, copy=True) for a in cache)]
-        pde._log_residual(v_prev, v, 125.0, st, scratch)
+        residual(v_prev, v, 125.0)
         for got, want in zip([F, *cache], kept):
             assert np.array_equal(got, want)
+        scratch = list(self.arrays_held(residual))
+        assert len(scratch) >= 5  # q and c, their views, the update difference, the faces
         for out in [F, *cache]:
             assert not any(np.shares_memory(out, a) for a in scratch)
+
+    @classmethod
+    def arrays_held(cls, fn):
+        """Every array a built closure holds, its nested closures' too."""
+        for cell in fn.__closure__ or ():
+            held = cell.cell_contents
+            if isinstance(held, np.ndarray):
+                yield held
+            elif callable(held) and getattr(held, "__closure__", None):
+                yield from cls.arrays_held(held)
 
 
 class TestStencilJacobian:
@@ -497,7 +537,8 @@ class TestStencilJacobian:
         grid = RadialGrid(1.0, 41)
         st = pde._stencil(grid, 2, Exponent.finite(2), members)
         size = members * grid.count
-        general = pde._flux_jacobian(1.0, st._replace(jacobian=None), pde._diagonals(size))
+        fill, general = pde._flux_jacobian(st._replace(jacobian=None), size)
+        fill(1.0)
         for got, want in zip(st.jacobian, general):
             assert not got.flags.writeable
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
