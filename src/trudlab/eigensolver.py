@@ -14,16 +14,17 @@ whose coefficients (`_axis_coefficients`, one triangular recurrence) depend
 on the law only; `_axis_series` gives the start values at the handover h (the
 largest r where the series' 12th term is at most 1e-2 ATOL, capped at 0.1 R),
 the solution below h and, through a_1, the origin_coefficient of the
-eigenfunction profile.  Above h the 8th-order Dormand-Prince pair DOP853 takes
-over, on plain floats with scipy's step control (`_dop853`), so it never steps
-through the non-integer powers of r at the axis.  Its stages, update and error
-sums are plain loops over scipy's tables: the eigenvalue and the delta-boundary
-problem shoot once per (p, n) per process (below), so a faster step would save
-a few ms per process at most.  One integration is one frozen `Shot` holding
-its 7th-order dense solution sol(r) -> (psi, W) on [0, r_end].  sol evaluates
-each point once, by the method that owns it: the series below h, the dense
-polynomial from h on.  A sorted grid, as every profile grid is, holds its
-points below h as a prefix, so it is split by two slices and not by a mask.
+eigenfunction profile.  Above h scipy's 8th-order Dormand-Prince pair DOP853
+takes over (`_dop853`), so it never steps through the non-integer powers of r
+at the axis.  scipy steps it and owns its step control; trudlab keeps only each
+step's dense coefficients, in one table, and the first zero.  The eigenvalue
+and the delta-boundary problem shoot once per (p, n) per process (below), so
+a stepper faster than scipy's would save a few ms per process at most.  One
+integration is one frozen `Shot` holding its 7th-order dense solution
+sol(r) -> (psi, W) on [0, r_end].  sol evaluates each point once, by the
+method that owns it: the series below h, the dense polynomial from h on.  A
+sorted grid, as every profile grid is, holds its points below h as a prefix,
+so it is split by two slices and not by a mask.
 
 No parameter is searched for: the equation is invariant under r -> s r,
 lam -> lam s^g (the lam_R R^g law, `Shot.stretched`) and (g-1)-homogeneous in
@@ -43,7 +44,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -62,37 +62,7 @@ class ShootingError(RuntimeError):
     """Integration failure, or a shot that contradicts a certified bound."""
 
 
-@functools.cache
-def _tableau() -> tuple:
-    """DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10) as scipy ships it, as
-    plain floats: the (c_s, a_s) rows of the stages 1..11 and of the dense
-    stages 13..15, B, E3, E5, then D and brentq.  scipy.integrate and
-    scipy.optimize are imported here, on the first shot, so a process that
-    never shoots never loads them."""
-    from scipy.integrate import DOP853
-    from scipy.optimize import brentq
-
-    stages = [(c, a[:s]) for s, (c, a) in enumerate(
-        zip(DOP853.C.tolist(), DOP853.A.tolist())) if s]
-    extra = [(c, a[:s]) for s, (c, a) in enumerate(
-        zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA.tolist()), start=DOP853.n_stages + 1)]
-    return (stages, extra, DOP853.B.tolist(), DOP853.E3.tolist(), DOP853.E5.tolist(),
-            DOP853.D, brentq)
-
-
-def _stages(rhs, r, h, psi, w, kp, kw, rows) -> None:
-    """Append the stages (c_s, a_s) in rows to the slopes kp, kw of psi and w."""
-    for c, a in rows:
-        dp, dw = rhs(r + c * h, psi + sum(map(mul, a, kp)) * h, w + sum(map(mul, a, kw)) * h)
-        kp.append(dp)
-        kw.append(dw)
-
-
 _EPS4 = 4.0 * np.finfo(float).eps
-
-
-def _rms(a: float, b: float) -> float:
-    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
 def _interp(F, x):
@@ -107,71 +77,41 @@ def _interp(F, x):
 
 
 def _dop853(rhs, r, y, r_bound, rtol, atol):
-    """DOP853 on plain floats for y = (psi, w), from r to r_bound or to the first
+    """scipy's DOP853 for y = (psi, w), from r to r_bound or to the first
     downward zero of psi, whichever comes first.
 
-    rhs(r, psi, w) -> (psi', w').  Step control is scipy's: its initial-step
-    rule, the E5/E3 error norm, safety 0.9, step factors in [0.2, 10] with
-    exponent -1/8 and no growth right after a rejection; the zero is brentq's
-    (xtol = rtol = 4 eps) on the step's dense polynomial.  Returns (ts, sol,
-    first_zero): the breakpoints, ending at the stop, and sol(r) -> (psi, w) of
-    shape (2, *r.shape).  The dense table is component-major, F[j, component,
-    step], so sol's one take along the step axis gathers unit-stride rows and
-    each Horner term is one pass over them, not len(r) passes over two values.
+    rhs(r, psi, w) -> (psi', w') on floats.  The steps and each step's dense
+    coefficients are scipy's (`DOP853.step`, `dense_output`); the zero is
+    brentq's (xtol = rtol = 4 eps) on the last step's dense polynomial.
+    scipy.integrate and scipy.optimize are imported here, on the first shot,
+    so a process that never shoots never loads them.  Returns (ts, sol,
+    first_zero): the breakpoints, ending at the stop, and sol(r) -> (psi, w)
+    of shape (2, *r.shape).  The dense table is component-major, F[j,
+    component, step], so sol's one take along the step axis gathers
+    unit-stride rows and each Horner term is one pass over them, not len(r)
+    passes over two values.
     """
-    stages, extra, B, E3, E5, D, brentq = _tableau()
-    psi, w = y
-    f = rhs(r, psi, w)
-    sp, sw = atol + abs(psi) * rtol, atol + abs(w) * rtol
-    d0, d1 = _rms(psi / sp, w / sw), _rms(f[0] / sp, f[1] / sw)
-    h_abs = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, r_bound - r)
-    f1 = rhs(r + h_abs, psi + h_abs * f[0], w + h_abs * f[1])
-    d2 = _rms((f1[0] - f[0]) / sp, (f1[1] - f[1]) / sw) / h_abs
-    h1 = (max(1e-6, h_abs * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** 0.125)
-    h_abs = min(100.0 * h_abs, h1, r_bound - r)
+    from scipy.integrate import DOP853
+    from scipy.optimize import brentq
 
+    solver = DOP853(lambda t, y: rhs(t, *y.tolist()), r, y, r_bound, rtol=rtol, atol=atol)
     steps, crossed, first_zero = [], False, None
-    while r < r_bound and not crossed:
-        min_step = 10.0 * math.ulp(r)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if not h_abs >= min_step:  # also stops a NaN step
-                raise ShootingError(f"integration failed at r={r:.6g}: step size too small")
-            r_new = min(r + h_abs, r_bound)
-            h = r_new - r
-            kp, kw = [f[0]], [f[1]]
-            _stages(rhs, r, h, psi, w, kp, kw, stages)
-            psi_new, w_new = psi + h * sum(map(mul, B, kp)), w + h * sum(map(mul, B, kw))
-            f_new = rhs(r + h, psi_new, w_new)
-            kp.append(f_new[0])
-            kw.append(f_new[1])
-            e5p, e5w, e3p, e3w = (sum(map(mul, e, k)) for e in (E5, E3) for k in (kp, kw))
-            sp = atol + max(abs(psi), abs(psi_new)) * rtol
-            sw = atol + max(abs(w), abs(w_new)) * rtol
-            e5, e3 = (e5p / sp) ** 2 + (e5w / sw) ** 2, (e3p / sp) ** 2 + (e3w / sw) ** 2
-            err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3))
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
-            rejected = True
-        _stages(rhs, r, h, psi, w, kp, kw, extra)
-        steps.append((r, h, psi, w, psi_new, w_new, kp, kw))
-        crossed = psi >= 0.0 and psi_new <= 0.0  # solve_ivp's direction = -1 event
-        r, psi, w, f = r_new, psi_new, w_new, f_new
+    while solver.status == "running" and not crossed:
+        if math.isfinite(solver.h_abs):  # scipy would halve a NaN first step forever
+            solver.step()
+        if solver.status == "failed" or not math.isfinite(solver.h_abs):
+            raise ShootingError(f"integration failed at r={solver.t:.6g}: step size too small")
+        steps.append(solver.dense_output())
+        # the downward sign change of solve_ivp's direction = -1 event
+        crossed = steps[-1].y_old[0] >= 0.0 and solver.y[0] <= 0.0
 
-    # the dense coefficients of all steps at once, built as F[j, step, component]
-    # and stored as F[j, component, step], with y_old as (component, step)
-    r_old, hs, psi_old, w_old, psi_new, w_new, kp, kw = map(np.array, zip(*steps))
-    y_old, K = np.stack([psi_old, w_old], -1), np.stack([kp, kw], -1)
-    dy, h = np.stack([psi_new, w_new], -1) - y_old, hs[:, None]
-    F = np.concatenate([[dy, h * K[:, 0] - dy, 2.0 * dy - h * (K[:, 12] + K[:, 0])],
-                        h * np.einsum("jk,mkc->jmc", D, K)]).transpose(0, 2, 1).copy()
-    y_old = y_old.T.copy()
+    # the steps' dense outputs as one table: F[j, component, step], y_old[component, step]
+    r_old, hs = np.array([(s.t_old, s.h) for s in steps]).T.copy()
+    F = np.array([s.F for s in steps]).transpose(1, 2, 0).copy()
+    y_old = np.array([s.y_old for s in steps]).T.copy()
+    r = solver.t
     if crossed:  # the zero of the last step's polynomial
-        Fp, (r0, h, psi0) = F[:, 0, -1].tolist(), steps[-1][:3]
+        Fp, r0, h, psi0 = F[:, 0, -1].tolist(), r_old[-1], hs[-1], y_old[0, -1]
         r = first_zero = brentq(lambda t: _interp(Fp, (t - r0) / h) + psi0, r0, r,
                                 xtol=_EPS4, rtol=_EPS4)
 

@@ -33,7 +33,14 @@ from trudlab.pde import (
 )
 
 from test_barriers import verdict_matches
-from test_eigensolver import bessel_j0_first_zero, eigen_at_radius, infinity_eigenvalue
+from test_eigensolver import (
+    bessel_j0_first_zero,
+    eigen_at_radius,
+    infinity_eigenvalue,
+    interval_eigenvalue,
+    interval_law_eigenvalue,
+    rayleigh_quotient,
+)
 
 P_SWEEP = [Exponent.finite(2), Exponent.finite(2.5), Exponent.finite(3),
            Exponent.finite(4), INFINITY]
@@ -101,7 +108,7 @@ class TestAcceptance:
                f"heat residual {np.abs(res).max():.2e}, slopes {slopes}")
 
     def test_03_eigenvalue_oracles(self, eigen_cache):
-        """Independent closed-form and series oracles pin the eigenvalues."""
+        """Independent closed-form, series and quadrature oracles pin the eigenvalues."""
         t0 = time.perf_counter()
         lam_3d = eigen_cache(2.0, 3, 1.0).lam
         t_3d = time.perf_counter() - t0
@@ -112,11 +119,20 @@ class TestAcceptance:
         # infinity: the 1-D p = 4 eigenvalue pi^4/(64 R^4), pinned relative tolerance
         inf_err = max(abs(eigen_cache("inf", 2, R).lam / infinity_eigenvalue(R) - 1.0)
                       for R in (0.5, 1.0, 1.7))
+        # p = 3 and 4: the 1-D law (p, 1, 1) against (p-1)(pi_p/(2R))^p, and the
+        # Rayleigh quotient of a shot on B_R against the memoized eigenvalue
+        pi_p_err = max(abs(interval_law_eigenvalue(g, R) / interval_eigenvalue(g, 2.0 * R) - 1.0)
+                       for g in (3.0, 4.0) for R in (0.5, 1.0, 1.7))
+        rq_err = max(abs(rayleigh_quotient(Exponent.finite(pv), n, 1.0)
+                         / eigen_cache(pv, n, 1.0).lam - 1.0)
+                     for pv in (3.0, 4.0) for n in (2, 3))
         ok = (abs(lam_3d - PI2) < 1e-4 and abs(lam_2d - j01 ** 2) < 1e-3
-              and inf_err < 1e-8 and t_3d < 5.0 and t_2d < 5.0)
+              and inf_err < 1e-8 and pi_p_err < 1e-10 and rq_err < 1e-10
+              and t_3d < 5.0 and t_2d < 5.0)
         report("3 eigenvalue-oracles", ok,
                f"lam(2,3)={lam_3d:.8f} vs pi^2, lam(2,2)={lam_2d:.8f} vs "
                f"{j01 ** 2:.8f}, lam(inf) vs pi^4/(64R^4) rel {inf_err:.1e}, "
+               f"p=3,4: pi_p rel {pi_p_err:.1e}, Rayleigh quotient rel {rq_err:.1e}, "
                f"{t_3d:.1f}s/{t_2d:.1f}s")
 
     def test_04_scaling_law(self):

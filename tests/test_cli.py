@@ -497,24 +497,3 @@ class TestImportFootprint:
 
     def test_eigen_loads_integrate(self, tmp_path):
         assert "scipy.integrate" in scipy_footprint(tmp_path, ["eigen", "--p", "3", "--n", "2"])
-
-    def test_tableau_is_scipys(self):
-        from scipy.integrate import DOP853
-
-        stages, extra, B, E3, E5, D = eigensolver._tableau()[:6]
-
-        def full(rows, width):
-            return np.array([[*a, *[0.0] * (width - len(a))] for a in rows])
-
-        A, A_extra = DOP853.A, DOP853.A_EXTRA
-        tables = [
-            (np.array([0.0] + [c for c, _ in stages]), DOP853.C),
-            (full([[]] + [a for _, a in stages], A.shape[1]), A),
-            (np.array([c for c, _ in extra]), DOP853.C_EXTRA),
-            (full([a for _, a in extra], A_extra.shape[1]), A_extra),
-            (np.array(B), DOP853.B), (np.array(E3), DOP853.E3), (np.array(E5), DOP853.E5),
-            (D, DOP853.D),
-        ]
-        for ours, theirs in tables:
-            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-            assert ours.tobytes() == theirs.tobytes()

@@ -3,13 +3,15 @@
 Oracles: the linear case p = 2 has closed forms (sin(pi r)/(pi r) in three
 dimensions; the first Bessel J0 zero in two), and the infinity branch, a 1-D
 p = 4 problem, has the closed-form pi^4/(64 R^4) from the generalized pi_p, as
-has the 1-D law (g, 1, 1) at every g, (g-1)(pi_g/(2R))^g;
-all are built here independently of the solver before asserting against it.  For every p the shot is also checked
-against scipy's general-purpose `solve_ivp(method="DOP853")` run here on its
-own right-hand side, and the stepper against cos r; its generated step is
-checked bit for bit against the generic stage loop, kept here as the
-reference.  The delta-boundary profile, which the solver dilates from the unit
-eigen shot, is checked against a shot of its own at lam.  The zero-order gain of
+has the 1-D law (g, 1, 1) at every g, (g-1)(pi_g/(2R))^g; for 2.5 <= p <= 4 the
+eigenvalue is also the Rayleigh quotient of its eigenfunction, integrated here
+by quad.  All are built here independently of the solver before asserting
+against it.  For every p the shot is also checked against scipy's
+general-purpose `solve_ivp(method="DOP853")` run here on its own right-hand
+side: the same accepted steps and right-hand-side calls.  The stepper is
+checked against cos r, and the scipy DOP853 interface it reads is pinned.
+The delta-boundary profile, which the solver dilates from the unit eigen
+shot, is checked against a shot of its own at lam.  The zero-order gain of
 shifted profiles and the quotient comparison, two lemmas of the paper, are
 written here as helpers and checked on the solver's delta-boundary profiles.
 """
@@ -121,6 +123,36 @@ def delta_bvp_at_radius(p, n, R, lam, delta):
     return M, M * psi, M * dpsi
 
 
+def interval_law_eigenvalue(g, R):
+    """lam of the law (g, 1, 1), the 1-D g-Laplacian symmetric on (-R, R), from
+    the production shot: shot at 3x the closed form and stretched to its first
+    zero (brentq on the float dense polynomial)."""
+    shot = shoot_radial(IntervalLaw(g), 2, R, 3.0 * interval_eigenvalue(g, 2.0 * R))
+    assert 0.0 < shot.first_zero < R
+    return shot.stretched(shot.first_zero / R, R).lam
+
+
+def rayleigh_quotient(p, n, R):
+    """lam from k lam = int |psi'|^g r^{d-1} / int |psi|^g r^{d-1} over [0, R]
+    for the eigenfunction: quad of a shot on B_R itself, never the unit shot,
+    stretched to its first zero and split at the handover."""
+    g, d = p.g, p.d(n)
+    shot = shoot_radial(p, n, R, eigensolver.bracket_rate(p, n, R))
+    shot = shot.stretched(shot.first_zero / R, R)
+
+    def integral(of_psi_and_dpsi):
+        def integrand(r):
+            psi, w = (float(a) for a in shot.sol(r))
+            dpsi = math.copysign(abs(w) ** (1.0 / (g - 1.0)), w)
+            return of_psi_and_dpsi(psi, dpsi) * r ** (d - 1.0)
+
+        return quad(integrand, 0.0, R, epsrel=1e-13, epsabs=0.0, limit=500,
+                    points=[shot.handover])[0]
+
+    energy = integral(lambda psi, dpsi: abs(dpsi) ** g)
+    return energy / integral(lambda psi, dpsi: abs(psi) ** g) / p.k
+
+
 @pytest.fixture
 def shot_radii(monkeypatch):
     """The radius of every shoot_radial call the eigensolver makes from here on."""
@@ -209,14 +241,9 @@ class TestShootRadial:
     @pytest.mark.parametrize("R", [0.5, 1.0, 1.7])
     @pytest.mark.parametrize("g", [1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
     def test_interval_law_matches_pi_p(self, g, R):
-        # the law (g, 1, 1) is the 1-D g-Laplacian, symmetric on (-R, R): shot
-        # at 3x its closed-form eigenvalue and stretched to its first zero
-        # (brentq on the float dense polynomial) it lands on (g-1)(pi_g/(2R))^g
+        # the law (g, 1, 1) is the 1-D g-Laplacian: its shot lands on (g-1)(pi_g/(2R))^g
         lam = interval_eigenvalue(g, 2.0 * R)
-        shot = shoot_radial(IntervalLaw(g), 2, R, 3.0 * lam)
-        assert 0.0 < shot.first_zero < R
-        stretched = shot.stretched(shot.first_zero / R, R)
-        assert abs(stretched.lam - lam) <= 1e-10 * lam
+        assert abs(interval_law_eigenvalue(g, R) - lam) <= 1e-10 * lam
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_dimension_below_two_rejected(self, n):
@@ -306,7 +333,7 @@ downward_zero.direction = -1
 
 
 class TestAgainstSolveIvp:
-    """The plain-float stepper against solve_ivp at the same tolerances."""
+    """The stepper against solve_ivp at the same tolerances."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
@@ -335,8 +362,8 @@ class TestAgainstSolveIvp:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("pv", [2.0, 2.5, 3.0, 4.0])
     def test_same_accepted_steps(self, eigen_cache, monkeypatch, pv, n):
-        # the step control is solve_ivp's: the same accepted steps, up to one,
-        # for the eigenvalue shot (stopped at its zero) and a delta-BVP shot
+        # the step control is solve_ivp's: the same accepted steps for the
+        # eigenvalue shot (stopped at its zero) and a delta-BVP shot
         R = 1.0
         steps = []
         real = eigensolver._dop853
@@ -351,7 +378,7 @@ class TestAgainstSolveIvp:
         lam = 0.7 * eigen_cache(pv, n, R).lam
         for rate_, events in ((rate, downward_zero), (lam, None)):
             shot = shoot_radial(Exponent.finite(pv), n, R, rate_)
-            assert abs(steps[-1] - (len(reference_ivp(shot, R, events).t) - 1)) <= 1
+            assert steps[-1] == len(reference_ivp(shot, R, events).t) - 1
 
 
 class TestHandover:
@@ -442,8 +469,9 @@ class TestStepper:
 
     @pytest.mark.parametrize("k", [30.0, 3000.0])
     def test_calls_match_solve_ivp(self, k):
-        # psi'' = -(1 + k r^2) psi rejects steps; the right-hand-side calls
-        # (initial-step rule, rejected tries, dense-output stages) match nfev
+        # psi'' = -(1 + k r^2) psi rejects steps; the steps and the
+        # right-hand-side calls (initial-step rule, rejected tries, dense-output
+        # stages) are solve_ivp's
         calls = []
 
         def rhs(r, psi, w):
@@ -455,7 +483,7 @@ class TestStepper:
                         [1.0, 0.0], method="DOP853", rtol=RTOL, atol=ATOL,
                         dense_output=True, events=downward_zero)
         assert len(calls) > 2 + 15 * (len(ts) - 1)  # some steps were rejected
-        assert abs(len(ts) - len(ref.t)) <= 1 and abs(len(calls) - ref.nfev) <= 27
+        assert len(ts) == len(ref.t) and len(calls) == ref.nfev
         assert zero == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bad_from", [0.0, 0.5])
@@ -465,6 +493,28 @@ class TestStepper:
 
         with pytest.raises(ShootingError, match="step size too small"):
             eigensolver._dop853(rhs, 0.0, (1.0, 0.0), 3.0, RTOL, ATOL)
+
+    def test_scipy_dop853_interface(self):
+        # what the stepper reads of scipy: the constructor, step(), status,
+        # h_abs and each step's dense_output() (t_old, h, F, y_old), whose
+        # polynomial _interp evaluates bit for bit as the dense output does
+        from scipy.integrate import DOP853
+
+        solver = DOP853(lambda r, y: (y[1], -y[0]), 0.0, (1.0, 0.0), 3.0, rtol=RTOL, atol=ATOL)
+        assert solver.status == "running" and 0.0 < solver.h_abs < 3.0
+        t_old, y_old, steps = 0.0, solver.y, 0
+        while solver.status == "running":
+            assert solver.step() is None and solver.status in ("running", "finished")
+            dense, steps = solver.dense_output(), steps + 1
+            assert (dense.t_old, dense.h) == (t_old, solver.t - t_old)
+            assert dense.F.shape == (7, 2) and dense.F.dtype == np.float64
+            assert dense.y_old.shape == (2,) and np.array_equal(dense.y_old, y_old)
+            for x in (0.0, 0.3, 0.71, 1.0):
+                r = t_old + x * dense.h
+                ours = eigensolver._interp(dense.F, (r - dense.t_old) / dense.h) + dense.y_old
+                assert ours.tobytes() == dense(r).tobytes()
+            t_old, y_old = solver.t, solver.y
+        assert solver.status == "finished" and solver.t == 3.0 and steps > 3
 
 
 class TestFirstEigenvalue:
@@ -621,26 +671,9 @@ class TestFirstEigenvalue:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("pv", [2.5, 3.0, 3.5, 4.0])
     def test_rayleigh_quotient_is_the_eigenvalue(self, pv, n, R):
-        # k lam = int |psi'|^g r^{d-1} / int |psi|^g r^{d-1} over [0, R] for the
-        # eigenfunction: quadrature of a shot on B_R itself, split at the handover
         p = Exponent.finite(pv)
-        g, d = p.g, p.d(n)
-        rate = eigensolver.bracket_rate(p, n, R)
-        shot = shoot_radial(p, n, R, rate)
-        shot = shot.stretched(shot.first_zero / R, R)
-
-        def integral(of_psi_and_dpsi):
-            def integrand(r):
-                psi, w = (float(a) for a in shot.sol(r))
-                dpsi = math.copysign(abs(w) ** (1.0 / (g - 1.0)), w)
-                return of_psi_and_dpsi(psi, dpsi) * r ** (d - 1.0)
-
-            return quad(integrand, 0.0, R, epsrel=1e-13, epsabs=0.0, limit=500,
-                        points=[shot.handover])[0]
-
-        quotient = integral(lambda psi, dpsi: abs(dpsi) ** g) / integral(lambda psi, dpsi: abs(psi) ** g)
         lam = first_eigenvalue(p, n, R).lam
-        assert abs(quotient / p.k - lam) <= 1e-10 * lam
+        assert abs(rayleigh_quotient(p, n, R) - lam) <= 1e-10 * lam
 
     def test_shared_profile_stays_intact(self):
         p = Exponent.finite(3)
